@@ -121,6 +121,7 @@ SAN_TESTS=(
   transport_crash_recovery_test
   transport_deadlock_test
   consensus_sparsifier_property_test
+  core_link_backlog_test
 )
 
 SANITIZERS=(address thread undefined)

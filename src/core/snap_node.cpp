@@ -250,14 +250,14 @@ void SnapNode::compute_update(double alpha) {
   if (iteration_ == 0) {
     // x¹ = Σ_j w_ij x̂_j⁰ − α ∇f_i(x⁰).
     grad_previous_ = model_->gradient(x_current_, shard_);
-    linalg::Vector next(dim);
+    linalg::Vector& next = x_next_;
+    next.resize(dim);
+    next.fill(0.0);
     next.axpy(w_self_, x_current_);
     for (std::size_t s = 0; s < deg; ++s) {
       next.axpy(w_neighbors_[s], current_of(s));
     }
     next.axpy(-alpha, grad_previous_);
-    x_previous_ = std::move(x_current_);
-    x_current_ = std::move(next);
   } else {
     // xᵏ⁺² = xᵏ⁺¹ + Σ_j w_ij x̂_jᵏ⁺¹ − Σ_j w̃'_ij x̂_jᵏ
     //        − α (∇f_i(xᵏ⁺¹) − ∇f_i(xᵏ)),  with w̃'_ij = (w'_ij+1{i=j})/2
@@ -269,7 +269,8 @@ void SnapNode::compute_update(double alpha) {
     // ½(Wₜ − Wₜ₋₁)x̂ᵏ mismatch feeds a disagreement-proportional error
     // through the accumulator every round and the recursion diverges.
     linalg::Vector grad_now = model_->gradient(x_current_, shard_);
-    linalg::Vector next = x_current_;
+    linalg::Vector& next = x_next_;
+    next = x_current_;
     next.axpy(w_self_, x_current_);
     next.axpy(-(w_self_prev_ + 1.0) / 2.0, x_previous_);
     // Both neighbor lists are sorted, so the previous round's weight for
@@ -289,9 +290,11 @@ void SnapNode::compute_update(double alpha) {
     next.axpy(-alpha, grad_now);
     next.axpy(alpha, grad_previous_);
     grad_previous_ = std::move(grad_now);
-    x_previous_ = std::move(x_current_);
-    x_current_ = std::move(next);
   }
+  // Rotate (previous, current, next) ← (current, next, previous): the
+  // retired iterate's storage becomes next round's output buffer.
+  std::swap(x_previous_, x_current_);
+  std::swap(x_current_, x_next_);
   if (w_row_dirty_) {
     // Capture the row the W̃ memory term must pair with next round.
     // Skipped on static-row rounds: the previous capture still matches.
@@ -305,10 +308,17 @@ void SnapNode::compute_update(double alpha) {
 
 SnapNode::Outgoing SnapNode::collect_updates(FilterMode mode,
                                              double threshold) {
-  SNAP_REQUIRE(threshold >= 0.0);
   Outgoing out;
+  out.max_withheld = collect_updates(mode, threshold, out.updates);
+  return out;
+}
+
+double SnapNode::collect_updates(FilterMode mode, double threshold,
+                                 std::vector<net::ParamUpdate>& updates) {
+  SNAP_REQUIRE(threshold >= 0.0);
+  updates.clear();
+  double max_withheld = 0.0;
   const std::size_t dim = x_current_.size();
-  out.updates.reserve(dim / 4);
   for (std::size_t p = 0; p < dim; ++p) {
     const double change = std::abs(x_current_[p] - advertised_[p]);
     bool send = false;
@@ -324,14 +334,13 @@ SnapNode::Outgoing SnapNode::collect_updates(FilterMode mode,
         break;
     }
     if (send) {
-      out.updates.push_back(
-          {static_cast<std::uint32_t>(p), x_current_[p]});
+      updates.push_back({static_cast<std::uint32_t>(p), x_current_[p]});
       advertised_[p] = x_current_[p];
     } else {
-      out.max_withheld = std::max(out.max_withheld, change);
+      max_withheld = std::max(max_withheld, change);
     }
   }
-  return out;
+  return max_withheld;
 }
 
 void SnapNode::advance_views() {

@@ -151,6 +151,12 @@ class SnapNode {
   /// to kApe mode.
   Outgoing collect_updates(FilterMode mode, double threshold);
 
+  /// Allocation-free form: replaces the contents of `updates` with the
+  /// selected parameters (sorted by index, so a caller can reuse one
+  /// buffer across rounds) and returns Outgoing::max_withheld.
+  double collect_updates(FilterMode mode, double threshold,
+                         std::vector<net::ParamUpdate>& updates);
+
   /// Shifts every neighbor view one iteration back (x̂ᵏ becomes the
   /// "previous" view) and marks every neighbor stale until a frame
   /// (possibly an empty heartbeat) arrives. Call once per round before
@@ -247,6 +253,9 @@ class SnapNode {
 
   linalg::Vector x_previous_;
   linalg::Vector x_current_;
+  /// compute_update's output buffer, rotated with x_previous_ so a
+  /// round allocates nothing beyond what Model::gradient returns.
+  linalg::Vector x_next_;
   linalg::Vector grad_previous_;
   linalg::Vector advertised_;
   StragglerPolicy straggler_policy_;

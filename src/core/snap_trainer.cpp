@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -16,6 +15,7 @@
 #include "common/thread_pool.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "consensus/weight_reprojection.hpp"
+#include "core/link_backlog.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_injector.hpp"
 #include "net/frame.hpp"
@@ -26,14 +26,61 @@ namespace snap::core {
 
 namespace {
 
+// An immutable batch of parameter updates, sorted by index. One frame
+// is shared by every envelope that carries it: a node-round's filtered
+// updates go to all of its caught-up links as the same object.
+using Frame = std::shared_ptr<const std::vector<net::ParamUpdate>>;
+
 // What SNAP puts on the wire. A regular frame is a (possibly filtered)
 // batch of parameter updates; a STATE_SYNC frame is a full-model
 // warm-start handoff to a joiner, flagged in-band so the receiver
 // adopts it immediately instead of queueing it as a round frame.
 struct SnapWire {
-  std::vector<net::ParamUpdate> updates;
+  Frame frame;
   bool state_sync = false;
+
+  std::span<const net::ParamUpdate> updates() const noexcept {
+    if (!frame) return {};
+    return *frame;
+  }
 };
+
+// Dense full-model frame (index p carries x[p]): the STATE_SYNC image.
+Frame dense_frame(const linalg::Vector& x) {
+  std::vector<net::ParamUpdate> dense;
+  dense.reserve(x.size());
+  for (std::size_t p = 0; p < x.size(); ++p) {
+    dense.push_back({static_cast<std::uint32_t>(p), x[p]});
+  }
+  return std::make_shared<const std::vector<net::ParamUpdate>>(
+      std::move(dense));
+}
+
+// One node's backlogs, keyed by destination and kept sorted — only links
+// that have been silent at least once own an entry, so a node whose
+// links all fire every round keeps this empty.
+using NodeBacklogs = std::vector<std::pair<topology::NodeId, LinkBacklog>>;
+
+NodeBacklogs::iterator lower_bound_of(NodeBacklogs& backlogs,
+                                      topology::NodeId j) {
+  return std::lower_bound(backlogs.begin(), backlogs.end(), j,
+                          [](const auto& entry, topology::NodeId key) {
+                            return entry.first < key;
+                          });
+}
+
+LinkBacklog* find_backlog(NodeBacklogs& backlogs, topology::NodeId j) {
+  const auto it = lower_bound_of(backlogs, j);
+  return it != backlogs.end() && it->first == j ? &it->second : nullptr;
+}
+
+/// The j-link's backlog, allocated (empty) on first use.
+LinkBacklog& backlog_for(NodeBacklogs& backlogs, topology::NodeId j,
+                         std::size_t dim) {
+  const auto it = lower_bound_of(backlogs, j);
+  if (it != backlogs.end() && it->first == j) return it->second;
+  return backlogs.emplace(it, j, LinkBacklog(dim))->second;
+}
 
 // Reported aggregates fold only *alive* nodes — a crashed node's frozen
 // iterate would drag the mean toward wherever it died. An all-dead mask
@@ -296,13 +343,14 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   const auto total_params =
       static_cast<std::uint32_t>(model_->param_count());
 
-  // Per-directed-link transmit backlog. Peers talk over persistent TCP
-  // connections (§II-B), so a congested round delays a frame rather than
-  // destroying it: updates that could not be sent are merged
-  // (last-write-wins per parameter) into the next frame on that link.
-  std::vector<std::unordered_map<topology::NodeId,
-                                 std::map<std::uint32_t, double>>>
-      backlog(n);
+  // Per-directed-link transmit backlog (core/link_backlog.hpp): updates
+  // a silent link could not carry are merged into the next frame it
+  // does carry. Allocated on a link's first silent round.
+  std::vector<NodeBacklogs> backlog(n);
+  // Per-node collect buffer, recycled once the previous round's
+  // envelopes have released it (see collect below).
+  std::vector<std::shared_ptr<std::vector<net::ParamUpdate>>>
+      frame_buffers(n);
 
   // Local round counter per node: equals the fabric's global round
   // under sync execution, free-runs under async. Drives APE warmup.
@@ -323,8 +371,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   // is the sync one, reached on an event-driven clock. Free-run mode
   // bypasses the queues and mixes whatever is freshest.
   const bool paced = async_mode && !config_.async_free_run;
-  std::vector<std::unordered_map<
-      topology::NodeId, std::deque<std::vector<net::ParamUpdate>>>>
+  std::vector<std::unordered_map<topology::NodeId, std::deque<Frame>>>
       pending(paced ? n : 0);
 
   using Payload = SnapWire;
@@ -371,14 +418,14 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     codec.encode = [total_params](const Payload& wire) {
       if (wire.state_sync) {
         std::vector<double> values;
-        values.reserve(wire.updates.size());
-        for (const net::ParamUpdate& u : wire.updates) {
+        values.reserve(wire.updates().size());
+        for (const net::ParamUpdate& u : wire.updates()) {
           SNAP_REQUIRE(u.index == values.size());
           values.push_back(u.value);
         }
         return net::encode_state_sync_frame(values);
       }
-      return net::encode_update_frame(total_params, wire.updates);
+      return net::encode_update_frame(total_params, wire.updates());
     };
     codec.decode =
         [total_params](
@@ -388,20 +435,16 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         std::optional<std::vector<double>> values =
             net::decode_state_sync_frame(bytes);
         if (!values.has_value()) return std::nullopt;
-        Payload wire;
-        wire.state_sync = true;
-        wire.updates.reserve(values->size());
-        for (std::size_t d = 0; d < values->size(); ++d) {
-          wire.updates.push_back(
-              {static_cast<std::uint32_t>(d), (*values)[d]});
-        }
-        return wire;
+        return Payload{dense_frame(linalg::Vector(std::move(*values))),
+                       true};
       }
       std::optional<net::UpdateFrame> frame = net::decode_update_frame(bytes);
       if (!frame.has_value() || frame->total_params != total_params) {
         return std::nullopt;
       }
-      return Payload{std::move(frame->updates), false};
+      return Payload{std::make_shared<const std::vector<net::ParamUpdate>>(
+                         std::move(frame->updates)),
+                     false};
     };
     auto socket_transport = std::make_unique<net::SocketTransport<Payload>>(
         n, transport_config, std::move(codec));
@@ -562,7 +605,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
           SNAP_ASSERT(injector.has_value());
           continue;
         }
-        nodes[i].apply_update(j, queued.front());
+        nodes[i].apply_update(j, *queued.front());
         queued.pop_front();
       }
     }
@@ -571,10 +614,16 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     ++rounds[i];
   };
 
-  // 2. Filter, frame, and transmit. A link that is down this round
-  // keeps its frame in the backlog and retransmits (merged) when it
-  // recovers — persistent-TCP semantics; only frames actually written
-  // to a live link are charged (by the fabric, off wire_bytes).
+  // 2. Filter, frame, and transmit. A link that is silent this round
+  // keeps its updates in the backlog and retransmits them (merged) when
+  // it next fires — persistent-TCP semantics; only frames actually
+  // written to a live link are charged (by the fabric, off wire_bytes).
+  //
+  // The filtered updates become one immutable frame shared by every
+  // live link with nothing pending — the common case, costing no per-
+  // link work. A link with a backlog merges the round's updates into it
+  // and sends the drained catch-up frame instead; both come out in
+  // ascending index order, so the bytes are the same either way.
   //
   // Warmup (and non-APE modes) behave like SNAP-0: send every changed
   // parameter. The controller arms itself the first round after warmup,
@@ -592,48 +641,55 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
                                 ? FilterMode::kExactChange
                                 : config_.filter;
     const double threshold = ape_enabled ? ape[i]->threshold() : 0.0;
-    SnapNode::Outgoing outgoing = nodes[i].collect_updates(mode, threshold);
+    // Reuse last round's buffer when no envelope, inbox or paced queue
+    // still holds it; the fabric's phase barriers order those releases
+    // before this collect.
+    auto& buffer = frame_buffers[i];
+    if (!buffer || buffer.use_count() > 1) {
+      buffer = std::make_shared<std::vector<net::ParamUpdate>>();
+    }
+    const double max_withheld =
+        nodes[i].collect_updates(mode, threshold, *buffer);
     if (ape_enabled) {
       // A stage advance resets the controller's APE accounting window
       // (the paper's per-stage "restart" of the error bound).
-      ape[i]->record_iteration(outgoing.max_withheld);
+      ape[i]->record_iteration(max_withheld);
     }
-    std::vector<runtime::Envelope<Payload>> envelopes;
+    const Frame frame = buffer;
     const auto& my_neighbors = nodes[i].neighbors();
+    std::vector<runtime::Envelope<Payload>> envelopes;
+    envelopes.reserve(my_neighbors.size());
+    const std::size_t link_round = async_mode ? rounds[i] : global_round;
     for (std::size_t s = 0; s < my_neighbors.size(); ++s) {
       const topology::NodeId j = my_neighbors[s];
-      auto& queued = backlog[i][j];
-      for (const net::ParamUpdate& u : outgoing.updates) {
-        queued[u.index] = u.value;
-      }
-      // A sparsifier-pruned link is silent for the whole epoch: zero
-      // mixing weight (its W entry is a structural zero) and an
-      // accumulating backlog, so a later epoch that re-admits the link
-      // starts with one merged catch-up frame — the duty-cycle
-      // semantics of a non-activated gossip link, held open-endedly.
-      if (sparsify_on && link_pruned[i][s]) continue;
-      // A non-activated gossip link is a deliberately silent link: the
-      // backlog keeps accumulating (above) and the next activation's
-      // frame carries the merged catch-up — the same persistent-TCP
-      // semantics as a down link, with zero mixing weight meanwhile.
-      if (gossip_mode && !link_active[i][s]) continue;
+      // Silent links: a sparsifier-pruned link (silent for the whole
+      // epoch — zero mixing weight, so a later epoch that re-admits it
+      // starts with one merged catch-up frame), a non-activated gossip
+      // link (silent until its next activation), and a down link —
       // link_down covers both the burst chain and crashed endpoints, so
-      // the backlog keeps accumulating while a neighbor is dead and the
-      // first frame after its restart repairs the whole view.
-      const std::size_t link_round = async_mode ? rounds[i] : global_round;
-      if (injector && injector->link_down(link_round, i, j)) continue;
+      // the first frame after a neighbor's restart repairs its view.
+      const bool silent =
+          (sparsify_on && link_pruned[i][s]) ||
+          (gossip_mode && !link_active[i][s]) ||
+          (injector && injector->link_down(link_round, i, j));
+      if (silent) {
+        backlog_for(backlog[i], j, total_params).merge(*frame);
+        continue;
+      }
       // A live link always carries a frame — an empty one is the
       // heartbeat that lets the receiver distinguish "nothing above
       // threshold" from "link down" (kReweight needs to know).
-      std::vector<net::ParamUpdate> frame;
-      frame.reserve(queued.size());
-      for (const auto& [index, value] : queued) {
-        frame.push_back({index, value});
+      Frame sent = frame;
+      if (LinkBacklog* queued = find_backlog(backlog[i], j);
+          queued != nullptr && !queued->empty()) {
+        queued->merge(*frame);
+        auto catch_up = std::make_shared<std::vector<net::ParamUpdate>>();
+        queued->drain(*catch_up);
+        sent = std::move(catch_up);
       }
-      queued.clear();
       const std::size_t wire_bytes =
-          net::encoded_frame_bytes(total_params, frame.size());
-      envelopes.push_back({j, SnapWire{std::move(frame)}, wire_bytes});
+          net::encoded_frame_bytes(total_params, sent->size());
+      envelopes.push_back({j, SnapWire{std::move(sent)}, wire_bytes});
     }
     return envelopes;
   };
@@ -745,14 +801,8 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         if (config_.warm_start_joins) {
           for (const auto h : g.neighbors(j)) {
             if (!alive[h]) continue;
-            const linalg::Vector& xh = nodes[h].params();
-            nodes[j].adopt_params(xh);
-            std::vector<net::ParamUpdate> dense;
-            dense.reserve(total_params);
-            for (std::uint32_t p = 0; p < total_params; ++p) {
-              dense.push_back({p, xh[p]});
-            }
-            sink.send(h, j, SnapWire{std::move(dense), true},
+            nodes[j].adopt_params(nodes[h].params());
+            sink.send(h, j, SnapWire{dense_frame(nodes[h].params()), true},
                       net::state_sync_frame_bytes(total_params),
                       /*state_sync=*/true);
             break;
@@ -764,13 +814,9 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         const linalg::Vector& xj = nodes[j].params();
         for (const auto h : g.neighbors(j)) {
           if (!alive[h]) continue;
-          auto& to_h = backlog[j][h];
-          auto& to_j = backlog[h][j];
-          const linalg::Vector& xh = nodes[h].params();
-          for (std::uint32_t p = 0; p < total_params; ++p) {
-            to_h[p] = xj[p];
-            to_j[p] = xh[p];
-          }
+          backlog_for(backlog[j], h, total_params).prime(xj.span());
+          backlog_for(backlog[h], j, total_params)
+              .prime(nodes[h].params().span());
         }
       }
       // W repair rides the component labels: under the shared clock a
@@ -806,20 +852,12 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         // models directly (the charged STATE_SYNC frames are the wire
         // image of that exchange) and drop the split-era backlog — the
         // absolute-value updates it merged are superseded wholesale.
-        const linalg::Vector& xu = nodes[u].params();
-        const linalg::Vector& xv = nodes[v].params();
-        std::vector<net::ParamUpdate> dense_u;
-        std::vector<net::ParamUpdate> dense_v;
-        dense_u.reserve(total_params);
-        dense_v.reserve(total_params);
-        for (std::uint32_t p = 0; p < total_params; ++p) {
-          dense_u.push_back({p, xu[p]});
-          dense_v.push_back({p, xv[p]});
-        }
-        nodes[v].apply_update(u, dense_u);
-        nodes[u].apply_update(v, dense_v);
-        backlog[u][v].clear();
-        backlog[v][u].clear();
+        Frame dense_u = dense_frame(nodes[u].params());
+        Frame dense_v = dense_frame(nodes[v].params());
+        nodes[v].apply_update(u, *dense_u);
+        nodes[u].apply_update(v, *dense_v);
+        if (LinkBacklog* b = find_backlog(backlog[u], v)) b->clear();
+        if (LinkBacklog* b = find_backlog(backlog[v], u)) b->clear();
         sink.send(u, v, SnapWire{std::move(dense_u), true},
                   net::state_sync_frame_bytes(total_params),
                   /*state_sync=*/true);
@@ -855,9 +893,9 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         continue;
       }
       if (paced) {
-        pending[i][message.from].push_back(message.payload.updates);
+        pending[i][message.from].push_back(message.payload.frame);
       } else {
-        nodes[i].apply_update(message.from, message.payload.updates);
+        nodes[i].apply_update(message.from, message.payload.updates());
       }
     }
   };
@@ -906,8 +944,8 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   // Checkpoint save/restore of the algorithm's complete mutable state.
   // Everything the round loop reads lives in the locals captured here:
   // node iterates/views/mixing rows (SnapNode::save), APE controllers,
-  // the confirmed-membership mask, the per-link transmit backlog
-  // (serialized with sorted outer keys so replicas write identical
+  // the confirmed-membership mask, the non-empty per-link transmit
+  // backlogs (kept sorted by destination, so replicas write identical
   // bytes), per-node round counters, the one-shot recursion-restart
   // flag, and the previous gossip activation (the rows the next
   // on_activation rebuilds). w_ is deliberately absent: churn
@@ -924,20 +962,17 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     for (topology::NodeId i = 0; i < n; ++i) {
       writer.write_u8(alive[i] ? 1 : 0);
     }
-    for (topology::NodeId i = 0; i < n; ++i) {
-      std::vector<topology::NodeId> keys;
-      keys.reserve(backlog[i].size());
-      for (const auto& [j, merged] : backlog[i]) keys.push_back(j);
-      std::sort(keys.begin(), keys.end());
-      writer.write_u64(keys.size());
-      for (const topology::NodeId j : keys) {
-        const auto& merged = backlog[i].at(j);
+    for (const NodeBacklogs& links : backlog) {
+      // Only pending entries matter: an empty backlog and no backlog
+      // behave identically.
+      const auto pending_links = std::count_if(
+          links.begin(), links.end(),
+          [](const auto& entry) { return !entry.second.empty(); });
+      writer.write_u64(static_cast<std::uint64_t>(pending_links));
+      for (const auto& [j, queued] : links) {
+        if (queued.empty()) continue;
         writer.write_u64(j);
-        writer.write_u64(merged.size());
-        for (const auto& [index, value] : merged) {
-          writer.write_u32(index);
-          writer.write_f64(value);
-        }
+        queued.save(writer);
       }
     }
     for (const std::size_t r : rounds) {
@@ -983,19 +1018,19 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     for (topology::NodeId i = 0; i < n; ++i) {
       alive[i] = reader.read_u8() != 0;
     }
+    // Ids and indices come from bytes on disk: an out-of-range
+    // destination or parameter index refuses the resume rather than
+    // addressing past the backlog tables.
     for (topology::NodeId i = 0; i < n; ++i) {
       backlog[i].clear();
       const std::uint64_t link_count = reader.read_u64();
       if (!reader.ok() || link_count > n) return false;
       for (std::uint64_t k = 0; k < link_count; ++k) {
-        const auto j = static_cast<topology::NodeId>(reader.read_u64());
-        const std::uint64_t entries = reader.read_u64();
-        if (!reader.ok() || entries > total_params) return false;
-        auto& merged = backlog[i][j];
-        for (std::uint64_t e = 0; e < entries; ++e) {
-          const std::uint32_t index = reader.read_u32();
-          merged[index] = reader.read_f64();
-        }
+        const std::uint64_t j = reader.read_u64();
+        if (!reader.ok() || j >= n || j == i) return false;
+        LinkBacklog& queued = backlog_for(
+            backlog[i], static_cast<topology::NodeId>(j), total_params);
+        if (!queued.load(reader)) return false;
       }
     }
     for (std::size_t& r : rounds) {
@@ -1010,9 +1045,12 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     prev_links.clear();
     prev_links.reserve(link_count);
     for (std::uint64_t k = 0; k < link_count; ++k) {
-      const auto u = static_cast<topology::NodeId>(reader.read_u64());
-      const auto v = static_cast<topology::NodeId>(reader.read_u64());
-      prev_links.push_back({u, v});
+      const std::uint64_t u = reader.read_u64();
+      const std::uint64_t v = reader.read_u64();
+      // on_activation indexes per-node tables with both endpoints.
+      if (!reader.ok() || u >= n || v >= n) return false;
+      prev_links.push_back({static_cast<topology::NodeId>(u),
+                            static_cast<topology::NodeId>(v)});
     }
     if (sparsify_on) {
       const std::uint64_t pruned_count = reader.read_u64();

@@ -42,10 +42,12 @@ class RoundMailbox {
   }
 
   /// Ends the send phase: everything posted becomes readable, and the
-  /// outgoing buffers reset for the next round.
+  /// outgoing buffers reset for the next round. The buffers trade places
+  /// instead of being moved from, so both keep their capacity and a
+  /// steady-state round allocates nothing here.
   void flip_round() {
     for (std::size_t node = 0; node < incoming_.size(); ++node) {
-      incoming_[node] = std::move(outgoing_[node]);
+      incoming_[node].swap(outgoing_[node]);
       outgoing_[node].clear();
     }
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
@@ -266,6 +267,12 @@ struct GradientCase {
   const char* name;
   std::size_t seed;
 };
+
+// Names each case by its label and seed. gtest's default would print the
+// raw bytes, including the label's address, which moves with every run.
+void PrintTo(const GradientCase& c, std::ostream* os) {
+  *os << c.name << "_seed" << c.seed;
+}
 
 class GradientPropertyTest : public ::testing::TestWithParam<GradientCase> {
 };

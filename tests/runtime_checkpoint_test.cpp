@@ -12,9 +12,12 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "core/dgd.hpp"
@@ -282,6 +285,146 @@ TEST(RuntimeCheckpointTest, DgdLoadRejectsShapeMismatchAndTruncation) {
   common::ByteReader truncated(
       std::span<const std::byte>(blob.data(), blob.size() / 2));
   EXPECT_FALSE(target.load(truncated));
+}
+
+// Out-of-range ids in a checkpoint's SNAP algorithm blob. The blob
+// is checksummed as a whole, so these model a writer bug or a blob
+// patched and re-sealed: a backlog destination or prev_links endpoint
+// >= n, or a backlog parameter index >= the model size, must refuse the
+// resume instead of indexing past the trainer's tables.
+std::uint64_t u64_at(const std::vector<std::byte>& blob, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, blob.data() + at, sizeof value);
+  return value;
+}
+
+/// Offsets inside a fault-free, unsparsified SNAP gossip blob, whose
+/// tail is: alive[n] u8 | per-node backlogs | rounds[n] u64 | restarted
+/// u8 | prev_links count u64 + (u, v) u64 pairs. Each node's backlog
+/// section is a u64 link count, then per link a u64 destination, a u64
+/// entry count and (u32 index, f64 value) entries. The node images in
+/// front have a data-dependent length, so the sections are located by
+/// structure from the end.
+struct SnapBlobLayout {
+  std::size_t first_link = 0;   ///< first backlog's destination id
+  std::size_t first_index = 0;  ///< that backlog's first parameter index
+  std::size_t first_prev = 0;   ///< prev_links[0].u
+};
+
+std::optional<SnapBlobLayout> locate_tail(const std::vector<std::byte>& blob,
+                                          std::size_t n, std::size_t dim,
+                                          std::size_t round) {
+  const std::size_t size = blob.size();
+  SnapBlobLayout layout;
+  std::size_t backlog_end = 0;
+  bool found = false;
+  for (std::size_t c = 1; 16 * c + 9 + 8 * n <= size && !found; ++c) {
+    const std::size_t count_at = size - 16 * c - 8;
+    if (u64_at(blob, count_at) != c) continue;
+    const std::size_t rounds_at = count_at - 1 - 8 * n;
+    bool rounds_ok = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      rounds_ok = rounds_ok && u64_at(blob, rounds_at + 8 * i) == round;
+    }
+    if (!rounds_ok) continue;
+    layout.first_prev = count_at + 8;
+    backlog_end = rounds_at;
+    found = true;
+  }
+  if (!found) return std::nullopt;
+  for (std::size_t start = backlog_end; start >= n; --start) {
+    bool alive_ok = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      alive_ok = alive_ok && blob[start - n + i] == std::byte{1};
+    }
+    if (!alive_ok) continue;
+    std::size_t at = start;
+    std::optional<std::size_t> first_link;
+    std::optional<std::size_t> first_index;
+    bool parsed = true;
+    for (std::size_t i = 0; i < n && parsed; ++i) {
+      if (at + 8 > backlog_end) {
+        parsed = false;
+        break;
+      }
+      const std::uint64_t links = u64_at(blob, at);
+      at += 8;
+      parsed = links <= n;
+      for (std::uint64_t k = 0; k < links && parsed; ++k) {
+        if (at + 16 > backlog_end) {
+          parsed = false;
+          break;
+        }
+        const std::uint64_t entries = u64_at(blob, at + 8);
+        parsed = u64_at(blob, at) < n && entries <= dim &&
+                 at + 16 + 12 * entries <= backlog_end;
+        if (!first_link) first_link = at;
+        if (entries > 0 && !first_index) first_index = at + 16;
+        at += 16 + 12 * entries;
+      }
+    }
+    if (parsed && at == backlog_end && first_link && first_index) {
+      layout.first_link = *first_link;
+      layout.first_index = *first_index;
+      return layout;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(RuntimeCheckpointTest, SnapLoadRejectsOutOfRangeIds) {
+  ScenarioConfig cfg = base_config(runtime::FabricKind::kGossip);
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("snap-ckpt-ids-" + std::to_string(::getpid()) + ".ckpt");
+  fs::remove(path);
+  ScenarioConfig first = cfg;
+  first.convergence.min_iterations = 6;
+  first.convergence.max_iterations = 6;
+  first.checkpoint.path = path.string();
+  first.checkpoint.every = 3;
+  Scenario(first).run(Scheme::kSnap);
+  const std::optional<runtime::RunCheckpoint> saved =
+      runtime::load_run_checkpoint(path.string());
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_EQ(saved->round, 6u);
+
+  const std::size_t n = cfg.nodes;
+  constexpr std::size_t kSvmParams = 25;
+  const std::optional<SnapBlobLayout> layout =
+      locate_tail(saved->algorithm_state, n, kSvmParams, 6);
+  ASSERT_TRUE(layout.has_value())
+      << "premise: the gossip blob must carry a pending backlog";
+
+  ScenarioConfig resume = cfg;
+  resume.checkpoint.path = path.string();
+  resume.checkpoint.every = 3;
+  resume.checkpoint.resume = true;
+  // The unpatched blob resumes; each patched one is refused.
+  EXPECT_NO_THROW(Scenario(resume).run(Scheme::kSnap));
+
+  const auto patched_resume_throws = [&](std::size_t at, std::size_t width,
+                                         std::uint64_t value) {
+    runtime::RunCheckpoint patched = *saved;
+    std::memcpy(patched.algorithm_state.data() + at, &value, width);
+    EXPECT_TRUE(runtime::save_run_checkpoint(path.string(), patched));
+    const Scenario scenario(resume);
+    bool refused = false;
+    try {
+      scenario.run(Scheme::kSnap);
+    } catch (const common::ContractViolation& e) {
+      refused = std::string(e.what()).find("algorithm blob") !=
+                std::string::npos;
+    }
+    return refused;
+  };
+  EXPECT_TRUE(patched_resume_throws(layout->first_link, 8, n))
+      << "backlog destination id >= n accepted";
+  EXPECT_TRUE(patched_resume_throws(layout->first_index, 4, kSvmParams))
+      << "backlog parameter index >= total_params accepted";
+  EXPECT_TRUE(patched_resume_throws(layout->first_prev, 8, n))
+      << "prev_links endpoint >= n accepted";
+  fs::remove(path);
 }
 
 TEST(RuntimeCheckpointTest, BoundedBackoffSaturatesAtCap) {
