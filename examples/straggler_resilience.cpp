@@ -52,7 +52,7 @@ int main() {
     cfg.convergence.loss_tolerance = 1e-3;
     cfg.convergence.consensus_tolerance = 2e-2;
     cfg.convergence.max_iterations = 600;
-    cfg.link_failure_probability = failure;
+    cfg.faults = net::FaultPlan::memoryless_links(failure);
 
     core::SnapTrainer trainer(graph, weights.w, model,
                               std::vector<data::Dataset>(shards), cfg);

@@ -86,11 +86,12 @@ if ! cmp -s "$SMOKE_DIR/sparsify-1.csv" "$SMOKE_DIR/sparsify-2.csv"; then
   diff "$SMOKE_DIR/sparsify-1.csv" "$SMOKE_DIR/sparsify-2.csv" | head -20 >&2
   exit 1
 fi
-# links_pruned is CSV column 21; a zero there means the budget did not
-# bite and the smoke proves nothing.
-if ! awk -F, 'NR > 1 && $21 > 0 { found = 1 } END { exit !found }' \
-    "$SMOKE_DIR/sparsify-1.csv"; then
-  echo "error: sparsified run pruned no links (column 21 all zero)" >&2
+# A zero links_pruned column means the budget did not bite and the smoke
+# proves nothing. (The lookup fails the script if the column is gone.)
+PRUNED_COL="$(scripts/csv_column.sh links_pruned "$SMOKE_DIR/sparsify-1.csv")"
+if ! awk -F, -v c="$PRUNED_COL" 'NR > 1 && $c > 0 { found = 1 }
+    END { exit !found }' "$SMOKE_DIR/sparsify-1.csv"; then
+  echo "error: sparsified run pruned no links (links_pruned all zero)" >&2
   exit 1
 fi
 echo "    sparsified rerun is bitwise identical and pruned links"

@@ -13,41 +13,7 @@ namespace {
 
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
-/// Splits a {self} ∪ neighbors weight map into the aligned-array form.
-std::vector<double> aligned_weights(
-    topology::NodeId self, const std::vector<topology::NodeId>& neighbors,
-    const std::unordered_map<topology::NodeId, double>& weights_row,
-    double& self_weight) {
-  std::vector<double> out;
-  out.reserve(neighbors.size());
-  for (const auto j : neighbors) {
-    const auto it = weights_row.find(j);
-    SNAP_REQUIRE_MSG(it != weights_row.end(),
-                     "missing weight for neighbor " << j);
-    out.push_back(it->second);
-  }
-  const auto self_it = weights_row.find(self);
-  SNAP_REQUIRE_MSG(self_it != weights_row.end(), "missing self weight");
-  self_weight = self_it->second;
-  return out;
-}
-
 }  // namespace
-
-SnapNode::SnapNode(topology::NodeId id, const ml::Model& model,
-                   data::Dataset shard,
-                   std::vector<topology::NodeId> neighbors,
-                   std::unordered_map<topology::NodeId, double> weights_row,
-                   StragglerPolicy straggler_policy)
-    : id_(id),
-      model_(&model),
-      shard_(std::move(shard)),
-      neighbors_(std::move(neighbors)),
-      straggler_policy_(straggler_policy) {
-  std::sort(neighbors_.begin(), neighbors_.end());
-  w_neighbors_ = aligned_weights(id_, neighbors_, weights_row, w_self_);
-  validate_weight_row();
-}
 
 SnapNode::SnapNode(topology::NodeId id, const ml::Model& model,
                    data::Dataset shard,
@@ -63,16 +29,9 @@ SnapNode::SnapNode(topology::NodeId id, const ml::Model& model,
       straggler_policy_(straggler_policy) {
   SNAP_REQUIRE_MSG(
       std::is_sorted(neighbors_.begin(), neighbors_.end()),
-      "aligned constructor requires an index-sorted neighbor list");
+      "SnapNode requires an index-sorted neighbor list");
   SNAP_REQUIRE(w_neighbors_.size() == neighbors_.size());
   validate_weight_row();
-}
-
-void SnapNode::set_weight_row(
-    std::unordered_map<topology::NodeId, double> weights_row) {
-  w_neighbors_ = aligned_weights(id_, neighbors_, weights_row, w_self_);
-  validate_weight_row();
-  w_row_dirty_ = true;
 }
 
 void SnapNode::set_weight_row(std::vector<double> neighbor_weights,
@@ -84,21 +43,11 @@ void SnapNode::set_weight_row(std::vector<double> neighbor_weights,
   w_row_dirty_ = true;
 }
 
-void SnapNode::set_topology(
-    std::vector<topology::NodeId> neighbors,
-    std::unordered_map<topology::NodeId, double> weights_row) {
-  std::sort(neighbors.begin(), neighbors.end());
-  double self_weight = 0.0;
-  std::vector<double> weights =
-      aligned_weights(id_, neighbors, weights_row, self_weight);
-  set_topology(std::move(neighbors), std::move(weights), self_weight);
-}
-
 void SnapNode::set_topology(std::vector<topology::NodeId> neighbors,
                             std::vector<double> neighbor_weights,
                             double self_weight) {
   SNAP_REQUIRE_MSG(std::is_sorted(neighbors.begin(), neighbors.end()),
-                   "aligned set_topology requires a sorted neighbor list");
+                   "set_topology requires a sorted neighbor list");
   SNAP_REQUIRE(neighbor_weights.size() == neighbors.size());
   std::vector<topology::NodeId> old_neighbors = std::move(neighbors_);
   neighbors_ = std::move(neighbors);

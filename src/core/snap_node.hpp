@@ -21,7 +21,6 @@
 // and neighbor views/freshness live in contiguous per-slot slabs —
 // compute_update walks flat arrays instead of chasing hash buckets, so
 // ThreadPool sweeps over nodes stay cache-friendly at 10⁴–10⁵ nodes.
-// The map-based constructors remain as convenience adapters.
 #pragma once
 
 #include <cstddef>
@@ -66,18 +65,11 @@ enum class FilterMode {
 
 class SnapNode {
  public:
-  /// `weights_row` is row i of the mixing matrix W restricted to
-  /// {self} ∪ neighbors (all other entries of W are zero). The W̃ row is
-  /// derived internally as (w + 1{j==i})/2.
-  SnapNode(topology::NodeId id, const ml::Model& model,
-           data::Dataset shard, std::vector<topology::NodeId> neighbors,
-           std::unordered_map<topology::NodeId, double> weights_row,
-           StragglerPolicy straggler_policy = StragglerPolicy::kReweight);
-
-  /// Aligned fast path: `neighbor_weights[s]` is the weight of
-  /// `neighbors[s]`, which must already be index-sorted (a CSR row view
-  /// with the diagonal split out). Avoids building a map per node when
-  /// the caller already holds the sparse row.
+  /// The node's row of the mixing matrix W, restricted to {self} ∪
+  /// neighbors (all other entries are zero), as a CSR row view with the
+  /// diagonal split out: `neighbors` must be index-sorted,
+  /// `neighbor_weights[s]` is the weight of `neighbors[s]`, and the row
+  /// must sum to 1. The W̃ row is derived internally as (w + 1{j==i})/2.
   SnapNode(topology::NodeId id, const ml::Model& model,
            data::Dataset shard, std::vector<topology::NodeId> neighbors,
            std::vector<double> neighbor_weights, double self_weight,
@@ -89,30 +81,23 @@ class SnapNode {
   void set_initial(const linalg::Vector& x0);
 
   /// Replaces this node's mixing-matrix row mid-run (weight re-projection
-  /// on confirmed churn). The row must still cover {self} ∪ neighbors and
-  /// sum to 1 — a re-projected matrix zeroes dead neighbors' weights
-  /// rather than removing the entries. Views, iterate history, and
-  /// advertised values are untouched; pair with restart() so the next
-  /// update is a fresh first EXTRA step under the new W.
-  void set_weight_row(std::unordered_map<topology::NodeId, double> weights_row);
-
-  /// Aligned form: `neighbor_weights[s]` pairs with the s-th entry of
-  /// the current (sorted) neighbor list.
+  /// on confirmed churn): `neighbor_weights[s]` pairs with the s-th entry
+  /// of the current (sorted) neighbor list, and the row must still sum
+  /// to 1 — a re-projected matrix zeroes dead neighbors' weights rather
+  /// than removing the entries. Views, iterate history, and advertised
+  /// values are untouched; pair with restart() so the next update is a
+  /// fresh first EXTRA step under the new W.
   void set_weight_row(std::vector<double> neighbor_weights,
                       double self_weight);
 
   /// Replaces the neighbor set *and* the mixing row together — the
   /// membership-epoch form of set_weight_row, used when a join attaches
-  /// new edges. Existing neighbor views (and their freshness) survive —
-  /// including across a detach/re-attach cycle; a brand-new neighbor's
-  /// view is primed to this node's own iterate and marked stale, so
-  /// under kReweight it contributes nothing until its first real frame
-  /// lands. Pair with restart().
-  void set_topology(std::vector<topology::NodeId> neighbors,
-                    std::unordered_map<topology::NodeId, double> weights_row);
-
-  /// Aligned form of set_topology: `neighbors` must be sorted and
-  /// `neighbor_weights` aligned with it.
+  /// new edges. `neighbors` must be sorted and `neighbor_weights`
+  /// aligned with it. Existing neighbor views (and their freshness)
+  /// survive — including across a detach/re-attach cycle; a brand-new
+  /// neighbor's view is primed to this node's own iterate and marked
+  /// stale, so under kReweight it contributes nothing until its first
+  /// real frame lands. Pair with restart().
   void set_topology(std::vector<topology::NodeId> neighbors,
                     std::vector<double> neighbor_weights,
                     double self_weight);

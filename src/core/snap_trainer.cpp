@@ -235,22 +235,13 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     max_shard = std::max(max_shard, shard.size());
   }
 
-  // Fault schedule. The legacy Fig. 9 straggler knob folds into the
-  // general plan as a memoryless link chain — same fork, same draw
-  // stream — so existing seeds reproduce their LinkFailureModel
-  // schedules bit for bit. (Built ahead of the nodes so the sparsifier
-  // can see the initial membership; rng.fork is a pure function of
-  // (seed, tag), so hoisting it never shifts any stream.)
-  net::FaultPlan plan = config_.faults;
-  if (config_.link_failure_probability > 0.0 &&
-      plan.link_enter_burst == 0.0) {
-    const net::FaultPlan legacy =
-        net::FaultPlan::memoryless_links(config_.link_failure_probability);
-    plan.link_enter_burst = legacy.link_enter_burst;
-    plan.link_exit_burst = legacy.link_exit_burst;
-  }
+  // Fault schedule. (Built ahead of the nodes so the sparsifier can see
+  // the initial membership; rng.fork is a pure function of (seed, tag),
+  // so hoisting it never shifts any stream.)
   std::optional<net::FaultInjector> injector;
-  if (plan.any()) injector.emplace(*graph_, plan, rng.fork("links"));
+  if (config_.faults.any()) {
+    injector.emplace(*graph_, config_.faults, rng.fork("links"));
+  }
 
   // Membership as the scheme currently believes it: flipped only by
   // *confirmed* churn deltas (on_churn below), never by transient

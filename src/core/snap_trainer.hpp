@@ -44,11 +44,6 @@ struct SnapTrainerConfig {
   std::size_t ape_warmup_iterations = 5;
   ConvergenceCriteria convergence;
   EvalConfig eval;
-  /// Per-round probability that a link drops both directions' frames
-  /// (straggler injection, Fig. 9). 0 disables. Folded into `faults` as
-  /// a memoryless link plan — the realized schedule is bitwise the one
-  /// the old LinkFailureModel produced for the same seed.
-  double link_failure_probability = 0.0;
   /// Generalized fault process: bursty link outages, scheduled/random
   /// node crash-restart, frame corruption (net::FaultPlan). Default is
   /// fault-free. A crash freezes the node (pause-resume semantics: its

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "linalg/vector.hpp"
@@ -72,6 +74,104 @@ struct IterationStats {
   std::uint64_t effective_edges = 0;
   double slem_after_prune = 0.0;
 };
+
+/// One IterationStats column: its name (the CSV header, test
+/// diagnostics), the member it reads, and whether the CSV exports it.
+template <typename T>
+struct StatColumn {
+  std::string_view name;
+  T IterationStats::*member;
+  bool csv;
+};
+
+#define SNAP_STAT_COLUMN(member, csv)                                   \
+  StatColumn<decltype(IterationStats::member)> {                        \
+    #member, &IterationStats::member, csv                               \
+  }
+
+/// Every IterationStats member, once, in declaration order — the one
+/// list the CSV writer, the run-checkpoint codec and the bitwise test
+/// comparator walk. Adding a member means adding its entry here; the
+/// static_asserts below reject a struct the table does not cover.
+inline constexpr std::tuple kIterationStatsColumns{
+    SNAP_STAT_COLUMN(train_loss, true),
+    SNAP_STAT_COLUMN(test_accuracy, true),
+    SNAP_STAT_COLUMN(evaluated, true),
+    SNAP_STAT_COLUMN(bytes, true),
+    SNAP_STAT_COLUMN(cost, true),
+    SNAP_STAT_COLUMN(max_node_inbound_bytes, false),
+    SNAP_STAT_COLUMN(max_node_outbound_bytes, false),
+    SNAP_STAT_COLUMN(consensus_residual, true),
+    SNAP_STAT_COLUMN(sim_seconds, true),
+    SNAP_STAT_COLUMN(mean_frame_staleness, false),
+    SNAP_STAT_COLUMN(max_frame_staleness, false),
+    SNAP_STAT_COLUMN(links_down, true),
+    SNAP_STAT_COLUMN(nodes_down, true),
+    SNAP_STAT_COLUMN(frames_dropped, true),
+    SNAP_STAT_COLUMN(frames_corrupted, true),
+    SNAP_STAT_COLUMN(frames_retried, true),
+    SNAP_STAT_COLUMN(alive_nodes, true),
+    SNAP_STAT_COLUMN(nodes_joined, true),
+    SNAP_STAT_COLUMN(state_sync_bytes, true),
+    SNAP_STAT_COLUMN(links_activated, true),
+    SNAP_STAT_COLUMN(components, true),
+    SNAP_STAT_COLUMN(largest_component_frac, true),
+    SNAP_STAT_COLUMN(partition_epoch, true),
+    SNAP_STAT_COLUMN(links_pruned, true),
+    SNAP_STAT_COLUMN(effective_edges, true),
+    SNAP_STAT_COLUMN(slem_after_prune, true),
+};
+
+#undef SNAP_STAT_COLUMN
+
+/// Calls `f(column)` for every kIterationStatsColumns entry, in order.
+template <typename F>
+constexpr void for_each_stat_column(F&& f) {
+  std::apply([&](const auto&... column) { (f(column), ...); },
+             kIterationStatsColumns);
+}
+
+namespace detail {
+
+/// Converts to any member type: `T{AnyMember{}...}` probes how many
+/// members the aggregate T has.
+struct AnyMember {
+  template <typename T>
+  constexpr operator T() const noexcept {
+    return T{};
+  }
+};
+
+template <typename T, typename... Probes>
+constexpr std::size_t member_count() {
+  if constexpr (requires { T{Probes{}..., AnyMember{}}; }) {
+    return member_count<T, Probes..., AnyMember>();
+  }
+  return sizeof...(Probes);
+}
+
+/// Strictly increasing member addresses: each member once, in order.
+constexpr bool stat_columns_in_declaration_order() {
+  const IterationStats stats{};
+  const void* previous = nullptr;
+  bool ordered = true;
+  for_each_stat_column([&](const auto& column) {
+    const void* here = &(stats.*column.member);
+    ordered = ordered && (previous == nullptr || here > previous);
+    previous = here;
+  });
+  return ordered;
+}
+
+}  // namespace detail
+
+static_assert(detail::member_count<IterationStats>() ==
+                  std::tuple_size_v<decltype(kIterationStatsColumns)>,
+              "every IterationStats member needs a kIterationStatsColumns "
+              "entry");
+static_assert(detail::stat_columns_in_declaration_order(),
+              "kIterationStatsColumns must list IterationStats members "
+              "once each, in declaration order");
 
 /// Uniform result of a training run.
 struct TrainResult {

@@ -1,5 +1,6 @@
 #include "experiments/csv.hpp"
 
+#include <cstdint>
 #include <sstream>
 
 namespace snap::experiments {
@@ -26,48 +27,32 @@ void write_csv_row(std::ostream& os,
   os << '\n';
 }
 
+namespace {
+
+std::string format_cell(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+std::string format_cell(std::uint64_t value) { return std::to_string(value); }
+std::string format_cell(bool value) { return value ? "1" : "0"; }
+
+}  // namespace
+
 void write_train_result_csv(std::ostream& os,
                             const core::TrainResult& result) {
-  write_csv_row(os, {"iteration", "train_loss", "test_accuracy",
-                     "evaluated", "bytes", "cost", "consensus_residual",
-                     "sim_seconds", "links_down", "nodes_down",
-                     "frames_dropped", "frames_corrupted",
-                     "frames_retried", "alive_nodes", "nodes_joined",
-                     "state_sync_bytes", "links_activated", "components",
-                     "largest_component_frac", "partition_epoch",
-                     "links_pruned", "effective_edges",
-                     "slem_after_prune"});
+  std::vector<std::string> cells{"iteration"};
+  core::for_each_stat_column([&](const auto& column) {
+    if (column.csv) cells.emplace_back(column.name);
+  });
+  write_csv_row(os, cells);
   for (std::size_t k = 0; k < result.iterations.size(); ++k) {
-    const auto& stat = result.iterations[k];
-    std::ostringstream loss;
-    loss << stat.train_loss;
-    std::ostringstream acc;
-    acc << stat.test_accuracy;
-    std::ostringstream res;
-    res << stat.consensus_residual;
-    std::ostringstream sim;
-    sim << stat.sim_seconds;
-    std::ostringstream frac;
-    frac << stat.largest_component_frac;
-    std::ostringstream slem;
-    slem << stat.slem_after_prune;
-    write_csv_row(os, {std::to_string(k + 1), loss.str(), acc.str(),
-                       stat.evaluated ? "1" : "0",
-                       std::to_string(stat.bytes),
-                       std::to_string(stat.cost), res.str(), sim.str(),
-                       std::to_string(stat.links_down),
-                       std::to_string(stat.nodes_down),
-                       std::to_string(stat.frames_dropped),
-                       std::to_string(stat.frames_corrupted),
-                       std::to_string(stat.frames_retried),
-                       std::to_string(stat.alive_nodes),
-                       std::to_string(stat.nodes_joined),
-                       std::to_string(stat.state_sync_bytes),
-                       std::to_string(stat.links_activated),
-                       std::to_string(stat.components), frac.str(),
-                       std::to_string(stat.partition_epoch),
-                       std::to_string(stat.links_pruned),
-                       std::to_string(stat.effective_edges), slem.str()});
+    const core::IterationStats& stat = result.iterations[k];
+    cells.assign({std::to_string(k + 1)});
+    core::for_each_stat_column([&](const auto& column) {
+      if (column.csv) cells.push_back(format_cell(stat.*column.member));
+    });
+    write_csv_row(os, cells);
   }
 }
 

@@ -17,8 +17,10 @@ std::string csv_escape(const std::string& field);
 /// Writes one CSV row.
 void write_csv_row(std::ostream& os, const std::vector<std::string>& cells);
 
-/// Writes the per-iteration series of a TrainResult:
-/// iteration,train_loss,test_accuracy,evaluated,bytes,cost,consensus_residual
+/// Writes the per-iteration series of a TrainResult: an `iteration`
+/// column (1-based), then every core::kIterationStatsColumns entry
+/// marked `csv`, in table order and under the table's names. Doubles
+/// print through `ostream <<`, counters as integers, bools as 1/0.
 void write_train_result_csv(std::ostream& os,
                             const core::TrainResult& result);
 

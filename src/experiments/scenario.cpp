@@ -272,8 +272,16 @@ core::TrainResult Scenario::run_snap_variant(
   c.ape = cfg.ape;
   c.ape_warmup_iterations = cfg.ape_warmup_iterations;
   c.convergence = criteria;
-  c.link_failure_probability = link_failure_probability;
   c.faults = cfg.faults;
+  // The legacy Fig. 9 straggler knob folds into the fault plan as a
+  // memoryless link chain (same fork, same draw stream), unless the plan
+  // already sets its own link bursts.
+  if (link_failure_probability > 0.0 && c.faults.link_enter_burst == 0.0) {
+    const net::FaultPlan legacy =
+        net::FaultPlan::memoryless_links(link_failure_probability);
+    c.faults.link_enter_burst = legacy.link_enter_burst;
+    c.faults.link_exit_burst = legacy.link_exit_burst;
+  }
   c.recovery = cfg.fault_recovery;
   c.reproject_on_churn = cfg.reproject_on_churn;
   c.warm_start_joins = cfg.warm_start_joins;

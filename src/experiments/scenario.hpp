@@ -78,6 +78,9 @@ struct ScenarioConfig {
   /// anchored to the mean |parameter| at this point; see
   /// SnapTrainerConfig::ape_warmup_iterations).
   std::size_t ape_warmup_iterations = 5;
+  /// Per-round probability that a link drops both directions' frames
+  /// (the Fig. 9 straggler knob). The SNAP family folds it into `faults`
+  /// as a memoryless link plan when the plan sets no link bursts itself.
   double link_failure_probability = 0.0;
   /// Generalized fault process threaded into every scheme that takes
   /// one (SNAP family and the PS baselines): bursty link outages,

@@ -651,22 +651,9 @@ class AsyncFabric final : public RoundFabric<Payload> {
           k == config_.convergence.max_iterations;
       const RoundEval eval = hooks_->evaluate(k, measure_accuracy);
 
-      core::IterationStats stats;
-      stats.train_loss = eval.train_loss;
-      stats.consensus_residual = eval.consensus_residual;
-      if (eval.evaluated) {
-        stats.test_accuracy = eval.test_accuracy;
-        stats.evaluated = true;
-      }
-      if (cost_) {
-        cost_->end_iteration();
-        stats.bytes = cost_->bytes_per_iteration().back();
-        stats.cost = cost_->cost_per_iteration().back();
-        stats.max_node_inbound_bytes =
-            cost_->max_inbound_per_iteration().back();
-        stats.max_node_outbound_bytes =
-            cost_->max_outbound_per_iteration().back();
-      }
+      core::IterationStats stats =
+          shared_round_stats(eval, cost_ ? &*cost_ : nullptr,
+                             config_.faults, k, completed_.size());
       stats.sim_seconds = queue_.now();
       if (staleness_count_ > 0) {
         stats.mean_frame_staleness =
@@ -677,24 +664,14 @@ class AsyncFabric final : public RoundFabric<Payload> {
       staleness_count_ = 0;
       staleness_max_ = 0;
       if (config_.faults != nullptr) {
-        stats.links_down = config_.faults->down_link_count(k);
-        stats.nodes_down = config_.faults->down_node_count(k);
         stats.frames_dropped = frames_dropped_;
         stats.frames_corrupted = frames_corrupted_;
         stats.frames_retried = frames_retried_;
-        stats.alive_nodes = config_.faults->alive_member_count(k);
-        stats.nodes_joined = config_.faults->churn_delta(k).joined.size();
         stats.state_sync_bytes = state_sync_bytes_;
-        stats.components = config_.faults->component_count(k);
-        stats.largest_component_frac =
-            config_.faults->largest_component_fraction(k);
-        stats.partition_epoch = config_.faults->partition_epoch(k);
         frames_dropped_ = 0;
         frames_corrupted_ = 0;
         frames_retried_ = 0;
         state_sync_bytes_ = 0;
-      } else {
-        stats.alive_nodes = completed_.size();
       }
       if (hooks_->annotate_stats) hooks_->annotate_stats(stats);
       result_.iterations.push_back(stats);

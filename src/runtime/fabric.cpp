@@ -38,4 +38,38 @@ std::vector<double> linear_compute_spread(std::size_t n, double base_s,
   return out;
 }
 
+core::IterationStats shared_round_stats(const RoundEval& eval,
+                                        net::CostTracker* cost,
+                                        const net::FaultInjector* faults,
+                                        std::size_t round,
+                                        std::size_t node_count) {
+  core::IterationStats stats;
+  stats.train_loss = eval.train_loss;
+  stats.consensus_residual = eval.consensus_residual;
+  if (eval.evaluated) {
+    stats.test_accuracy = eval.test_accuracy;
+    stats.evaluated = true;
+  }
+  if (cost != nullptr) {
+    cost->end_iteration();
+    stats.bytes = cost->bytes_per_iteration().back();
+    stats.cost = cost->cost_per_iteration().back();
+    stats.max_node_inbound_bytes = cost->max_inbound_per_iteration().back();
+    stats.max_node_outbound_bytes =
+        cost->max_outbound_per_iteration().back();
+  }
+  if (faults == nullptr) {
+    stats.alive_nodes = node_count;
+    return stats;
+  }
+  stats.links_down = faults->down_link_count(round);
+  stats.nodes_down = faults->down_node_count(round);
+  stats.alive_nodes = faults->alive_member_count(round);
+  stats.nodes_joined = faults->churn_delta(round).joined.size();
+  stats.components = faults->component_count(round);
+  stats.largest_component_frac = faults->largest_component_fraction(round);
+  stats.partition_epoch = faults->partition_epoch(round);
+  return stats;
+}
+
 }  // namespace snap::runtime

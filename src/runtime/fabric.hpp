@@ -36,6 +36,7 @@
 #include "common/binary_io.hpp"
 #include "common/thread_pool.hpp"
 #include "core/training.hpp"
+#include "net/cost_model.hpp"
 #include "net/fault_injector.hpp"
 #include "net/mailbox.hpp"
 #include "runtime/gossip.hpp"
@@ -88,10 +89,11 @@ class MessageSink {
   ~MessageSink() = default;
 };
 
-/// The algorithm side of a round, as per-phase callbacks. Phases marked
-/// `parallel_*` may fan out on the fabric's pool; their bodies must
-/// write only node-owned state (the ThreadPool determinism contract).
-/// Unset std::function members are simply skipped.
+/// The algorithm side of a round, as per-phase callbacks. The per-node
+/// phases (local_update, mix, and collect unless parallel_collect is
+/// false) fan out on the fabric's pool; their bodies must write only
+/// node-owned state (the ThreadPool determinism contract). Unset
+/// std::function members are simply skipped.
 ///
 /// Call order per round r (sync; async interleaves rounds per node but
 /// preserves the per-node order):
@@ -113,7 +115,6 @@ struct RoundHooks {
 
   /// Node-local compute: gradient / EXTRA step / view rotation.
   std::function<void(topology::NodeId node)> local_update;
-  bool parallel_local_update = true;
 
   /// Filter + frame: returns everything `node` transmits this round.
   std::function<std::vector<Envelope<Payload>>(topology::NodeId node)>
@@ -132,7 +133,6 @@ struct RoundHooks {
                      std::span<const Delivery<Payload>> deliveries,
                      MessageSink<Payload>& sink)>
       mix;
-  bool parallel_mix = true;
 
   /// Serial round postamble: observers, double-buffer swaps, restarts
   /// that may tolerate async skew. Runs after the fabric recorded the
@@ -346,6 +346,18 @@ struct FabricConfig {
   /// align a checkpoint on.
   CheckpointConfig checkpoint;
 };
+
+/// The IterationStats columns every fabric derives the same way for
+/// `round`: the evaluation, the CostTracker tallies (this closes the
+/// tracker's iteration; nullptr leaves them 0), and the FaultInjector's
+/// round telemetry (nullptr: `node_count` alive, one component). The
+/// caller adds what it measures itself — sim_seconds, staleness,
+/// links_activated, and its own drop/corrupt/retry/state-sync tallies.
+core::IterationStats shared_round_stats(const RoundEval& eval,
+                                        net::CostTracker* cost,
+                                        const net::FaultInjector* faults,
+                                        std::size_t round,
+                                        std::size_t node_count);
 
 /// Executes RoundHooks until convergence (or max_iterations). The
 /// fabric owns everything execution-side: the clock, the message

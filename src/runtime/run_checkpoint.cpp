@@ -19,71 +19,50 @@ constexpr char kMagic[8] = {'S', 'N', 'A', 'P', 'R', 'U', 'N', '1'};
 // from round 0, which determinism makes bitwise-equivalent.
 constexpr std::uint32_t kVersion = 2;
 
+// Each IterationStats column is written in table order at its natural
+// width: f64 for doubles, u64 for counters, one u8 for a bool.
+constexpr std::size_t column_bytes(double) { return 8; }
+constexpr std::size_t column_bytes(std::uint64_t) { return 8; }
+constexpr std::size_t column_bytes(bool) { return 1; }
+
+constexpr std::size_t iteration_record_bytes() {
+  const core::IterationStats probe{};
+  std::size_t total = 0;
+  core::for_each_stat_column([&](const auto& column) {
+    total += column_bytes(probe.*column.member);
+  });
+  return total;
+}
+
+/// Bytes one serialized IterationStats occupies.
+constexpr std::size_t kIterationRecordBytes = iteration_record_bytes();
+
+void write_column(common::ByteWriter& w, double v) { w.write_f64(v); }
+void write_column(common::ByteWriter& w, std::uint64_t v) { w.write_u64(v); }
+void write_column(common::ByteWriter& w, bool v) { w.write_u8(v ? 1 : 0); }
+
+void read_column(common::ByteReader& r, double& v) { v = r.read_f64(); }
+void read_column(common::ByteReader& r, std::uint64_t& v) { v = r.read_u64(); }
+void read_column(common::ByteReader& r, bool& v) { v = r.read_u8() != 0; }
+
 void write_iteration(common::ByteWriter& writer,
                      const core::IterationStats& it) {
-  writer.write_f64(it.train_loss);
-  writer.write_f64(it.test_accuracy);
-  writer.write_u8(it.evaluated ? 1 : 0);
-  writer.write_u64(it.bytes);
-  writer.write_u64(it.cost);
-  writer.write_u64(it.max_node_inbound_bytes);
-  writer.write_u64(it.max_node_outbound_bytes);
-  writer.write_f64(it.consensus_residual);
-  writer.write_f64(it.sim_seconds);
-  writer.write_f64(it.mean_frame_staleness);
-  writer.write_u64(it.max_frame_staleness);
-  writer.write_u64(it.links_down);
-  writer.write_u64(it.nodes_down);
-  writer.write_u64(it.frames_dropped);
-  writer.write_u64(it.frames_corrupted);
-  writer.write_u64(it.frames_retried);
-  writer.write_u64(it.alive_nodes);
-  writer.write_u64(it.nodes_joined);
-  writer.write_u64(it.state_sync_bytes);
-  writer.write_u64(it.links_activated);
-  writer.write_u64(it.components);
-  writer.write_f64(it.largest_component_frac);
-  writer.write_u64(it.partition_epoch);
-  writer.write_u64(it.links_pruned);
-  writer.write_u64(it.effective_edges);
-  writer.write_f64(it.slem_after_prune);
+  core::for_each_stat_column(
+      [&](const auto& column) { write_column(writer, it.*column.member); });
 }
 
 core::IterationStats read_iteration(common::ByteReader& reader) {
   core::IterationStats it;
-  it.train_loss = reader.read_f64();
-  it.test_accuracy = reader.read_f64();
-  it.evaluated = reader.read_u8() != 0;
-  it.bytes = reader.read_u64();
-  it.cost = reader.read_u64();
-  it.max_node_inbound_bytes = reader.read_u64();
-  it.max_node_outbound_bytes = reader.read_u64();
-  it.consensus_residual = reader.read_f64();
-  it.sim_seconds = reader.read_f64();
-  it.mean_frame_staleness = reader.read_f64();
-  it.max_frame_staleness = reader.read_u64();
-  it.links_down = reader.read_u64();
-  it.nodes_down = reader.read_u64();
-  it.frames_dropped = reader.read_u64();
-  it.frames_corrupted = reader.read_u64();
-  it.frames_retried = reader.read_u64();
-  it.alive_nodes = reader.read_u64();
-  it.nodes_joined = reader.read_u64();
-  it.state_sync_bytes = reader.read_u64();
-  it.links_activated = reader.read_u64();
-  it.components = reader.read_u64();
-  it.largest_component_frac = reader.read_f64();
-  it.partition_epoch = reader.read_u64();
-  it.links_pruned = reader.read_u64();
-  it.effective_edges = reader.read_u64();
-  it.slem_after_prune = reader.read_f64();
+  core::for_each_stat_column(
+      [&](const auto& column) { read_column(reader, it.*column.member); });
   return it;
 }
 
 }  // namespace
 
 std::vector<std::byte> encode_run_checkpoint(const RunCheckpoint& ckpt) {
-  common::ByteWriter writer(256 + 208 * ckpt.iterations.size() +
+  common::ByteWriter writer(256 +
+                            kIterationRecordBytes * ckpt.iterations.size() +
                             ckpt.wire_state.size() +
                             ckpt.algorithm_state.size());
   for (const char c : kMagic) {
@@ -132,9 +111,10 @@ std::optional<RunCheckpoint> decode_run_checkpoint(
     ckpt.alive.push_back(reader.read_u8());
   }
   const std::uint64_t iteration_count = reader.read_u64();
-  // Each iteration occupies a fixed 201 bytes; bound (conservatively,
-  // never above the true size) before reserving.
-  if (!reader.ok() || iteration_count * 200 > reader.remaining()) {
+  // Bound by division before reserving: a multiplied-out bound wraps in
+  // u64 for an adversarial count and would let reserve() throw.
+  if (!reader.ok() ||
+      iteration_count > reader.remaining() / kIterationRecordBytes) {
     return std::nullopt;
   }
   ckpt.iterations.reserve(iteration_count);

@@ -19,7 +19,9 @@
 // Layout (little-endian):
 //   magic "SNAPRUN1" | version u32 | round u64 | sim_seconds f64 |
 //   membership_epoch u64 | alive count u64 | alive u8 × count |
-//   iteration count u64 | IterationStats fields × count |
+//   iteration count u64 | one record per iteration: every
+//   core::kIterationStatsColumns entry in table order (f64, u64, or a
+//   u8 for a bool) |
 //   total_bytes u64 | total_cost u64 |
 //   wire length u64 | wire bytes | algo length u64 | algo bytes |
 //   checksum u64 (FNV-1a over everything before it)

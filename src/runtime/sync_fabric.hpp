@@ -142,7 +142,7 @@ class SyncFabric : public RoundFabric<Payload> {
     if (hooks.begin_round) hooks.begin_round(round);
 
     if (hooks.local_update) {
-      run_per_node(n, hooks.parallel_local_update, [&](topology::NodeId i) {
+      pool_.parallel_for(0, n, [&](std::size_t i) {
         if (!down(i)) hooks.local_update(i);
       });
     }
@@ -210,41 +210,17 @@ class SyncFabric : public RoundFabric<Payload> {
           round == config_.convergence.max_iterations;
       const RoundEval eval = hooks.evaluate(round, measure_accuracy);
 
-      core::IterationStats stats;
-      stats.train_loss = eval.train_loss;
-      stats.consensus_residual = eval.consensus_residual;
-      if (eval.evaluated) {
-        stats.test_accuracy = eval.test_accuracy;
-        stats.evaluated = true;
-      }
-      if (cost_) {
-        cost_->end_iteration();
-        stats.bytes = cost_->bytes_per_iteration().back();
-        stats.cost = cost_->cost_per_iteration().back();
-        stats.max_node_inbound_bytes =
-            cost_->max_inbound_per_iteration().back();
-        stats.max_node_outbound_bytes =
-            cost_->max_outbound_per_iteration().back();
-      }
+      core::IterationStats stats =
+          shared_round_stats(eval, cost_ ? &*cost_ : nullptr,
+                             config_.faults, round, hooks.node_count);
       sim_seconds += config_.timing.round_duration(
           config_.round_compute_flops, stats.max_node_inbound_bytes,
           stats.max_node_outbound_bytes);
       stats.sim_seconds = sim_seconds;
       if (config_.faults != nullptr) {
-        stats.links_down = config_.faults->down_link_count(round);
-        stats.nodes_down = config_.faults->down_node_count(round);
         stats.frames_dropped = round_frames_dropped_;
         stats.frames_corrupted = round_frames_corrupted_;
-        stats.alive_nodes = config_.faults->alive_member_count(round);
-        stats.nodes_joined =
-            config_.faults->churn_delta(round).joined.size();
         stats.state_sync_bytes = transport_->state_sync_bytes();
-        stats.components = config_.faults->component_count(round);
-        stats.largest_component_frac =
-            config_.faults->largest_component_fraction(round);
-        stats.partition_epoch = config_.faults->partition_epoch(round);
-      } else {
-        stats.alive_nodes = hooks.node_count;
       }
       stats.links_activated = round_links_activated_;
       if (hooks.annotate_stats) hooks.annotate_stats(stats);
@@ -418,15 +394,6 @@ class SyncFabric : public RoundFabric<Payload> {
     }
   }
 
-  void run_per_node(std::size_t n, bool parallel,
-                    const std::function<void(topology::NodeId)>& body) {
-    if (parallel) {
-      pool_.parallel_for(0, n, [&](std::size_t i) { body(i); });
-    } else {
-      for (topology::NodeId i = 0; i < n; ++i) body(i);
-    }
-  }
-
   /// Charges and posts one envelope through the transport seam.
   /// wire_bytes == 0 marks a co-located hand-off: nothing crosses the
   /// network and nothing is charged (the transport still carries it so
@@ -471,7 +438,7 @@ class SyncFabric : public RoundFabric<Payload> {
       transport_->flip_round();
       // Receivers touch only their own state (and their own reply
       // slot), so the wave fans out; replies replay serially below.
-      run_per_node(n, hooks.parallel_mix, [&](topology::NodeId i) {
+      pool_.parallel_for(0, n, [&](std::size_t i) {
         if (config_.faults != nullptr && config_.faults->node_down(round, i)) {
           return;  // a down node processes nothing this round
         }

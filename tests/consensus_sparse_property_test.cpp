@@ -30,6 +30,7 @@
 #include "core/snap_node.hpp"
 #include "core/snap_trainer.hpp"
 #include "linalg/eigen.hpp"
+#include "support/bitwise_result.hpp"
 #include "support/quadratic_model.hpp"
 #include "topology/generators.hpp"
 
@@ -205,24 +206,6 @@ std::vector<data::Dataset> random_point_shards(std::size_t nodes,
   return shards;
 }
 
-void expect_bitwise_equal_runs(const core::TrainResult& a,
-                               const core::TrainResult& b) {
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  ASSERT_EQ(a.iterations.size(), b.iterations.size());
-  for (std::size_t k = 0; k < a.iterations.size(); ++k) {
-    EXPECT_TRUE(same_bits(a.iterations[k].train_loss,
-                          b.iterations[k].train_loss))
-        << "iter " << k;
-    EXPECT_EQ(a.iterations[k].bytes, b.iterations[k].bytes) << "iter " << k;
-  }
-  ASSERT_EQ(a.final_params.size(), b.final_params.size());
-  for (std::size_t d = 0; d < a.final_params.size(); ++d) {
-    EXPECT_TRUE(same_bits(a.final_params[d], b.final_params[d]))
-        << "param " << d;
-  }
-}
-
 core::SnapTrainerConfig trainer_config(runtime::FabricKind fabric) {
   core::SnapTrainerConfig cfg;
   cfg.alpha = 0.2;
@@ -247,7 +230,7 @@ TEST(SparseTrainerTest, DenseAndSparseConstructorsMatchBitwise) {
                         random_point_shards(10, 4, 33), trainer_config(fabric));
     core::SnapTrainer b(graph, sparse, model,
                         random_point_shards(10, 4, 33), trainer_config(fabric));
-    expect_bitwise_equal_runs(a.train(test), b.train(test));
+    snap::testing::expect_bitwise_equal(a.train(test), b.train(test));
   }
 }
 
@@ -266,7 +249,7 @@ TEST(SparseTrainerTest, ChurnReprojectionReplaysBitwiseAcrossConstructors) {
                       cfg);
   core::SnapTrainer b(graph, sparse, model, random_point_shards(10, 4, 5),
                       cfg);
-  expect_bitwise_equal_runs(a.train(test), b.train(test));
+  snap::testing::expect_bitwise_equal(a.train(test), b.train(test));
 }
 
 // --- EXTRA without the materialized W̃ --------------------------------
@@ -352,17 +335,17 @@ TEST(SparseNodeTest, StaticRowSkipAndExplicitResetAgreeBitwise) {
   linalg::Vector center{0.5, -1.0, 2.0};
   const data::Dataset shard = point_shard(center);
   const std::vector<topology::NodeId> neighbors = {1, 2};
-  const std::unordered_map<topology::NodeId, double> row = {
-      {0, 0.5}, {1, 0.25}, {2, 0.25}};
-  core::SnapNode skip(0, model, shard, neighbors, row);
-  core::SnapNode reset(0, model, shard, neighbors, row);
+  const std::vector<double> row = {0.25, 0.25};
+  const double self_weight = 0.5;
+  core::SnapNode skip(0, model, shard, neighbors, row, self_weight);
+  core::SnapNode reset(0, model, shard, neighbors, row, self_weight);
   const linalg::Vector x0{1.0, 1.0, 1.0};
   skip.set_initial(x0);
   reset.set_initial(x0);
   for (std::size_t k = 0; k < 12; ++k) {
     // Re-setting the identical row every round marks it dirty and
     // forces the prev-row copy the static node elides.
-    reset.set_weight_row(row);
+    reset.set_weight_row(row, self_weight);
     skip.compute_update(0.1);
     reset.compute_update(0.1);
     skip.advance_views();

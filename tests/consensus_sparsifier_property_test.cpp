@@ -23,6 +23,7 @@
 #include "core/snap_trainer.hpp"
 #include "core/training.hpp"
 #include "linalg/eigen.hpp"
+#include "support/bitwise_result.hpp"
 #include "support/quadratic_model.hpp"
 #include "topology/generators.hpp"
 #include "topology/graph.hpp"
@@ -31,6 +32,7 @@ namespace snap::consensus {
 namespace {
 
 using snap::testing::QuadraticModel;
+using snap::testing::expect_bitwise_equal;
 using snap::testing::point_shard;
 
 topology::Graph pruned_subgraph(const topology::Graph& g,
@@ -296,23 +298,6 @@ core::TrainResult sparsified_run(const topology::Graph& g,
       SparseWeightMatrix::metropolis_on_survivors(g);
   core::SnapTrainer trainer(g, w, model, std::move(shards), cfg);
   return trainer.train(data::Dataset(kDim, 2));
-}
-
-void expect_bitwise_equal(const core::TrainResult& a,
-                          const core::TrainResult& b) {
-  ASSERT_EQ(a.iterations.size(), b.iterations.size());
-  for (std::size_t k = 0; k < a.iterations.size(); ++k) {
-    const auto& x = a.iterations[k];
-    const auto& y = b.iterations[k];
-    EXPECT_EQ(x.train_loss, y.train_loss) << "iteration " << k + 1;
-    EXPECT_EQ(x.consensus_residual, y.consensus_residual)
-        << "iteration " << k + 1;
-    EXPECT_EQ(x.bytes, y.bytes) << "iteration " << k + 1;
-    EXPECT_EQ(x.links_pruned, y.links_pruned) << "iteration " << k + 1;
-    EXPECT_EQ(x.effective_edges, y.effective_edges) << "iteration " << k + 1;
-    EXPECT_EQ(x.slem_after_prune, y.slem_after_prune)
-        << "iteration " << k + 1;
-  }
 }
 
 TEST(SparsifierPropertyTest, TrainerTimelineBitwiseAcrossThreadCounts) {

@@ -5,14 +5,13 @@
 // threads=4 must reproduce threads=1 exactly, not approximately.
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "baselines/parameter_server.hpp"
 #include "baselines/terngrad.hpp"
 #include "common/rng.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "core/dgd.hpp"
 #include "core/snap_trainer.hpp"
+#include "support/bitwise_result.hpp"
 #include "support/quadratic_model.hpp"
 #include "topology/generators.hpp"
 
@@ -20,6 +19,8 @@ namespace snap::core {
 namespace {
 
 using snap::testing::QuadraticModel;
+using snap::testing::bits_of;
+using snap::testing::expect_bitwise_equal;
 using snap::testing::point_shard;
 
 std::vector<data::Dataset> random_point_shards(std::size_t nodes,
@@ -34,39 +35,6 @@ std::vector<data::Dataset> random_point_shards(std::size_t nodes,
     shards.push_back(point_shard(c));
   }
   return shards;
-}
-
-/// Bitwise equality for doubles: 0.0 vs −0.0 or a 1-ulp drift must fail.
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void expect_bitwise_equal(const TrainResult& a, const TrainResult& b) {
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.converged_after, b.converged_after);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_TRUE(same_bits(a.final_train_loss, b.final_train_loss));
-  EXPECT_TRUE(same_bits(a.final_test_accuracy, b.final_test_accuracy));
-  ASSERT_EQ(a.final_params.size(), b.final_params.size());
-  for (std::size_t d = 0; d < a.final_params.size(); ++d) {
-    EXPECT_TRUE(same_bits(a.final_params[d], b.final_params[d]))
-        << "param " << d;
-  }
-  ASSERT_EQ(a.iterations.size(), b.iterations.size());
-  for (std::size_t k = 0; k < a.iterations.size(); ++k) {
-    const IterationStats& ia = a.iterations[k];
-    const IterationStats& ib = b.iterations[k];
-    EXPECT_TRUE(same_bits(ia.train_loss, ib.train_loss)) << "iter " << k;
-    EXPECT_TRUE(same_bits(ia.consensus_residual, ib.consensus_residual))
-        << "iter " << k;
-    EXPECT_EQ(ia.bytes, ib.bytes) << "iter " << k;
-    EXPECT_EQ(ia.cost, ib.cost) << "iter " << k;
-    EXPECT_EQ(ia.max_node_inbound_bytes, ib.max_node_inbound_bytes)
-        << "iter " << k;
-    EXPECT_EQ(ia.max_node_outbound_bytes, ib.max_node_outbound_bytes)
-        << "iter " << k;
-  }
 }
 
 TEST(ParallelDeterminismTest, SnapTrainerIsThreadCountInvariant) {
@@ -86,7 +54,7 @@ TEST(ParallelDeterminismTest, SnapTrainerIsThreadCountInvariant) {
     cfg.filter = FilterMode::kApe;
     cfg.convergence.max_iterations = 30;
     cfg.convergence.loss_tolerance = 0.0;
-    cfg.link_failure_probability = 0.1;
+    cfg.faults = net::FaultPlan::memoryless_links(0.1);
     cfg.threads = threads;
     SnapTrainer trainer(g, w, model, random_point_shards(n, 4, 22), cfg);
     return trainer.train(test);
@@ -127,17 +95,17 @@ TEST(ParallelDeterminismTest, DgdIsThreadCountInvariant) {
   const DgdIteration parallel = run(4);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t d = 0; d < 3; ++d) {
-      EXPECT_TRUE(same_bits(serial.params(i)[d], parallel.params(i)[d]))
+      EXPECT_EQ(bits_of(serial.params(i)[d]), bits_of(parallel.params(i)[d]))
           << "node " << i << " dim " << d;
     }
   }
   const linalg::Vector ms = serial.mean_params();
   const linalg::Vector mp = parallel.mean_params();
   for (std::size_t d = 0; d < 3; ++d) {
-    EXPECT_TRUE(same_bits(ms[d], mp[d]));
+    EXPECT_EQ(bits_of(ms[d]), bits_of(mp[d]));
   }
-  EXPECT_TRUE(same_bits(serial.consensus_residual(),
-                        parallel.consensus_residual()));
+  EXPECT_EQ(bits_of(serial.consensus_residual()),
+            bits_of(parallel.consensus_residual()));
 }
 
 TEST(ParallelDeterminismTest, TernGradBaselineIsThreadCountInvariant) {

@@ -51,18 +51,23 @@ TEST(SnapNodeTest, RequiresConsistentWeightRow) {
   QuadraticModel model(2);
   // Row does not sum to 1.
   EXPECT_THROW(SnapNode(0, model, point_shard(linalg::Vector{0.0, 0.0}),
-                        {1}, {{0, 0.5}, {1, 0.3}}),
+                        {1}, {0.3}, 0.5),
                common::ContractViolation);
-  // Missing self weight.
+  // Missing neighbor weight: the weights are not aligned with the
+  // neighbor list.
   EXPECT_THROW(SnapNode(0, model, point_shard(linalg::Vector{0.0, 0.0}),
-                        {1}, {{1, 1.0}}),
+                        {1}, {}, 1.0),
+               common::ContractViolation);
+  // Neighbor list not index-sorted.
+  EXPECT_THROW(SnapNode(0, model, point_shard(linalg::Vector{0.0, 0.0}),
+                        {2, 1}, {0.25, 0.25}, 0.5),
                common::ContractViolation);
 }
 
 TEST(SnapNodeTest, ComputeBeforeInitThrows) {
   QuadraticModel model(2);
   SnapNode node(0, model, point_shard(linalg::Vector{0.0, 0.0}), {},
-                {{0, 1.0}});
+                {}, 1.0);
   EXPECT_THROW(node.compute_update(0.1), common::ContractViolation);
 }
 
@@ -70,7 +75,7 @@ TEST(SnapNodeTest, FirstUpdateMatchesClosedForm) {
   QuadraticModel model(1);
   // Two nodes, W = [[0.5, 0.5], [0.5, 0.5]], centers 1 and 3, x⁰ = 0.
   SnapNode node(0, model, point_shard(linalg::Vector{1.0}), {1},
-                {{0, 0.5}, {1, 0.5}});
+                {0.5}, 0.5);
   node.set_initial(linalg::Vector{0.0});
   node.compute_update(0.1);
   // x¹ = 0.5·0 + 0.5·view(= 0) − 0.1·(0 − 1) = 0.1.
@@ -80,14 +85,14 @@ TEST(SnapNodeTest, FirstUpdateMatchesClosedForm) {
 TEST(SnapNodeTest, CollectUpdatesModes) {
   QuadraticModel model(3);
   SnapNode node(0, model, point_shard(linalg::Vector{5.0, 0.0, 0.0}), {},
-                {{0, 1.0}});
+                {}, 1.0);
   node.set_initial(linalg::Vector{0.0, 0.0, 0.0});
   node.compute_update(0.1);  // x¹ = (0.5, 0, 0): only component 0 moves
 
   // kSendAll transmits everything even if unchanged.
   {
     SnapNode fresh(0, model, point_shard(linalg::Vector{5.0, 0.0, 0.0}),
-                   {}, {{0, 1.0}});
+                   {}, {}, 1.0);
     fresh.set_initial(linalg::Vector{0.0, 0.0, 0.0});
     fresh.compute_update(0.1);
     const auto out = fresh.collect_updates(FilterMode::kSendAll, 0.0);
@@ -106,7 +111,7 @@ TEST(SnapNodeTest, CollectUpdatesModes) {
 TEST(SnapNodeTest, ApeFilterWithholdsBelowThreshold) {
   QuadraticModel model(2);
   SnapNode node(0, model, point_shard(linalg::Vector{1.0, 0.01}), {},
-                {{0, 1.0}});
+                {}, 1.0);
   node.set_initial(linalg::Vector{0.0, 0.0});
   node.compute_update(1.0);  // x¹ = (1.0, 0.01)
   const auto out = node.collect_updates(FilterMode::kApe, 0.1);
@@ -118,7 +123,7 @@ TEST(SnapNodeTest, ApeFilterWithholdsBelowThreshold) {
 TEST(SnapNodeTest, AdvertisedValuesPersistAcrossIterations) {
   QuadraticModel model(1);
   SnapNode node(0, model, point_shard(linalg::Vector{10.0}), {},
-                {{0, 1.0}});
+                {}, 1.0);
   node.set_initial(linalg::Vector{0.0});
   node.compute_update(0.001);  // small move: 0.01
   // Withheld under a 0.05 threshold.
@@ -138,7 +143,7 @@ TEST(SnapNodeTest, AdvertisedValuesPersistAcrossIterations) {
 TEST(SnapNodeTest, ViewsUpdateOnApply) {
   QuadraticModel model(2);
   SnapNode node(0, model, point_shard(linalg::Vector{0.0, 0.0}), {1},
-                {{0, 0.5}, {1, 0.5}});
+                {0.5}, 0.5);
   node.set_initial(linalg::Vector{1.0, 2.0});
   const std::vector<net::ParamUpdate> updates{{1, 9.0}};
   node.advance_views();
@@ -150,7 +155,7 @@ TEST(SnapNodeTest, ViewsUpdateOnApply) {
 TEST(SnapNodeTest, ApplyFromNonNeighborThrows) {
   QuadraticModel model(1);
   SnapNode node(0, model, point_shard(linalg::Vector{0.0}), {1},
-                {{0, 0.5}, {1, 0.5}});
+                {0.5}, 0.5);
   node.set_initial(linalg::Vector{0.0});
   const std::vector<net::ParamUpdate> updates{{0, 1.0}};
   EXPECT_THROW(node.apply_update(2, updates), common::ContractViolation);
@@ -296,7 +301,7 @@ TEST(SnapTrainerTest, StragglersSlowButDoNotBreakConvergence) {
     cfg.convergence.max_iterations = 1000;
     cfg.convergence.loss_tolerance = 1e-8;
     cfg.convergence.consensus_tolerance = 1e-4;
-    cfg.link_failure_probability = failure;
+    cfg.faults = net::FaultPlan::memoryless_links(failure);
     SnapTrainer trainer(g, w, model, point_shards(centers), cfg);
     return trainer.train(data::Dataset(4, 2));
   };
@@ -350,7 +355,7 @@ TEST(SnapTrainerTest, DeterministicAcrossRuns) {
   cfg.alpha = 0.2;
   cfg.convergence.max_iterations = 40;
   cfg.convergence.loss_tolerance = 0.0;
-  cfg.link_failure_probability = 0.05;
+  cfg.faults = net::FaultPlan::memoryless_links(0.05);
 
   auto run = [&] {
     SnapTrainer trainer(g, w, model, point_shards(centers), cfg);

@@ -52,7 +52,7 @@ TrainResult run_with(const topology::Graph& graph,
   cfg.alpha = 0.2;
   cfg.filter = filter;
   cfg.straggler_policy = policy;
-  cfg.link_failure_probability = failure;
+  cfg.faults = net::FaultPlan::memoryless_links(failure);
   cfg.convergence.max_iterations = iterations;
   cfg.convergence.loss_tolerance = 0.0;  // fixed-length run
   const linalg::Matrix w = consensus::max_degree_weights(graph);
@@ -66,7 +66,7 @@ TrainResult run_with(const topology::Graph& graph,
 TEST(SnapNodeFreshnessTest, StartsFreshAfterInit) {
   QuadraticModel model(2);
   SnapNode node(0, model, point_shard(linalg::Vector{0.0, 0.0}), {1},
-                {{0, 0.5}, {1, 0.5}});
+                {0.5}, 0.5);
   node.set_initial(linalg::Vector{0.0, 0.0});
   EXPECT_TRUE(node.is_fresh(1));
 }
@@ -74,7 +74,7 @@ TEST(SnapNodeFreshnessTest, StartsFreshAfterInit) {
 TEST(SnapNodeFreshnessTest, AdvanceMarksStaleAndApplyRefreshes) {
   QuadraticModel model(2);
   SnapNode node(0, model, point_shard(linalg::Vector{0.0, 0.0}), {1},
-                {{0, 0.5}, {1, 0.5}});
+                {0.5}, 0.5);
   node.set_initial(linalg::Vector{0.0, 0.0});
   node.advance_views();
   EXPECT_FALSE(node.is_fresh(1));
@@ -87,7 +87,7 @@ TEST(SnapNodeFreshnessTest, AdvanceMarksStaleAndApplyRefreshes) {
 TEST(SnapNodeFreshnessTest, UnknownNeighborQueriesThrow) {
   QuadraticModel model(1);
   SnapNode node(0, model, point_shard(linalg::Vector{0.0}), {1},
-                {{0, 0.5}, {1, 0.5}});
+                {0.5}, 0.5);
   node.set_initial(linalg::Vector{0.0});
   EXPECT_THROW(node.is_fresh(3), common::ContractViolation);
 }
@@ -97,7 +97,7 @@ TEST(SnapNodeFreshnessTest, ReweightSubstitutesOwnValueWhenStale) {
   // update folds w_01 onto itself: x¹ = (0.5+0.5)·x − α∇f.
   QuadraticModel model(1);
   SnapNode node(0, model, point_shard(linalg::Vector{2.0}), {1},
-                {{0, 0.5}, {1, 0.5}}, StragglerPolicy::kReweight);
+                {0.5}, 0.5, StragglerPolicy::kReweight);
   node.set_initial(linalg::Vector{1.0});
   node.advance_views();  // nothing arrives: neighbor stale
   node.compute_update(0.1);
@@ -108,7 +108,7 @@ TEST(SnapNodeFreshnessTest, ReweightSubstitutesOwnValueWhenStale) {
 TEST(SnapNodeFreshnessTest, StaleValuesPolicyUsesOldView) {
   QuadraticModel model(1);
   SnapNode node(0, model, point_shard(linalg::Vector{2.0}), {1},
-                {{0, 0.5}, {1, 0.5}}, StragglerPolicy::kStaleValues);
+                {0.5}, 0.5, StragglerPolicy::kStaleValues);
   node.set_initial(linalg::Vector{1.0});
   node.advance_views();
   node.compute_update(0.1);

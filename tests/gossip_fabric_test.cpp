@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "baselines/parameter_server.hpp"
@@ -18,6 +17,7 @@
 #include "experiments/scenario.hpp"
 #include "net/frame.hpp"
 #include "runtime/fabric.hpp"
+#include "support/bitwise_result.hpp"
 #include "support/quadratic_model.hpp"
 #include "topology/generators.hpp"
 
@@ -25,41 +25,8 @@ namespace snap::core {
 namespace {
 
 using snap::testing::QuadraticModel;
+using snap::testing::expect_bitwise_equal;
 using snap::testing::point_shard;
-
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-/// Bitwise comparison including the gossip/fault telemetry — a single
-/// diverging activation would desynchronize links_activated or bytes
-/// long before the losses drift.
-void expect_bitwise_equal(const TrainResult& a, const TrainResult& b) {
-  EXPECT_EQ(a.converged, b.converged);
-  EXPECT_EQ(a.converged_after, b.converged_after);
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_TRUE(same_bits(a.final_train_loss, b.final_train_loss));
-  ASSERT_EQ(a.final_params.size(), b.final_params.size());
-  for (std::size_t d = 0; d < a.final_params.size(); ++d) {
-    EXPECT_TRUE(same_bits(a.final_params[d], b.final_params[d]))
-        << "param " << d;
-  }
-  ASSERT_EQ(a.iterations.size(), b.iterations.size());
-  for (std::size_t k = 0; k < a.iterations.size(); ++k) {
-    const IterationStats& ia = a.iterations[k];
-    const IterationStats& ib = b.iterations[k];
-    EXPECT_TRUE(same_bits(ia.train_loss, ib.train_loss)) << "iter " << k;
-    EXPECT_TRUE(same_bits(ia.consensus_residual, ib.consensus_residual))
-        << "iter " << k;
-    EXPECT_EQ(ia.bytes, ib.bytes) << "iter " << k;
-    EXPECT_EQ(ia.links_activated, ib.links_activated) << "iter " << k;
-    EXPECT_EQ(ia.frames_dropped, ib.frames_dropped) << "iter " << k;
-    EXPECT_EQ(ia.alive_nodes, ib.alive_nodes) << "iter " << k;
-    EXPECT_EQ(ia.nodes_joined, ib.nodes_joined) << "iter " << k;
-    EXPECT_EQ(ia.state_sync_bytes, ib.state_sync_bytes) << "iter " << k;
-  }
-}
 
 std::vector<data::Dataset> random_point_shards(std::size_t nodes,
                                                std::size_t dim,

@@ -3,9 +3,9 @@
 // scheme that supports checkpointing (SNAP family, DGD, PS baseline) on
 // both shared-clock fabrics — including mid-churn, where the blob is
 // written after a membership epoch already happened. Also covers the
-// codec's corruption rejection and the bounded dial/retry backoff
-// (satellite of the same PR: doubling must saturate at the cap instead
-// of overflowing).
+// codec: every IterationStats column round-trips, corrupt, truncated or
+// impossibly long blobs are refused, and the bounded dial/retry backoff
+// saturates at its cap instead of overflowing.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/binary_io.hpp"
@@ -23,7 +25,9 @@
 #include "core/dgd.hpp"
 #include "experiments/scenario.hpp"
 #include "runtime/fabric.hpp"
+#include "ml/checkpoint.hpp"
 #include "runtime/run_checkpoint.hpp"
+#include "support/bitwise_result.hpp"
 #include "topology/generators.hpp"
 
 namespace snap::experiments {
@@ -44,32 +48,8 @@ ScenarioConfig base_config(runtime::FabricKind fabric) {
   return cfg;
 }
 
-std::uint64_t bits(double value) {
-  std::uint64_t out = 0;
-  std::memcpy(&out, &value, sizeof out);
-  return out;
-}
-
-std::vector<std::uint64_t> fingerprint(const core::TrainResult& result) {
-  std::vector<std::uint64_t> words;
-  words.push_back(result.iterations.size());
-  for (const auto& it : result.iterations) {
-    words.push_back(bits(it.train_loss));
-    words.push_back(it.bytes);
-    words.push_back(it.cost);
-    words.push_back(bits(it.consensus_residual));
-    words.push_back(it.links_pruned);
-    words.push_back(it.effective_edges);
-    words.push_back(bits(it.slem_after_prune));
-  }
-  words.push_back(result.final_params.size());
-  for (std::size_t i = 0; i < result.final_params.size(); ++i) {
-    words.push_back(bits(result.final_params[i]));
-  }
-  words.push_back(bits(result.final_train_loss));
-  words.push_back(result.total_bytes);
-  return words;
-}
+using snap::testing::bits_of;
+using snap::testing::expect_bitwise_equal;
 
 /// Runs `scheme` to 12 rounds uninterrupted, then again as two halves —
 /// stop at round 6 with a checkpoint, resume a fresh Scenario from the
@@ -77,8 +57,8 @@ std::vector<std::uint64_t> fingerprint(const core::TrainResult& result) {
 void expect_checkpoint_round_trip(ScenarioConfig cfg, Scheme scheme,
                                   const std::string& tag) {
   const Scenario full(cfg);
-  const auto oracle = fingerprint(full.run(scheme));
-  ASSERT_GT(oracle.size(), 2u);
+  const core::TrainResult oracle = full.run(scheme);
+  ASSERT_FALSE(oracle.iterations.empty());
 
   const fs::path path =
       fs::temp_directory_path() /
@@ -99,8 +79,10 @@ void expect_checkpoint_round_trip(ScenarioConfig cfg, Scheme scheme,
   second.checkpoint.every = 3;
   second.checkpoint.resume = true;
   const Scenario resumed(second);
-  EXPECT_EQ(fingerprint(resumed.run(scheme)), oracle)
-      << tag << ": resumed run diverged from the uninterrupted one";
+  {
+    SCOPED_TRACE(tag + ": resumed run vs the uninterrupted one");
+    expect_bitwise_equal(resumed.run(scheme), oracle);
+  }
 
   fs::remove(path);
 }
@@ -118,7 +100,7 @@ TEST(RuntimeCheckpointTest, SnapGossipFabricRoundTripsBitwise) {
 /// Sparsified legs: the resumed run must rebuild the pruned-link set,
 /// the duty-cycle masks, and the telemetry counters from the blob's
 /// algorithm state, so the pruned timeline (including the three
-/// sparsifier words per iteration in the fingerprint) replays bitwise.
+/// sparsifier columns per iteration) replays bitwise.
 ScenarioConfig sparsified_config(runtime::FabricKind fabric) {
   ScenarioConfig cfg = base_config(fabric);
   cfg.sparsify.enabled = true;
@@ -209,6 +191,66 @@ TEST(RuntimeCheckpointTest, CodecRejectsCorruptionAndTruncation) {
   }
 }
 
+TEST(RuntimeCheckpointTest, CodecRoundTripsEveryStatsColumn) {
+  // A distinct non-default value in every table column of every
+  // iteration: a column the codec skipped or swapped would not survive.
+  runtime::RunCheckpoint ckpt;
+  ckpt.round = 2;
+  ckpt.iterations.resize(2);
+  std::uint64_t next = 1;
+  for (core::IterationStats& it : ckpt.iterations) {
+    core::for_each_stat_column([&](const auto& column) {
+      auto& field = it.*column.member;
+      using T = std::remove_reference_t<decltype(field)>;
+      if constexpr (std::is_same_v<T, bool>) {
+        field = true;
+      } else if constexpr (std::is_same_v<T, double>) {
+        field = static_cast<double>(next++) + 0.25;
+      } else {
+        field = next++;
+      }
+    });
+  }
+  const std::vector<std::byte> bytes = runtime::encode_run_checkpoint(ckpt);
+  const std::optional<runtime::RunCheckpoint> decoded =
+      runtime::decode_run_checkpoint(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  core::TrainResult written;
+  written.iterations = ckpt.iterations;
+  core::TrainResult read;
+  read.iterations = decoded->iterations;
+  expect_bitwise_equal(read, written);
+
+  // The v2 record layout: 25 eight-byte columns and one u8 bool.
+  runtime::RunCheckpoint shorter = ckpt;
+  shorter.iterations.pop_back();
+  EXPECT_EQ(bytes.size() - runtime::encode_run_checkpoint(shorter).size(),
+            201u);
+}
+
+TEST(RuntimeCheckpointTest, DecoderRejectsWrappingIterationCount) {
+  // 92233720368547759 × 200 wraps u64 to 184, so a multiplied-out bound
+  // accepts this count against 256 trailing bytes and reserve() throws.
+  // An untrusted blob must come back as nullopt (a resume then cold-
+  // replays) rather than kill the shard.
+  common::ByteWriter writer;
+  for (const char c : std::string_view("SNAPRUN1")) {
+    writer.write_u8(static_cast<std::uint8_t>(c));
+  }
+  writer.write_u32(2);                     // version
+  writer.write_u64(0);                     // round
+  writer.write_f64(0.0);                   // sim_seconds
+  writer.write_u64(0);                     // membership_epoch
+  writer.write_u64(0);                     // alive count
+  writer.write_u64(92233720368547759ULL);  // iteration count
+  writer.write_bytes(std::vector<std::byte>(256));
+  writer.write_u64(ml::fnv1a(writer.bytes()));
+
+  std::optional<runtime::RunCheckpoint> decoded;
+  EXPECT_NO_THROW(decoded = runtime::decode_run_checkpoint(writer.bytes()));
+  EXPECT_FALSE(decoded.has_value());
+}
+
 TEST(RuntimeCheckpointTest, DgdSaveLoadContinuesBitwise) {
   common::Rng rng(11);
   const auto graph = topology::make_ring(5);
@@ -251,8 +293,8 @@ TEST(RuntimeCheckpointTest, DgdSaveLoadContinuesBitwise) {
   }
   for (std::size_t node = 0; node < 5; ++node) {
     for (std::size_t d = 0; d < 3; ++d) {
-      EXPECT_EQ(bits(restored.params(node)[d]),
-                bits(original.params(node)[d]))
+      EXPECT_EQ(bits_of(restored.params(node)[d]),
+                bits_of(original.params(node)[d]))
           << "node " << node << " dim " << d;
     }
   }

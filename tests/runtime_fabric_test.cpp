@@ -54,9 +54,9 @@ TEST(SyncFabricTest, WavesAccountingAndPhaseOrder) {
   std::vector<std::vector<int>> hub_inbox;
   RoundHooks<int> hooks;
   hooks.node_count = 4;
-  hooks.parallel_local_update = false;
+  // threads = 1 (the FabricConfig default) runs every per-node phase
+  // inline in node order, so `order` below is deterministic.
   hooks.parallel_collect = false;
-  hooks.parallel_mix = false;
   hooks.begin_round = [&](std::size_t round) {
     order.push_back("begin" + std::to_string(round));
   };
@@ -108,7 +108,6 @@ TEST(SyncFabricTest, ReplyPingPongIsBounded) {
   SyncFabric<int> fabric(config);
   RoundHooks<int> hooks;
   hooks.node_count = 2;
-  hooks.parallel_mix = false;
   hooks.collect = [](topology::NodeId i) {
     return std::vector<Envelope<int>>{{i == 0 ? 1u : 0u, 1, 0}};
   };

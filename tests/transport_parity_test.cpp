@@ -2,8 +2,8 @@
 // multi-process socket run (UDS or TCP) must produce bitwise-identical
 // training trajectories to the in-process simulator. Each backend test
 // forks one process per shard, runs the full scenario in every child,
-// and compares the per-iteration loss/byte series and the final model
-// bit-for-bit against the sim oracle computed in the parent.
+// and compares every per-iteration column and summary field of the
+// result bit-for-bit against the sim oracle computed in the parent.
 //
 // The shard stats files double as the byte-parity probe: the OS-level
 // payload bytes each shard put on the wire must equal the bytes the
@@ -25,6 +25,7 @@
 #include "experiments/scenario.hpp"
 #include "net/fault_injector.hpp"
 #include "net/transport.hpp"
+#include "support/bitwise_result.hpp"
 #include "topology/graph.hpp"
 
 namespace snap::experiments {
@@ -45,38 +46,6 @@ ScenarioConfig base_config(runtime::FabricKind fabric) {
   cfg.convergence.min_iterations = 12;
   cfg.convergence.max_iterations = 12;
   return cfg;
-}
-
-std::uint64_t bits(double value) {
-  std::uint64_t out = 0;
-  std::memcpy(&out, &value, sizeof out);
-  return out;
-}
-
-/// The bitwise fingerprint of a run: every per-iteration observable the
-/// CSV exports plus the final mean model, doubles as raw bit patterns.
-std::vector<std::uint64_t> fingerprint(const core::TrainResult& result) {
-  std::vector<std::uint64_t> words;
-  words.push_back(result.iterations.size());
-  for (const auto& it : result.iterations) {
-    words.push_back(bits(it.train_loss));
-    words.push_back(it.bytes);
-    words.push_back(it.cost);
-    words.push_back(bits(it.consensus_residual));
-    words.push_back(it.components);
-    words.push_back(bits(it.largest_component_frac));
-    words.push_back(it.partition_epoch);
-    words.push_back(it.links_pruned);
-    words.push_back(it.effective_edges);
-    words.push_back(bits(it.slem_after_prune));
-  }
-  words.push_back(result.final_params.size());
-  for (std::size_t i = 0; i < result.final_params.size(); ++i) {
-    words.push_back(bits(result.final_params[i]));
-  }
-  words.push_back(bits(result.final_train_loss));
-  words.push_back(result.total_bytes);
-  return words;
 }
 
 void write_fingerprint(const fs::path& path,
@@ -116,8 +85,8 @@ void expect_parity(runtime::FabricKind fabric, net::TransportKind kind,
   ScenarioConfig sim_cfg = base_config(fabric);
   if (tweak) tweak(sim_cfg);
   const Scenario sim(sim_cfg);
-  const auto oracle = fingerprint(sim.run(Scheme::kSnap));
-  ASSERT_GT(oracle.size(), 2u);
+  const core::TrainResult oracle = sim.run(Scheme::kSnap);
+  ASSERT_FALSE(oracle.iterations.empty());
 
   constexpr std::size_t kShards = 2;
   const fs::path dir =
@@ -143,8 +112,9 @@ void expect_parity(runtime::FabricKind fabric, net::TransportKind kind,
         cfg.transport.shard_id = shard;
         cfg.transport.rendezvous_dir = dir.string();
         const Scenario scenario(cfg);
-        write_fingerprint(dir / ("result-" + std::to_string(shard)),
-                          fingerprint(scenario.run(Scheme::kSnap)));
+        write_fingerprint(
+            dir / ("result-" + std::to_string(shard)),
+            snap::testing::result_words(scenario.run(Scheme::kSnap)));
         status = 0;
       } catch (...) {
       }
@@ -163,10 +133,12 @@ void expect_parity(runtime::FabricKind fabric, net::TransportKind kind,
 
   std::uint64_t total_frames = 0;
   for (std::size_t shard = 0; shard < kShards; ++shard) {
-    const auto replica =
-        read_fingerprint(dir / ("result-" + std::to_string(shard)));
-    EXPECT_EQ(replica, oracle)
-        << "shard " << shard << " diverged from the sim oracle";
+    {
+      SCOPED_TRACE("shard " + std::to_string(shard) + " vs the sim oracle");
+      snap::testing::expect_words_equal(
+          read_fingerprint(dir / ("result-" + std::to_string(shard))),
+          oracle);
+    }
 
     const auto stats =
         read_stats(dir / ("shard-" + std::to_string(shard) + ".stats"));
@@ -225,8 +197,8 @@ ConfigTweak partition_tweak() {
 
 /// Topology sparsification on: the pruned timeline (loss, bytes, and
 /// the links_pruned / effective_edges / slem_after_prune telemetry
-/// words in the fingerprint) must replay bitwise across UDS shard
-/// processes against the sim oracle.
+/// columns) must replay bitwise across UDS shard processes against the
+/// sim oracle.
 ConfigTweak sparsify_tweak() {
   return [](ScenarioConfig& cfg) {
     cfg.sparsify.enabled = true;
@@ -237,7 +209,7 @@ ConfigTweak sparsify_tweak() {
 
 TEST(TransportParityTest, SparsifiedSyncOverUdsMatchesSimBitwise) {
   // Guard the leg's premise: this scenario must actually prune links,
-  // or the sparsified words in the fingerprint are all trivially zero.
+  // or the sparsifier columns are all trivially zero.
   ScenarioConfig probe_cfg = base_config(runtime::FabricKind::kSync);
   sparsify_tweak()(probe_cfg);
   const Scenario probe(probe_cfg);
@@ -266,14 +238,13 @@ TEST(TransportParityTest, SingleShardSocketRunIsDegenerateButExact) {
   // shards=1 exercises the socket transport code path with an empty
   // mesh; still must match the oracle bitwise.
   const Scenario sim(base_config(runtime::FabricKind::kSync));
-  const auto oracle = fingerprint(sim.run(Scheme::kSnap));
-
   ScenarioConfig cfg = base_config(runtime::FabricKind::kSync);
   cfg.transport.kind = net::TransportKind::kUds;
   cfg.transport.shards = 1;
   cfg.transport.shard_id = 0;
   const Scenario solo(cfg);
-  EXPECT_EQ(fingerprint(solo.run(Scheme::kSnap)), oracle);
+  snap::testing::expect_bitwise_equal(solo.run(Scheme::kSnap),
+                                      sim.run(Scheme::kSnap));
 }
 
 }  // namespace
