@@ -101,30 +101,6 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-# The concurrency- and event-driven surface the sanitizers are for.
-# These binaries carry the `san` ctest label (tests/CMakeLists.txt);
-# keep the two lists in sync.
-SAN_TESTS=(
-  net_event_queue_test
-  net_mailbox_test
-  runtime_fabric_test
-  common_thread_pool_test
-  core_parallel_determinism_test
-  net_fault_injector_test
-  net_frame_fuzz_test
-  membership_test
-  gossip_fabric_test
-  linalg_lanczos_test
-  consensus_sparse_property_test
-  net_reassembly_test
-  transport_parity_test
-  runtime_checkpoint_test
-  transport_crash_recovery_test
-  transport_deadlock_test
-  consensus_sparsifier_property_test
-  core_link_backlog_test
-)
-
 SANITIZERS=(address thread undefined)
 [[ -n "$ONLY_SAN" ]] && SANITIZERS=("$ONLY_SAN")
 
@@ -134,11 +110,12 @@ for san in "${SANITIZERS[@]}"; do
   dir="${dir/undefined/ubsan}"
   echo "==> ${san} sanitizer: configure + build + run (${dir}/)"
   cmake -B "$dir" -S . -DSNAP_SANITIZE="$san" >/dev/null
-  cmake --build "$dir" -j "$JOBS" --target "${SAN_TESTS[@]}"
-  # Run via labels: `san` selects the binaries above (targets that were
-  # not built register unlabeled NOT_BUILT placeholders, which -L skips)
-  # and `-LE slow` keeps long-horizon sweeps out of the sanitizer
-  # budget — every san test must finish well under 30 s per binary.
+  # snap_san_tests depends on every binary labelled `san` in
+  # tests/CMakeLists.txt (the concurrency- and event-driven surface the
+  # sanitizers are for), so the build and the label below cannot drift.
+  cmake --build "$dir" -j "$JOBS" --target snap_san_tests
+  # `-LE slow` keeps long-horizon sweeps out of the sanitizer budget —
+  # every san test must finish well under 30 s per binary.
   (cd "$dir" &&
     UBSAN_OPTIONS=print_stacktrace=1 \
       ctest -L san -LE slow --output-on-failure -j "$JOBS")

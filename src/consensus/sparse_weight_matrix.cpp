@@ -67,98 +67,25 @@ SparseWeightMatrix SparseWeightMatrix::max_degree(
   return w;
 }
 
+SparseWeightMatrix SparseWeightMatrix::identity(
+    const topology::Graph& graph) {
+  SparseWeightMatrix w = pattern_of(graph);
+  for (const std::size_t d : w.diag_) w.values_[d] = 1.0;
+  return w;
+}
+
 SparseWeightMatrix SparseWeightMatrix::metropolis_on_survivors(
-    const topology::Graph& graph, const std::vector<bool>& alive) {
-  const std::size_t n = graph.node_count();
-  SNAP_REQUIRE_MSG(alive.empty() || alive.size() == n,
-                   "alive mask size must match the node count");
-  const auto is_alive = [&](topology::NodeId i) {
-    return alive.empty() || alive[i];
-  };
-
-  std::vector<std::size_t> alive_degree(n, 0);
-  for (const auto& [u, v] : graph.edges()) {
-    if (is_alive(u) && is_alive(v)) {
-      ++alive_degree[u];
-      ++alive_degree[v];
-    }
-  }
-
-  SparseWeightMatrix w = pattern_of(graph);
-  for (topology::NodeId i = 0; i < n; ++i) {
-    if (!is_alive(i)) {
-      w.values_[w.diag_[i]] = 1.0;  // identity row, zero link weights
-      continue;
-    }
-    double off = 0.0;
-    for (std::size_t k = w.row_ptr_[i]; k < w.row_ptr_[i + 1]; ++k) {
-      const topology::NodeId j = w.cols_[k];
-      if (j == i || !is_alive(j)) continue;
-      const double weight =
-          1.0 / (1.0 + static_cast<double>(
-                           std::max(alive_degree[i], alive_degree[j])));
-      w.values_[k] = weight;
-      off += weight;
-    }
-    w.values_[w.diag_[i]] = 1.0 - off;
-  }
-  return w;
-}
-
-SparseWeightMatrix SparseWeightMatrix::metropolis_on_components(
     const topology::Graph& graph, const std::vector<bool>& alive,
-    const std::vector<std::size_t>& labels) {
+    const std::vector<std::size_t>& labels,
+    const std::vector<std::uint8_t>& edge_kept) {
   const std::size_t n = graph.node_count();
-  SNAP_REQUIRE_MSG(alive.empty() || alive.size() == n,
-                   "alive mask size must match the node count");
-  SNAP_REQUIRE_MSG(labels.size() == n,
-                   "component labels must have one entry per node");
-  constexpr std::size_t kEx = topology::ComponentMap::kExcluded;
-  const auto effective = [&](topology::NodeId i) {
-    return (alive.empty() || alive[i]) && labels[i] != kEx;
-  };
-  // Mirrors metropolis_on_survivors exactly, with the aliveness test
-  // extended by label equality — so a single-component labeling yields
-  // the identical doubles in the identical order.
-  std::vector<std::size_t> alive_degree(n, 0);
-  for (const auto& [u, v] : graph.edges()) {
-    if (effective(u) && effective(v) && labels[u] == labels[v]) {
-      ++alive_degree[u];
-      ++alive_degree[v];
-    }
-  }
-
-  SparseWeightMatrix w = pattern_of(graph);
-  for (topology::NodeId i = 0; i < n; ++i) {
-    if (!effective(i)) {
-      w.values_[w.diag_[i]] = 1.0;  // identity row, zero link weights
-      continue;
-    }
-    double off = 0.0;
-    for (std::size_t k = w.row_ptr_[i]; k < w.row_ptr_[i + 1]; ++k) {
-      const topology::NodeId j = w.cols_[k];
-      if (j == i || !effective(j) || labels[j] != labels[i]) continue;
-      const double weight =
-          1.0 / (1.0 + static_cast<double>(
-                           std::max(alive_degree[i], alive_degree[j])));
-      w.values_[k] = weight;
-      off += weight;
-    }
-    w.values_[w.diag_[i]] = 1.0 - off;
-  }
-  return w;
-}
-
-SparseWeightMatrix SparseWeightMatrix::metropolis_on_subgraph(
-    const topology::Graph& graph, const std::vector<std::uint8_t>& edge_kept,
-    const std::vector<bool>& alive, const std::vector<std::size_t>& labels) {
-  const std::size_t n = graph.node_count();
-  SNAP_REQUIRE_MSG(edge_kept.size() == graph.edge_count(),
-                   "edge_kept must have one entry per edge");
   SNAP_REQUIRE_MSG(alive.empty() || alive.size() == n,
                    "alive mask size must match the node count");
   SNAP_REQUIRE_MSG(labels.empty() || labels.size() == n,
                    "component labels must have one entry per node");
+  SNAP_REQUIRE_MSG(
+      edge_kept.empty() || edge_kept.size() == graph.edge_count(),
+      "edge_kept must have one entry per edge");
   constexpr std::size_t kEx = topology::ComponentMap::kExcluded;
   const auto effective = [&](topology::NodeId i) {
     return (alive.empty() || alive[i]) && (labels.empty() || labels[i] != kEx);
@@ -166,15 +93,15 @@ SparseWeightMatrix SparseWeightMatrix::metropolis_on_subgraph(
   const auto same_block = [&](topology::NodeId i, topology::NodeId j) {
     return labels.empty() || labels[i] == labels[j];
   };
-  // Mirrors metropolis_on_survivors / metropolis_on_components exactly,
-  // with the aliveness test extended by the kept-edge flag — an
-  // all-kept mask yields the identical doubles in the identical order.
+  // Each mask only removes terms: a node's row walks its ascending
+  // neighbors and skips every link a mask drops, so adding a mask never
+  // reorders the surviving additions.
   std::unordered_set<std::uint64_t> dropped;
   const auto& edges = graph.edges();
   std::vector<std::size_t> alive_degree(n, 0);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto [u, v] = edges[e];
-    if (edge_kept[e] == 0) {
+    if (!edge_kept.empty() && edge_kept[e] == 0) {
       dropped.insert((static_cast<std::uint64_t>(v) << 32) |
                      static_cast<std::uint64_t>(u));
       continue;
@@ -213,56 +140,6 @@ SparseWeightMatrix SparseWeightMatrix::metropolis_on_subgraph(
   return w;
 }
 
-SparseWeightMatrix SparseWeightMatrix::activated_mixing(
-    const topology::Graph& graph,
-    std::span<const std::pair<topology::NodeId, topology::NodeId>> links,
-    const std::vector<bool>& alive) {
-  const std::size_t n = graph.node_count();
-  SNAP_REQUIRE(n > 0);
-  SNAP_REQUIRE_MSG(alive.empty() || alive.size() == n,
-                   "alive mask size must match the node count");
-  const auto is_alive = [&](topology::NodeId i) {
-    return alive.empty() || alive[i];
-  };
-
-  // Activated degree — only links with both endpoints alive count.
-  std::vector<std::size_t> degree(n, 0);
-  for (const auto& [u, v] : links) {
-    SNAP_REQUIRE(u < n && v < n && u != v);
-    if (!is_alive(u) || !is_alive(v)) continue;
-    ++degree[u];
-    ++degree[v];
-  }
-
-  SparseWeightMatrix w = pattern_of(graph);
-  for (topology::NodeId i = 0; i < n; ++i) {
-    w.values_[w.diag_[i]] = 1.0;
-  }
-  const auto slot = [&](topology::NodeId i, topology::NodeId j) {
-    const auto begin = w.cols_.begin() + static_cast<std::ptrdiff_t>(
-                                             w.row_ptr_[i]);
-    const auto end = w.cols_.begin() + static_cast<std::ptrdiff_t>(
-                                           w.row_ptr_[i + 1]);
-    const auto it = std::lower_bound(begin, end, j);
-    SNAP_REQUIRE_MSG(it != end && *it == j,
-                     "activated link (" << i << "," << j
-                                        << ") is not a graph edge");
-    return static_cast<std::size_t>(it - w.cols_.begin());
-  };
-  // Same per-link updates in the same order as the dense builder, so
-  // every diagonal accumulates its subtractions identically.
-  for (const auto& [u, v] : links) {
-    if (!is_alive(u) || !is_alive(v)) continue;
-    const double weight =
-        1.0 / (1.0 + static_cast<double>(std::max(degree[u], degree[v])));
-    w.values_[slot(u, v)] += weight;
-    w.values_[slot(v, u)] += weight;
-    w.values_[w.diag_[u]] -= weight;
-    w.values_[w.diag_[v]] -= weight;
-  }
-  return w;
-}
-
 SparseWeightMatrix SparseWeightMatrix::from_dense(
     const linalg::Matrix& w, const topology::Graph& graph) {
   SNAP_REQUIRE_MSG(w.rows() == graph.node_count() && w.is_square(),
@@ -274,6 +151,24 @@ SparseWeightMatrix SparseWeightMatrix::from_dense(
     }
   }
   return out;
+}
+
+void SparseWeightMatrix::set_block(
+    std::span<const topology::NodeId> members, const linalg::Matrix& block) {
+  SNAP_REQUIRE_MSG(block.rows() == members.size() && block.is_square(),
+                   "block shape does not match its member list");
+  for (std::size_t a = 0; a < members.size(); ++a) {
+    const topology::NodeId i = members[a];
+    SNAP_REQUIRE(i < node_count());
+    for (std::size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
+      const auto it =
+          std::lower_bound(members.begin(), members.end(), cols_[k]);
+      values_[k] = it != members.end() && *it == cols_[k]
+                       ? block(a, static_cast<std::size_t>(
+                                      it - members.begin()))
+                       : 0.0;
+    }
+  }
 }
 
 SparseWeightMatrix::RowView SparseWeightMatrix::row(

@@ -8,17 +8,17 @@
 // span aligned with its sorted neighbor list, and every builder is
 // O(|V| + |E|).
 //
-// Builders mirror their dense counterparts operation-for-operation
-// (same weights, same accumulation order), so a trainer fed the sparse
-// matrix walks a bitwise-identical trajectory to one fed the dense
-// matrix it replaces. The dense Jacobi path remains the small-n oracle:
-// to_dense()/from_dense() convert losslessly over the support.
+// One Metropolis kernel (metropolis_on_survivors) builds every in-run W
+// that is not the §IV-B optimizer's: churn, partitions and the topology
+// sparsifier each pass it a mask. Its additions run in the order the
+// dense reference builders in tests/oracle/ use, so to_dense() of a
+// sparse W is bitwise the dense matrix; to_dense()/from_dense() convert
+// losslessly over the support.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -37,59 +37,45 @@ class SparseWeightMatrix {
     std::span<const double> values;
   };
 
-  /// Max-degree weights, paper eq. (24) — the sparse twin of
-  /// max_degree_weights (same doubles, same order).
+  /// Max-degree weights, paper eq. (24): the same doubles, in the same
+  /// order, as the dense max_degree_weights.
   static SparseWeightMatrix max_degree(const topology::Graph& graph,
                                        double epsilon = 0.01);
 
-  /// Metropolis–Hastings on the alive-induced subgraph, identity rows
-  /// for dead nodes — the sparse twin of the kMetropolis re-projection.
-  /// `alive` empty means all alive.
+  /// Every node carries an identity row: the scaffold the per-component
+  /// §IV-B re-projection fills with set_block.
+  static SparseWeightMatrix identity(const topology::Graph& graph);
+
+  /// The one Metropolis–Hastings builder behind every in-run W rebuild:
+  ///   w_ij = 1 / (1 + max{deg'(i), deg'(j)})
+  /// over the links that survive three masks, each optional (empty means
+  /// "no restriction"):
+  ///   - `alive`: one flag per node; both endpoints must be alive;
+  ///   - `labels`: one component label per node; both endpoints must
+  ///     share a label other than ComponentMap::kExcluded, so W is
+  ///     block-diagonal over the components (churn and partitions);
+  ///   - `edge_kept`: one flag per graph.edges() entry; the link itself
+  ///     must be kept (the topology sparsifier's pruned set).
+  /// deg' counts surviving links. Nodes that are dead or excluded get
+  /// identity rows. Dropped links keep their structural-zero slots, so
+  /// rows stay aligned with the full graph's neighbor lists.
   static SparseWeightMatrix metropolis_on_survivors(
-      const topology::Graph& graph, const std::vector<bool>& alive = {});
-
-  /// Component-aware Metropolis: like metropolis_on_survivors, but an
-  /// edge contributes only when both endpoints are alive AND share a
-  /// component label — the resulting matrix is block-diagonal over the
-  /// components. With all alive nodes in one component the arithmetic
-  /// is identical (same doubles, same order) to metropolis_on_survivors.
-  /// `labels` has one entry per node (ComponentMap::kExcluded on dead
-  /// nodes is allowed; an alive node labeled kExcluded gets an identity
-  /// row).
-  static SparseWeightMatrix metropolis_on_components(
-      const topology::Graph& graph, const std::vector<bool>& alive,
-      const std::vector<std::size_t>& labels);
-
-  /// Metropolis–Hastings restricted to a kept-edge subset: an edge
-  /// contributes only when edge_kept[e] != 0 for its graph.edges()
-  /// index AND both endpoints are alive AND (when labels are given)
-  /// share a component label — the topology sparsifier's W builder.
-  /// With every edge kept this is bitwise identical (same doubles, same
-  /// order) to metropolis_on_survivors (labels empty) /
-  /// metropolis_on_components (labels given). Pruned links keep their
-  /// structural-zero slots, so rows stay aligned with the full graph's
-  /// neighbor lists.
-  static SparseWeightMatrix metropolis_on_subgraph(
-      const topology::Graph& graph,
-      const std::vector<std::uint8_t>& edge_kept,
-      const std::vector<bool>& alive = {},
-      const std::vector<std::size_t>& labels = {});
-
-  /// Per-activation effective mixing matrix for the gossip fabric: the
-  /// sparse twin of activated_mixing_matrix, with the pattern taken
-  /// from the *full* graph adjacency (non-activated links carry weight
-  /// 0), so each row stays aligned with the node's neighbor slots
-  /// across ticks.
-  static SparseWeightMatrix activated_mixing(
-      const topology::Graph& graph,
-      std::span<const std::pair<topology::NodeId, topology::NodeId>> links,
-      const std::vector<bool>& alive = {});
+      const topology::Graph& graph, const std::vector<bool>& alive = {},
+      const std::vector<std::size_t>& labels = {},
+      const std::vector<std::uint8_t>& edge_kept = {});
 
   /// Restriction of a dense feasible matrix onto the graph's support.
   /// Entries outside {self} ∪ neighbors are dropped — callers validate
   /// feasibility (which bounds those entries by tol) beforehand.
   static SparseWeightMatrix from_dense(const linalg::Matrix& w,
                                        const topology::Graph& graph);
+
+  /// Overwrites the rows of `members` (ascending node ids) with the
+  /// dense block `block`, where block(a, b) weighs members[a] against
+  /// members[b]. Pattern slots of those rows outside the block become 0:
+  /// from_dense restricted to one diagonal block.
+  void set_block(std::span<const topology::NodeId> members,
+                 const linalg::Matrix& block);
 
   std::size_t node_count() const noexcept {
     return row_ptr_.empty() ? 0 : row_ptr_.size() - 1;

@@ -189,43 +189,6 @@ std::vector<double> effective_prices(const Workspace& ws,
   return prices;
 }
 
-SparseWeightMatrix reweight_survivors(const Workspace& ws,
-                                      const std::vector<bool>& alive,
-                                      const std::vector<std::size_t>&
-                                          labels_in,
-                                      const std::vector<std::uint8_t>& kept,
-                                      const SparsifierConfig& config) {
-  if (config.reweight == ReprojectionMethod::kMetropolis) {
-    return SparseWeightMatrix::metropolis_on_subgraph(ws.graph, kept, alive,
-                                                      labels_in);
-  }
-  // §IV-B optimizer per surviving component, scattered into a dense
-  // identity scaffold (identity rows for dead/excluded nodes) and
-  // restricted back onto the full graph's pattern so pruned links keep
-  // their structural-zero slots.
-  const std::size_t n = ws.graph.node_count();
-  linalg::Matrix dense(n, n);
-  for (topology::NodeId i = 0; i < n; ++i) dense(i, i) = 1.0;
-  for (std::size_t c = 0; c < ws.component_count; ++c) {
-    const std::vector<topology::NodeId>& nodes = ws.comp_nodes[c];
-    if (nodes.size() < 2) continue;
-    topology::Graph sub(nodes.size());
-    for (const std::size_t e : ws.comp_edges[c]) {
-      if (kept[e] == 0) continue;
-      const auto [u, v] = ws.graph.edges()[e];
-      sub.add_edge(ws.compact_index[u], ws.compact_index[v]);
-    }
-    const WeightSelection selection =
-        select_weight_matrix(sub, config.optimizer);
-    for (std::size_t a = 0; a < nodes.size(); ++a) {
-      for (std::size_t b = 0; b < nodes.size(); ++b) {
-        dense(nodes[a], nodes[b]) = selection.w(a, b);
-      }
-    }
-  }
-  return SparseWeightMatrix::from_dense(dense, ws.graph);
-}
-
 SparsifierResult sparsify_impl(const topology::Graph& graph,
                                const std::vector<bool>& alive,
                                const std::vector<std::size_t>& labels_in,
@@ -308,8 +271,11 @@ SparsifierResult sparsify_impl(const topology::Graph& graph,
   result.cost_after = kept_cost;
   result.links_pruned = result.steps.size();
   result.effective_edges = effective_edges;
-  result.w =
-      reweight_survivors(ws, alive, labels_in, result.edge_kept, config);
+  // Identity rows for dead and excluded nodes; pruned links keep their
+  // structural-zero slots, so rows stay aligned with the full graph.
+  result.w = reproject_weight_matrix_sparse(graph, alive, ws.labels,
+                                            config.reweight, config.optimizer,
+                                            result.edge_kept);
   return result;
 }
 

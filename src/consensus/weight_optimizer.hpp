@@ -94,8 +94,7 @@ struct WeightSelection {
 /// repeats per component, the SLEM objective is pinned at 1, and no
 /// feasible matrix can drive global consensus — callers with a
 /// partitioned topology must optimize each component separately
-/// (reproject_weight_matrix's component-aware overload does exactly
-/// that).
+/// (reproject_weight_matrix_sparse's kOptimize leg does exactly that).
 WeightSelection select_weight_matrix(const topology::Graph& graph,
                                      const WeightOptimizerConfig& config = {});
 

@@ -10,197 +10,88 @@ namespace snap::consensus {
 
 namespace {
 
-/// Metropolis–Hastings weights on the alive-induced subgraph, embedded
-/// into the full n×n index space with identity rows for dead nodes.
-linalg::Matrix metropolis_on_survivors(const topology::Graph& graph,
-                                       const std::vector<bool>& alive) {
-  const std::size_t n = graph.node_count();
-  std::vector<std::size_t> alive_degree(n, 0);
-  for (const auto& [u, v] : graph.edges()) {
-    if (alive[u] && alive[v]) {
-      ++alive_degree[u];
-      ++alive_degree[v];
-    }
-  }
-  linalg::Matrix w(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive[i]) {
-      w(i, i) = 1.0;
-      continue;
-    }
-    double off_diagonal = 0.0;
-    for (const topology::NodeId j : graph.neighbors(i)) {
-      if (!alive[j]) continue;
-      const double weight =
-          1.0 / (1.0 + static_cast<double>(
-                           std::max(alive_degree[i], alive_degree[j])));
-      w(i, j) = weight;
-      off_diagonal += weight;
-    }
-    w(i, i) = 1.0 - off_diagonal;
-  }
-  return w;
-}
-
 constexpr std::size_t kExcluded = topology::ComponentMap::kExcluded;
 
-/// Dense component-aware Metropolis: metropolis_on_survivors with the
-/// aliveness test extended by label equality — identical doubles and
-/// accumulation order when the labeling is a single component.
-linalg::Matrix metropolis_on_components(
+/// The §IV-B solve per component: blocks in ascending label order,
+/// members compacted in ascending id order, block edges added in
+/// graph.edges() order. Singleton blocks and dead or excluded nodes keep
+/// identity rows. Each block must be connected over its kept edges (the
+/// optimizer refuses disconnected input).
+SparseWeightMatrix optimize_per_component(
     const topology::Graph& graph, const std::vector<bool>& alive,
-    const std::vector<std::size_t>& labels) {
+    const std::vector<std::size_t>& labels,
+    const std::vector<std::uint8_t>& edge_kept,
+    const WeightOptimizerConfig& optimizer) {
   const std::size_t n = graph.node_count();
-  const auto effective = [&](topology::NodeId i) {
-    return alive[i] && labels[i] != kExcluded;
+  const auto member = [&](topology::NodeId i) {
+    return (alive.empty() || alive[i]) && labels[i] != kExcluded;
   };
-  std::vector<std::size_t> alive_degree(n, 0);
-  for (const auto& [u, v] : graph.edges()) {
-    if (effective(u) && effective(v) && labels[u] == labels[v]) {
-      ++alive_degree[u];
-      ++alive_degree[v];
-    }
+  std::vector<std::vector<topology::NodeId>> blocks;
+  std::vector<std::size_t> compact(n, 0);
+  for (topology::NodeId i = 0; i < n; ++i) {
+    if (!member(i)) continue;
+    if (labels[i] >= blocks.size()) blocks.resize(labels[i] + 1);
+    compact[i] = blocks[labels[i]].size();
+    blocks[labels[i]].push_back(i);
   }
-  linalg::Matrix w(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!effective(i)) {
-      w(i, i) = 1.0;
-      continue;
+  SparseWeightMatrix w = SparseWeightMatrix::identity(graph);
+  const auto& edges = graph.edges();
+  for (std::size_t c = 0; c < blocks.size(); ++c) {
+    if (blocks[c].size() < 2) continue;  // singleton: identity row stays
+    topology::Graph block(blocks[c].size());
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const auto [u, v] = edges[e];
+      if ((edge_kept.empty() || edge_kept[e] != 0) && member(u) &&
+          member(v) && labels[u] == c && labels[v] == c) {
+        block.add_edge(compact[u], compact[v]);
+      }
     }
-    double off_diagonal = 0.0;
-    for (const topology::NodeId j : graph.neighbors(i)) {
-      if (!effective(j) || labels[j] != labels[i]) continue;
-      const double weight =
-          1.0 / (1.0 + static_cast<double>(
-                           std::max(alive_degree[i], alive_degree[j])));
-      w(i, j) = weight;
-      off_diagonal += weight;
-    }
-    w(i, i) = 1.0 - off_diagonal;
+    w.set_block(blocks[c], select_weight_matrix(block, optimizer).w);
   }
   return w;
 }
 
 }  // namespace
 
-linalg::Matrix reproject_weight_matrix(const topology::Graph& graph,
-                                       const std::vector<bool>& alive,
-                                       ReprojectionMethod method,
-                                       const WeightOptimizerConfig& optimizer) {
-  const std::size_t n = graph.node_count();
-  SNAP_REQUIRE_MSG(alive.size() == n, "alive mask must have one flag per node");
-  const std::size_t alive_count =
-      static_cast<std::size_t>(std::count(alive.begin(), alive.end(), true));
-  SNAP_REQUIRE_MSG(alive_count >= 1, "cannot re-project with no survivors");
-
-  if (method == ReprojectionMethod::kOptimize && alive_count >= 2) {
-    // Crashes can disconnect the survivor-induced subgraph, and the
-    // §IV-B optimizer refuses disconnected input (the SLEM objective is
-    // ill-posed there). Label the survivor components and solve one
-    // optimization per block — with a connected survivor set this is
-    // exactly one solve over the whole survivor subgraph.
-    std::vector<std::uint8_t> include(n, 0);
-    for (std::size_t i = 0; i < n; ++i) include[i] = alive[i] ? 1 : 0;
-    const topology::ComponentMap components =
-        topology::connected_components(graph, include);
-    return reproject_weight_matrix(graph, alive, components.label, method,
-                                   optimizer);
-  }
-
-  return metropolis_on_survivors(graph, alive);
-}
-
 SparseWeightMatrix reproject_weight_matrix_sparse(
     const topology::Graph& graph, const std::vector<bool>& alive,
     ReprojectionMethod method, const WeightOptimizerConfig& optimizer) {
-  const std::size_t n = graph.node_count();
-  SNAP_REQUIRE_MSG(alive.size() == n, "alive mask must have one flag per node");
-  const std::size_t alive_count =
-      static_cast<std::size_t>(std::count(alive.begin(), alive.end(), true));
-  SNAP_REQUIRE_MSG(alive_count >= 1, "cannot re-project with no survivors");
-
-  if (method == ReprojectionMethod::kOptimize && alive_count >= 2) {
-    // The optimizer works in dense edge-weight coordinates; reuse the
-    // dense embed-back and restrict onto the support. Same doubles as
-    // the dense path by construction.
-    return SparseWeightMatrix::from_dense(
-        reproject_weight_matrix(graph, alive, method, optimizer), graph);
-  }
-
-  return SparseWeightMatrix::metropolis_on_survivors(graph, alive);
-}
-
-linalg::Matrix reproject_weight_matrix(
-    const topology::Graph& graph, const std::vector<bool>& alive,
-    const std::vector<std::size_t>& labels, ReprojectionMethod method,
-    const WeightOptimizerConfig& optimizer) {
-  const std::size_t n = graph.node_count();
-  SNAP_REQUIRE_MSG(alive.size() == n, "alive mask must have one flag per node");
-  SNAP_REQUIRE_MSG(labels.size() == n,
-                   "component labels must have one entry per node");
-  const std::size_t alive_count =
-      static_cast<std::size_t>(std::count(alive.begin(), alive.end(), true));
-  SNAP_REQUIRE_MSG(alive_count >= 1, "cannot re-project with no survivors");
-
-  if (method == ReprojectionMethod::kOptimize) {
-    // One §IV-B solve per block, embedded into identity. Blocks are
-    // visited in ascending label order; each block's subgraph is
-    // connected by construction of the labeling, which is what keeps
-    // the optimizer's SLEM objective well-posed (satellite of the
-    // partition-tolerance work: the optimizer refuses disconnected
-    // input instead of chasing an infeasible bound).
-    std::size_t label_count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (alive[i] && labels[i] != kExcluded) {
-        label_count = std::max(label_count, labels[i] + 1);
-      }
-    }
-    linalg::Matrix w = linalg::Matrix::identity(n);
-    for (std::size_t c = 0; c < label_count; ++c) {
-      std::vector<std::size_t> compact(n, 0);
-      std::vector<topology::NodeId> expand;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (alive[i] && labels[i] == c) {
-          compact[i] = expand.size();
-          expand.push_back(i);
-        }
-      }
-      if (expand.size() < 2) continue;  // singleton: identity row stays
-      topology::Graph block(expand.size());
-      for (const auto& [u, v] : graph.edges()) {
-        if (alive[u] && alive[v] && labels[u] == c && labels[v] == c) {
-          block.add_edge(compact[u], compact[v]);
-        }
-      }
-      const WeightSelection selection = select_weight_matrix(block, optimizer);
-      for (std::size_t a = 0; a < expand.size(); ++a) {
-        for (std::size_t b = 0; b < expand.size(); ++b) {
-          w(expand[a], expand[b]) = selection.w(a, b);
-        }
-      }
-    }
-    return w;
-  }
-
-  return metropolis_on_components(graph, alive, labels);
+  return reproject_weight_matrix_sparse(graph, alive, {}, method, optimizer);
 }
 
 SparseWeightMatrix reproject_weight_matrix_sparse(
     const topology::Graph& graph, const std::vector<bool>& alive,
     const std::vector<std::size_t>& labels, ReprojectionMethod method,
-    const WeightOptimizerConfig& optimizer) {
+    const WeightOptimizerConfig& optimizer,
+    const std::vector<std::uint8_t>& edge_kept) {
   const std::size_t n = graph.node_count();
-  SNAP_REQUIRE_MSG(alive.size() == n, "alive mask must have one flag per node");
-  SNAP_REQUIRE_MSG(labels.size() == n,
+  SNAP_REQUIRE_MSG(alive.empty() || alive.size() == n,
+                   "alive mask must have one flag per node");
+  SNAP_REQUIRE_MSG(labels.empty() || labels.size() == n,
                    "component labels must have one entry per node");
+  SNAP_REQUIRE_MSG(!labels.empty() || alive.empty() ||
+                       std::find(alive.begin(), alive.end(), true) !=
+                           alive.end(),
+                   "cannot re-project with no survivors");
 
-  if (method == ReprojectionMethod::kOptimize) {
-    return SparseWeightMatrix::from_dense(
-        reproject_weight_matrix(graph, alive, labels, method, optimizer),
-        graph);
+  if (method == ReprojectionMethod::kMetropolis) {
+    return SparseWeightMatrix::metropolis_on_survivors(graph, alive, labels,
+                                                       edge_kept);
   }
-
-  return SparseWeightMatrix::metropolis_on_components(graph, alive, labels);
+  if (!labels.empty()) {
+    return optimize_per_component(graph, alive, labels, edge_kept,
+                                  optimizer);
+  }
+  // Crashes can disconnect the survivor-induced subgraph, and the §IV-B
+  // optimizer refuses disconnected input (the SLEM objective is
+  // ill-posed there). Label the survivor components and solve one
+  // optimization per block — with a connected survivor set this is
+  // exactly one solve over the whole survivor subgraph.
+  std::vector<std::uint8_t> include(n, 1);
+  for (std::size_t i = 0; i < alive.size(); ++i) include[i] = alive[i];
+  return optimize_per_component(
+      graph, alive, topology::connected_components(graph, include).label,
+      edge_kept, optimizer);
 }
 
 }  // namespace snap::consensus

@@ -10,16 +10,19 @@
 // diverging ("the convergence and optimality of iteration (6) has
 // nothing to do with the initial parameter values", §IV-C).
 //
-// Dead nodes keep an identity row/column, so the full n×n matrix stays
-// symmetric doubly stochastic and feasible for the original graph while
-// the alive block mixes only over surviving links.
+// The same re-projection serves partitions (one block per component)
+// and the topology sparsifier (a kept-edge subset). Dead nodes keep an
+// identity row/column, so the full n×n matrix stays symmetric doubly
+// stochastic and feasible for the original graph while the alive block
+// mixes only over surviving links.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "consensus/sparse_weight_matrix.hpp"
 #include "consensus/weight_optimizer.hpp"
-#include "linalg/matrix.hpp"
 #include "topology/graph.hpp"
 
 namespace snap::consensus {
@@ -30,55 +33,31 @@ enum class ReprojectionMethod {
   ///   w_ij = 1 / (1 + max{deg'(i), deg'(j)}),  deg' = alive degree.
   /// Symmetric, doubly stochastic, O(|E|) — the cheap in-run fallback.
   kMetropolis,
-  /// Re-run the §IV-B weight optimizer on the surviving subgraph
-  /// (select_weight_matrix). Better spectral gap, much more compute;
-  /// falls back to Metropolis when fewer than two nodes survive.
+  /// Re-run the §IV-B weight optimizer on each surviving component
+  /// (select_weight_matrix). Better spectral gap, much more compute.
   kOptimize,
 };
 
-/// Re-projects a mixing matrix onto the alive-induced subgraph of
-/// `graph`. `alive` has one flag per node; dead rows/columns become
-/// identity. The result is symmetric, doubly stochastic, and supported
-/// on the surviving edges — feasible for `graph` by construction
-/// (is_feasible_weight_matrix holds). Requires at least one alive node.
-linalg::Matrix reproject_weight_matrix(
-    const topology::Graph& graph, const std::vector<bool>& alive,
-    ReprojectionMethod method = ReprojectionMethod::kMetropolis,
-    const WeightOptimizerConfig& optimizer = {});
-
-/// Sparse re-projection — the in-run path the trainers take. The
-/// kMetropolis leg builds the surviving block directly in CSR form with
-/// the dense builder's arithmetic (same doubles, same order, O(|E|));
-/// the kOptimize leg runs the §IV-B optimizer on the compacted survivor
-/// subgraph — a dense solve, which is why churn-time optimization stays
-/// a small-n configuration — and restricts the winner onto the support.
-SparseWeightMatrix reproject_weight_matrix_sparse(
-    const topology::Graph& graph, const std::vector<bool>& alive,
-    ReprojectionMethod method = ReprojectionMethod::kMetropolis,
-    const WeightOptimizerConfig& optimizer = {});
-
-/// Component-aware re-projection: builds a block-diagonal W over the
-/// effective components of a partitioned run. `labels` is a per-node
-/// component labeling (topology::ComponentMap::kExcluded for nodes
-/// outside the effective graph); an edge survives only when both
-/// endpoints are alive and share a label. kMetropolis weighs each block
-/// by within-block degrees; kOptimize runs the §IV-B optimizer once per
-/// block of >= 2 nodes (each block is connected by construction of the
-/// labeling, so the optimizer's connectivity precondition holds).
-/// Singleton blocks and excluded/dead nodes carry identity rows. With
-/// every alive node in one component the result is bitwise identical to
-/// the non-component overloads above.
-linalg::Matrix reproject_weight_matrix(
-    const topology::Graph& graph, const std::vector<bool>& alive,
-    const std::vector<std::size_t>& labels,
-    ReprojectionMethod method = ReprojectionMethod::kMetropolis,
-    const WeightOptimizerConfig& optimizer = {});
-
-/// Sparse twin of the component-aware overload (same doubles, same
-/// accumulation order as the dense build restricted to the support).
+/// Re-projects a mixing matrix onto the surviving subgraph of `graph`:
+/// the one implementation behind churn, partition and sparsifier epochs.
+/// The masks are those of SparseWeightMatrix::metropolis_on_survivors
+/// (each optional), and kMetropolis is exactly that builder. kOptimize
+/// runs the §IV-B optimizer (select_weight_matrix) once per component
+/// of >= 2 nodes, a dense solve in the component's size; without labels
+/// the components are those of the alive-induced subgraph. Each must be
+/// connected over its kept edges. Singleton components keep identity
+/// rows. Without labels at least one node must be alive. The result is
+/// symmetric, doubly stochastic and feasible for `graph`.
 SparseWeightMatrix reproject_weight_matrix_sparse(
     const topology::Graph& graph, const std::vector<bool>& alive,
     const std::vector<std::size_t>& labels,
+    ReprojectionMethod method = ReprojectionMethod::kMetropolis,
+    const WeightOptimizerConfig& optimizer = {},
+    const std::vector<std::uint8_t>& edge_kept = {});
+
+/// Re-projection without component labels.
+SparseWeightMatrix reproject_weight_matrix_sparse(
+    const topology::Graph& graph, const std::vector<bool>& alive,
     ReprojectionMethod method = ReprojectionMethod::kMetropolis,
     const WeightOptimizerConfig& optimizer = {});
 

@@ -349,7 +349,7 @@ void write_node_ids(common::ByteWriter& writer,
 bool read_node_ids(common::ByteReader& reader,
                    std::vector<topology::NodeId>& ids) {
   const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count * 8 > reader.remaining()) return false;
+  if (!reader.ok() || count > reader.remaining() / 8) return false;
   ids.clear();
   ids.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -366,7 +366,7 @@ void write_doubles(common::ByteWriter& writer,
 
 bool read_doubles(common::ByteReader& reader, std::vector<double>& values) {
   const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count * 8 > reader.remaining()) return false;
+  if (!reader.ok() || count > reader.remaining() / 8) return false;
   values.clear();
   values.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -382,7 +382,7 @@ void write_vector(common::ByteWriter& writer, const linalg::Vector& v) {
 
 bool read_vector(common::ByteReader& reader, linalg::Vector& v) {
   const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count * 8 > reader.remaining()) return false;
+  if (!reader.ok() || count > reader.remaining() / 8) return false;
   v = linalg::Vector(count);
   for (std::uint64_t i = 0; i < count; ++i) v[i] = reader.read_f64();
   return reader.ok();

@@ -176,25 +176,24 @@ std::size_t slot_in(const std::vector<topology::NodeId>& neighbors,
   return static_cast<std::size_t>(it - neighbors.begin());
 }
 
+/// `w` restricted onto the graph's pattern. Feasibility bounds the
+/// off-support entries by tol, so the restriction carries the same
+/// weights a dense run would use.
+consensus::SparseWeightMatrix feasible_restriction(
+    const linalg::Matrix& w, const topology::Graph& graph) {
+  SNAP_REQUIRE_MSG(consensus::is_feasible_weight_matrix(w, graph, 1e-6),
+                   "W is not feasible for this topology");
+  return consensus::SparseWeightMatrix::from_dense(w, graph);
+}
+
 }  // namespace
 
 SnapTrainer::SnapTrainer(const topology::Graph& graph,
                          const linalg::Matrix& w, const ml::Model& model,
                          std::vector<data::Dataset> shards,
                          SnapTrainerConfig config)
-    : graph_(&graph),
-      model_(&model),
-      shards_(std::move(shards)),
-      config_(config) {
-  SNAP_REQUIRE(config_.alpha > 0.0);
-  SNAP_REQUIRE_MSG(shards_.size() == graph.node_count(),
-                   "one shard per node required");
-  SNAP_REQUIRE_MSG(consensus::is_feasible_weight_matrix(w, graph, 1e-6),
-                   "W is not feasible for this topology");
-  // Feasibility bounds off-support entries by tol, so the restriction
-  // onto the graph pattern carries the same weights the dense run used.
-  w_ = consensus::SparseWeightMatrix::from_dense(w, graph);
-}
+    : SnapTrainer(graph, feasible_restriction(w, graph), model,
+                  std::move(shards), config) {}
 
 SnapTrainer::SnapTrainer(const topology::Graph& graph,
                          const consensus::SparseWeightMatrix& w,
@@ -268,10 +267,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   const auto apply_sparsifier = [&](const topology::Graph& g,
                                     const std::vector<std::size_t>& labels) {
     consensus::SparsifierResult pruned =
-        labels.empty()
-            ? consensus::sparsify_topology(g, alive, config_.sparsify)
-            : consensus::sparsify_topology(g, alive, labels,
-                                           config_.sparsify);
+        consensus::sparsify_topology(g, alive, labels, config_.sparsify);
     w_ = std::move(pruned.w);
     pruned_keys.clear();
     const auto& edges = g.edges();
@@ -523,11 +519,11 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
       // memory term annihilates consensus vectors and the filtered
       // EXTRA fixed points survive (see DESIGN.md, "Gossip fabric").
       //
-      // The rows are accumulated directly into per-node aligned slots —
-      // the same weights in the same per-entry order as the dense
-      // activated_mixing_matrix (degree pass, identity diagonal, then
-      // one symmetric update per link in activation order), without the
-      // O(n²) intermediate.
+      // Each row is Metropolis–Hastings on the activated subgraph,
+      // accumulated directly into per-node aligned slots: a degree pass,
+      // an identity diagonal, then one symmetric update per link in
+      // activation order (the order of the dense reference in
+      // tests/oracle/).
       const auto is_member = [&](topology::NodeId i) {
         return !injector || alive[i];
       };
@@ -747,12 +743,9 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
       // pruned set re-arms the injector filter and the collect masks
       // below.
       apply_sparsifier(g, labels);
-    } else if (labels.empty()) {
-      // Component tracking off (pure memoryless link noise): plain
-      // survivor re-projection, the pre-partition semantics.
-      w_ = consensus::reproject_weight_matrix_sparse(
-          g, alive, config_.churn_reprojection);
     } else {
+      // Empty labels (component tracking off: pure memoryless link
+      // noise) re-project over the survivors alone.
       w_ = consensus::reproject_weight_matrix_sparse(
           g, alive, labels, config_.churn_reprojection);
     }

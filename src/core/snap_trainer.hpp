@@ -89,8 +89,8 @@ struct SnapTrainerConfig {
   runtime::AsyncTimingConfig async;
   /// Activation scheduler used when fabric == kGossip: each round only
   /// a sparse activated link subset (random matching or per-node
-  /// fan-out) exchanges frames, the node rows are rebuilt on the
-  /// activated subgraph (consensus::activated_mixing_matrix), and
+  /// fan-out) exchanges frames, the node rows are rebuilt as
+  /// Metropolis–Hastings weights on the activated subgraph, and
   /// non-activated links accumulate backlog exactly like down links.
   /// gossip.seed == 0 derives the schedule from `seed`.
   runtime::GossipConfig gossip;

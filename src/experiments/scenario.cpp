@@ -8,7 +8,6 @@
 #include "baselines/terngrad.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "consensus/weight_matrix.hpp"
 #include "consensus/weight_reprojection.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic_credit.hpp"
@@ -44,7 +43,7 @@ struct Scenario::Impl {
   data::Dataset pooled_train{1, 2};
   data::Dataset test{1, 2};
   std::vector<data::Dataset> shards;
-  linalg::Matrix w_baseline;
+  consensus::SparseWeightMatrix w_baseline;
   consensus::WeightSelection w_optimized;
   mutable std::optional<double> reference_loss;
   mutable std::optional<double> reference_accuracy;
@@ -156,13 +155,16 @@ Scenario::Scenario(const ScenarioConfig& config)
     for (const auto& event : plan.scheduled_joins) {
       initial[event.node] = false;
     }
-    impl_->w_baseline = consensus::reproject_weight_matrix(
+    impl_->w_baseline = consensus::reproject_weight_matrix_sparse(
         impl_->graph, initial, consensus::ReprojectionMethod::kMetropolis);
-    impl_->w_optimized.w = consensus::reproject_weight_matrix(
-        impl_->graph, initial, consensus::ReprojectionMethod::kOptimize,
-        config.weight_optimizer);
+    impl_->w_optimized.w =
+        consensus::reproject_weight_matrix_sparse(
+            impl_->graph, initial, consensus::ReprojectionMethod::kOptimize,
+            config.weight_optimizer)
+            .to_dense();
   } else {
-    impl_->w_baseline = consensus::max_degree_weights(impl_->graph);
+    impl_->w_baseline =
+        consensus::SparseWeightMatrix::max_degree(impl_->graph);
     impl_->w_optimized = consensus::select_weight_matrix(
         impl_->graph, config.weight_optimizer);
   }
@@ -295,10 +297,12 @@ core::TrainResult Scenario::run_snap_variant(
   c.transport = cfg.transport;
   c.checkpoint = cfg.checkpoint;
   c.sparsify = cfg.sparsify;
-  const linalg::Matrix& w =
-      optimized_weights ? impl_->w_optimized.w : impl_->w_baseline;
-  core::SnapTrainer trainer(impl_->graph, w, *impl_->model, impl_->shards,
-                            c);
+  core::SnapTrainer trainer =
+      optimized_weights
+          ? core::SnapTrainer(impl_->graph, impl_->w_optimized.w,
+                              *impl_->model, impl_->shards, c)
+          : core::SnapTrainer(impl_->graph, impl_->w_baseline,
+                              *impl_->model, impl_->shards, c);
   if (impl_->snap_observer) trainer.set_observer(impl_->snap_observer);
   return trainer.train(impl_->test);
 }
@@ -331,7 +335,8 @@ const consensus::WeightSelection& Scenario::optimized_weights()
     const noexcept {
   return impl_->w_optimized;
 }
-const linalg::Matrix& Scenario::baseline_weights() const noexcept {
+const consensus::SparseWeightMatrix& Scenario::baseline_weights()
+    const noexcept {
   return impl_->w_baseline;
 }
 const ScenarioConfig& Scenario::config() const noexcept {

@@ -203,7 +203,7 @@ class Scenario {
   /// Optimized mixing matrix (§IV-B selection) and its provenance.
   const consensus::WeightSelection& optimized_weights() const noexcept;
   /// Unoptimized eq.-(24) matrix.
-  const linalg::Matrix& baseline_weights() const noexcept;
+  const consensus::SparseWeightMatrix& baseline_weights() const noexcept;
   const ScenarioConfig& config() const noexcept;
   const data::Dataset& test_set() const noexcept;
   /// Total training samples across all shards.

@@ -67,7 +67,10 @@ std::optional<Checkpoint> decode_checkpoint(
   }
 
   const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count * 8 != reader.remaining()) return std::nullopt;
+  if (!reader.ok() || count != reader.remaining() / 8 ||
+      reader.remaining() % 8 != 0) {
+    return std::nullopt;
+  }
   checkpoint.params = linalg::Vector(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     checkpoint.params[i] = reader.read_f64();

@@ -166,11 +166,6 @@ std::uint64_t FaultInjector::link_key(topology::NodeId u,
   return (hi << 32) | lo;
 }
 
-std::uint64_t FaultInjector::key(topology::NodeId u,
-                                 topology::NodeId v) noexcept {
-  return link_key(u, v);
-}
-
 void FaultInjector::set_pruned_links(
     std::unordered_set<std::uint64_t> pruned) {
   pruned_links_ = std::move(pruned);
@@ -323,7 +318,7 @@ void FaultInjector::materialize_next() {
       link_chain_down_[e] = !link_rng_.bernoulli(plan_.link_exit_burst);
     }
     if (link_chain_down_[e]) {
-      state.burst_down.insert(key(edges[e].first, edges[e].second));
+      state.burst_down.insert(link_key(edges[e].first, edges[e].second));
     }
   }
 
@@ -333,7 +328,7 @@ void FaultInjector::materialize_next() {
   // the component structure is tracked at all.
   if (tracks_partitions()) {
     for (std::size_t e = 0; e < edges.size(); ++e) {
-      const std::uint64_t k = key(edges[e].first, edges[e].second);
+      const std::uint64_t k = link_key(edges[e].first, edges[e].second);
       const bool down = link_chain_down_[e] || state.cut.contains(k);
       edge_down_streak_[e] = down ? edge_down_streak_[e] + 1 : 0;
       if (edge_down_streak_[e] > plan_.partition_confirm_rounds) {
@@ -410,7 +405,7 @@ void FaultInjector::materialize_partitions(std::size_t round,
   for (const PartitionEvent& event : plan_.scheduled_partitions) {
     if (round >= event.start_round &&
         (event.heal_round == 0 || round < event.heal_round)) {
-      for (const auto& [u, v] : event.edges) state.cut.insert(key(u, v));
+      for (const auto& [u, v] : event.edges) state.cut.insert(link_key(u, v));
     }
   }
   if (plan_.partition_probability > 0.0) {
@@ -452,7 +447,7 @@ void FaultInjector::materialize_partitions(std::size_t round,
         }
         for (const auto& [u, v] : dynamic_graph_.edges()) {
           if (in_region[u] != in_region[v]) {
-            random_cut_.insert(key(u, v));
+            random_cut_.insert(link_key(u, v));
           }
         }
         random_cut_until_ = round + plan_.partition_duration;
@@ -472,7 +467,7 @@ void FaultInjector::materialize_components(std::size_t round,
   const topology::ComponentMap map = topology::connected_components(
       dynamic_graph_, include,
       [&state](topology::NodeId u, topology::NodeId v) {
-        return state.sustained_down.contains(key(u, v));
+        return state.sustained_down.contains(link_key(u, v));
       });
   state.component = map.label;
   state.component_count = map.count;
@@ -496,7 +491,7 @@ void FaultInjector::materialize_components(std::size_t round,
     // churn path owns their warm-start.
     for (const auto& [u, v] : dynamic_graph_.edges()) {
       if (map.label[u] == kEx || map.label[u] != map.label[v]) continue;
-      if (state.sustained_down.contains(key(u, v))) continue;
+      if (state.sustained_down.contains(link_key(u, v))) continue;
       const std::size_t pu = prev_component_[u];
       const std::size_t pv = prev_component_[v];
       if (pu == kEx || pv == kEx || pu == pv) continue;
@@ -526,7 +521,7 @@ bool FaultInjector::link_down(std::size_t round, topology::NodeId u,
 bool FaultInjector::link_cut(std::size_t round, topology::NodeId u,
                              topology::NodeId v) const {
   const RoundState& s = state(round);
-  return !s.cut.empty() && s.cut.contains(key(u, v));
+  return !s.cut.empty() && s.cut.contains(link_key(u, v));
 }
 
 bool FaultInjector::tracks_partitions() const noexcept {
@@ -573,7 +568,7 @@ bool FaultInjector::same_component(std::size_t round, topology::NodeId u,
 
 bool FaultInjector::link_burst_down(std::size_t round, topology::NodeId u,
                                     topology::NodeId v) const {
-  const std::uint64_t k = key(u, v);
+  const std::uint64_t k = link_key(u, v);
   // A pruned link carries no frames: its chain keeps drawing (the
   // stream is never perturbed) but the outage is unobservable.
   if (!pruned_links_.empty() && pruned_links_.contains(k)) return false;

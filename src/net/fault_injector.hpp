@@ -1,7 +1,8 @@
 // Deterministic fault processes for the round fabrics.
 //
-// LinkFailureModel (paper §IV-D, Fig. 9) models stragglers as a
-// memoryless per-round Bernoulli coin over links. FaultInjector
+// The paper (§IV-D, Fig. 9) models stragglers as a memoryless
+// per-round Bernoulli coin over links (the original LinkFailureModel,
+// kept as a test reference in tests/oracle/). FaultInjector
 // generalizes that single coin into a seeded fault *plan*:
 //
 //   - bursty link outages: a per-link Gilbert–Elliott two-state chain
@@ -336,8 +337,6 @@ class FaultInjector {
     std::size_t partition_epoch = 0;
     PartitionDelta pdelta;
   };
-
-  static std::uint64_t key(topology::NodeId u, topology::NodeId v) noexcept;
 
   const RoundState& state(std::size_t round) const;
   void materialize_next();

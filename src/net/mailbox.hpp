@@ -6,7 +6,7 @@
 // implements exactly that contract for an arbitrary typed payload —
 // messages posted during round r become visible when the round is
 // flipped, and each node drains its own inbox. Lost frames (stragglers)
-// are modeled by the sender consulting LinkFailureModel before posting;
+// are modeled by the fabric consulting FaultInjector before posting;
 // the mailbox itself is reliable and in-order per sender.
 #pragma once
 

@@ -115,7 +115,7 @@ class AsyncFabric final : public RoundFabric<Payload> {
                                    /*require_connected=*/false));
     }
     for (const LinkOverride& link : timing_.link_overrides) {
-      overrides_[link_key(link.u, link.v)] = link;
+      overrides_[net::FaultInjector::link_key(link.u, link.v)] = link;
     }
   }
 
@@ -235,13 +235,6 @@ class AsyncFabric final : public RoundFabric<Payload> {
     AsyncFabric* fabric_;
   };
 
-  static std::uint64_t link_key(topology::NodeId u,
-                                topology::NodeId v) noexcept {
-    const auto lo = static_cast<std::uint64_t>(std::min(u, v));
-    const auto hi = static_cast<std::uint64_t>(std::max(u, v));
-    return (hi << 32) | lo;
-  }
-
   double compute_seconds(topology::NodeId node) {
     double base = timing_.node_compute_s.empty()
                       ? timing_.compute_s
@@ -276,13 +269,8 @@ class AsyncFabric final : public RoundFabric<Payload> {
         config_.faults->ensure_round(begun_);
         const net::ChurnDelta& d = config_.faults->churn_delta(begun_);
         if (!d.joined.empty() || !d.left.empty()) {
-          if (cost_) {
-            // Joins may have grown the topology: refresh routes before
-            // any handoff frame is sent.
-            cost_->set_hop_matrix(
-                net::HopMatrix(config_.faults->current_graph(),
-                               /*require_connected=*/false));
-          }
+          // Before any handoff frame is sent.
+          refresh_routes(cost_, *config_.faults);
           if (hooks_->on_churn) {
             net::ChurnDelta membership;
             membership.joined = d.joined;
@@ -391,7 +379,8 @@ class AsyncFabric final : public RoundFabric<Payload> {
           timing_.link_latency_s * static_cast<double>(hops);
       double bw_out = nic_bandwidth(from);
       double bw_in = nic_bandwidth(to);
-      if (const auto it = overrides_.find(link_key(from, to));
+      if (const auto it =
+              overrides_.find(net::FaultInjector::link_key(from, to));
           it != overrides_.end()) {
         if (it->second.latency_s > 0.0) latency = it->second.latency_s;
         if (it->second.bandwidth_bytes_per_s > 0.0) {
@@ -646,10 +635,8 @@ class AsyncFabric final : public RoundFabric<Payload> {
       if (hooks_->eval_ready && !hooks_->eval_ready(k)) break;
       evaluated_rounds_ = k;
 
-      const bool measure_accuracy =
-          (k % std::max<std::size_t>(config_.eval.every, 1)) == 0 ||
-          k == config_.convergence.max_iterations;
-      const RoundEval eval = hooks_->evaluate(k, measure_accuracy);
+      const RoundEval eval =
+          hooks_->evaluate(k, measures_accuracy(config_, k));
 
       core::IterationStats stats =
           shared_round_stats(eval, cost_ ? &*cost_ : nullptr,

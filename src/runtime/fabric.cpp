@@ -1,5 +1,7 @@
 #include "runtime/fabric.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace snap::runtime {
@@ -70,6 +72,18 @@ core::IterationStats shared_round_stats(const RoundEval& eval,
   stats.largest_component_frac = faults->largest_component_fraction(round);
   stats.partition_epoch = faults->partition_epoch(round);
   return stats;
+}
+
+bool measures_accuracy(const FabricConfig& config, std::size_t round) {
+  return round % std::max<std::size_t>(config.eval.every, 1) == 0 ||
+         round == config.convergence.max_iterations;
+}
+
+void refresh_routes(std::optional<net::CostTracker>& cost,
+                    const net::FaultInjector& faults) {
+  if (!cost) return;
+  cost->set_hop_matrix(
+      net::HopMatrix(faults.current_graph(), /*require_connected=*/false));
 }
 
 }  // namespace snap::runtime

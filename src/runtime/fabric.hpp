@@ -359,6 +359,17 @@ core::IterationStats shared_round_stats(const RoundEval& eval,
                                         std::size_t round,
                                         std::size_t node_count);
 
+/// Whether `round` measures test accuracy: every `eval.every` rounds
+/// (0 counts as 1) and always on the last round.
+bool measures_accuracy(const FabricConfig& config, std::size_t round);
+
+/// After a membership epoch: rebuilds `cost`'s routing table over the
+/// injector's current graph, which a join may have grown. Routing stays
+/// tolerant, since latent joiners may still be isolated. No-op without
+/// a tracker.
+void refresh_routes(std::optional<net::CostTracker>& cost,
+                    const net::FaultInjector& faults);
+
 /// Executes RoundHooks until convergence (or max_iterations). The
 /// fabric owns everything execution-side: the clock, the message
 /// transport, byte/cost accounting, the convergence detector, and the

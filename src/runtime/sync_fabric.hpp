@@ -102,11 +102,9 @@ class SyncFabric : public RoundFabric<Payload> {
     if (config_.faults != nullptr) {
       config_.faults->ensure_round(round);
       const net::ChurnDelta& delta = config_.faults->churn_delta(round);
-      if (cost_ && (!delta.joined.empty() || !delta.left.empty())) {
-        // A membership epoch may have grown the topology: refresh the
-        // routing table before any handoff frame needs a route.
-        cost_->set_hop_matrix(net::HopMatrix(
-            config_.faults->current_graph(), /*require_connected=*/false));
+      if (!delta.joined.empty() || !delta.left.empty()) {
+        // Before any handoff frame needs a route.
+        refresh_routes(cost_, *config_.faults);
       }
       if (hooks.on_churn && !delta.empty()) {
         StagingSink sink(&replies_);
@@ -205,10 +203,8 @@ class SyncFabric : public RoundFabric<Payload> {
       ++round;
       step_round(hooks, round);
 
-      const bool measure_accuracy =
-          (round % std::max<std::size_t>(config_.eval.every, 1)) == 0 ||
-          round == config_.convergence.max_iterations;
-      const RoundEval eval = hooks.evaluate(round, measure_accuracy);
+      const RoundEval eval =
+          hooks.evaluate(round, measures_accuracy(config_, round));
 
       core::IterationStats stats =
           shared_round_stats(eval, cost_ ? &*cost_ : nullptr,
@@ -318,13 +314,10 @@ class SyncFabric : public RoundFabric<Payload> {
                          "replayed fault schedule at node "
                              << i);
       }
-      if (cost_) {
-        // A membership epoch may have grown the topology since round 0;
-        // refresh the routing table unconditionally so post-resume flows
-        // route exactly as pre-crash ones did.
-        cost_->set_hop_matrix(net::HopMatrix(
-            config_.faults->current_graph(), /*require_connected=*/false));
-      }
+      // A membership epoch may have grown the topology since round 0;
+      // refresh unconditionally so post-resume flows route exactly as
+      // pre-crash ones did.
+      refresh_routes(cost_, *config_.faults);
     }
     result.iterations = saved.iterations;
     sim_seconds = saved.sim_seconds;

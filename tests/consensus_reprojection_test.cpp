@@ -15,11 +15,29 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "consensus/weight_matrix.hpp"
+#include "oracle/dense_mixing.hpp"
 #include "topology/generators.hpp"
 #include "topology/graph.hpp"
 
 namespace snap::consensus {
 namespace {
+
+/// The production re-projection, densified for entry-wise checks.
+linalg::Matrix dense_reprojection(const topology::Graph& g,
+                                  const std::vector<bool>& alive,
+                                  ReprojectionMethod method,
+                                  const WeightOptimizerConfig& opt = {}) {
+  return reproject_weight_matrix_sparse(g, alive, method, opt).to_dense();
+}
+
+linalg::Matrix dense_reprojection(const topology::Graph& g,
+                                  const std::vector<bool>& alive,
+                                  const std::vector<std::size_t>& labels,
+                                  ReprojectionMethod method,
+                                  const WeightOptimizerConfig& opt = {}) {
+  return reproject_weight_matrix_sparse(g, alive, labels, method, opt)
+      .to_dense();
+}
 
 void expect_reprojection_invariants(const linalg::Matrix& w,
                                     const topology::Graph& g,
@@ -48,7 +66,7 @@ TEST(WeightReprojectionTest, MetropolisHealsRingAfterOneCrash) {
   std::vector<bool> alive(8, true);
   alive[3] = false;
   const auto w =
-      reproject_weight_matrix(g, alive, ReprojectionMethod::kMetropolis);
+      dense_reprojection(g, alive, ReprojectionMethod::kMetropolis);
   expect_reprojection_invariants(w, g, alive);
   // Node 3's ring neighbors lose that link: their weight must flow
   // between each other's remaining links and self only.
@@ -66,7 +84,7 @@ TEST(WeightReprojectionTest, MetropolisHandlesMultipleCrashes) {
   alive[5] = false;
   alive[9] = false;
   const auto w =
-      reproject_weight_matrix(g, alive, ReprojectionMethod::kMetropolis);
+      dense_reprojection(g, alive, ReprojectionMethod::kMetropolis);
   expect_reprojection_invariants(w, g, alive);
 }
 
@@ -74,7 +92,7 @@ TEST(WeightReprojectionTest, AllAliveKeepsFullSupport) {
   const auto g = topology::make_ring(6);
   const std::vector<bool> alive(6, true);
   const auto w =
-      reproject_weight_matrix(g, alive, ReprojectionMethod::kMetropolis);
+      dense_reprojection(g, alive, ReprojectionMethod::kMetropolis);
   expect_reprojection_invariants(w, g, alive);
   for (const auto& [u, v] : g.edges()) {
     EXPECT_GT(w(u, v), 0.0) << "live link {" << u << "," << v
@@ -90,7 +108,7 @@ TEST(WeightReprojectionTest, IsolatedSurvivorGetsIdentityRow) {
   alive[1] = false;
   alive[5] = false;
   const auto w =
-      reproject_weight_matrix(g, alive, ReprojectionMethod::kMetropolis);
+      dense_reprojection(g, alive, ReprojectionMethod::kMetropolis);
   expect_reprojection_invariants(w, g, alive);
   EXPECT_DOUBLE_EQ(w(0, 0), 1.0);
   // The surviving path 2–3–4 still mixes.
@@ -106,8 +124,8 @@ TEST(WeightReprojectionTest, OptimizerMethodStaysFeasible) {
   alive[7] = false;
   WeightOptimizerConfig cfg;
   cfg.max_iterations = 40;
-  const auto w = reproject_weight_matrix(
-      g, alive, ReprojectionMethod::kOptimize, cfg);
+  const auto w =
+      dense_reprojection(g, alive, ReprojectionMethod::kOptimize, cfg);
   expect_reprojection_invariants(w, g, alive);
 }
 
@@ -175,12 +193,11 @@ TEST(WeightReprojectionTest, ShrinkGrowShrinkRoundTrip) {
   std::vector<bool> alive(10, true);
 
   alive[1] = alive[6] = false;  // shrink
-  auto w = reproject_weight_matrix(g, alive,
-                                   ReprojectionMethod::kMetropolis);
+  auto w = dense_reprojection(g, alive, ReprojectionMethod::kMetropolis);
   expect_reprojection_invariants(w, g, alive);
 
   alive[1] = alive[6] = true;  // grow back to full membership
-  w = reproject_weight_matrix(g, alive, ReprojectionMethod::kMetropolis);
+  w = dense_reprojection(g, alive, ReprojectionMethod::kMetropolis);
   expect_reprojection_invariants(w, g, alive);
   for (const auto& [u, v] : g.edges()) {
     EXPECT_GT(w(u, v), 0.0)
@@ -188,7 +205,7 @@ TEST(WeightReprojectionTest, ShrinkGrowShrinkRoundTrip) {
   }
 
   alive[0] = alive[9] = false;  // shrink again, different nodes
-  w = reproject_weight_matrix(g, alive, ReprojectionMethod::kMetropolis);
+  w = dense_reprojection(g, alive, ReprojectionMethod::kMetropolis);
   expect_reprojection_invariants(w, g, alive);
 }
 
@@ -217,7 +234,7 @@ TEST(WeightReprojectionTest, ChurnWalkKeepsEveryEpochFeasible) {
       }
       for (const auto method : {ReprojectionMethod::kMetropolis,
                                 ReprojectionMethod::kOptimize}) {
-        const auto w = reproject_weight_matrix(g, alive, method, opt);
+        const auto w = dense_reprojection(g, alive, method, opt);
         expect_reprojection_invariants(w, g, alive);
         if (alive_subgraph_connected(g, alive)) {
           EXPECT_GT(convergence_score(alive_block(w, alive)), 0.0)
@@ -231,19 +248,18 @@ TEST(WeightReprojectionTest, ChurnWalkKeepsEveryEpochFeasible) {
 TEST(WeightReprojectionTest, RequiresAtLeastOneSurvivor) {
   const auto g = topology::make_ring(4);
   const std::vector<bool> alive(4, false);
-  EXPECT_THROW(
-      (void)reproject_weight_matrix(g, alive,
-                                    ReprojectionMethod::kMetropolis),
-      common::ContractViolation);
+  EXPECT_THROW((void)reproject_weight_matrix_sparse(
+                   g, alive, ReprojectionMethod::kMetropolis),
+               common::ContractViolation);
 }
 
 // --- Component-aware re-projection: split → heal → merge --------------
 //
 // During a partition the labeling drives a block-diagonal W: an edge
 // carries weight only when both endpoints are alive AND share a
-// component. With a single component the labeled overloads must be
-// bitwise the plain survivor path, and the sparse twins must be
-// bitwise the dense path at every epoch.
+// component. With a single component the labeled overload must be
+// bitwise the plain survivor path, and every epoch must be bitwise the
+// dense oracle's.
 
 /// Labels of the alive-induced subgraph with `down` edges removed.
 std::vector<std::size_t> labels_of(const topology::Graph& g,
@@ -292,14 +308,11 @@ TEST(ComponentReprojectionTest, SingleComponentMatchesSurvivorPathBitwise) {
   opt.max_iterations = 30;
   for (const auto method : {ReprojectionMethod::kMetropolis,
                             ReprojectionMethod::kOptimize}) {
-    const auto plain = reproject_weight_matrix(g, alive, method, opt);
-    const auto labeled =
-        reproject_weight_matrix(g, alive, labels, method, opt);
-    expect_bitwise_equal(labeled, plain);
-    expect_bitwise_equal(
-        reproject_weight_matrix_sparse(g, alive, labels, method, opt)
-            .to_dense(),
-        plain);
+    const auto plain =
+        oracle::reproject_weight_matrix(g, alive, labels, method, opt);
+    expect_bitwise_equal(dense_reprojection(g, alive, labels, method, opt),
+                         plain);
+    expect_bitwise_equal(dense_reprojection(g, alive, method, opt), plain);
   }
 }
 
@@ -316,7 +329,7 @@ TEST(ComponentReprojectionTest, SplitHealMergeWalk) {
 
     // Epoch 0: intact graph, one component.
     const auto whole =
-        reproject_weight_matrix(g, alive, labels_of(g, alive), method, opt);
+        dense_reprojection(g, alive, labels_of(g, alive), method, opt);
     expect_reprojection_invariants(whole, g, alive);
     EXPECT_GT(whole(3, 4), 0.0);
 
@@ -324,7 +337,7 @@ TEST(ComponentReprojectionTest, SplitHealMergeWalk) {
     const auto split_labels = labels_of(g, alive, bridge_down);
     EXPECT_NE(split_labels[3], split_labels[4]);
     const auto split =
-        reproject_weight_matrix(g, alive, split_labels, method, opt);
+        dense_reprojection(g, alive, split_labels, method, opt);
     expect_reprojection_invariants(split, g, alive);
     EXPECT_DOUBLE_EQ(split(3, 4), 0.0);
     EXPECT_DOUBLE_EQ(split(4, 3), 0.0);
@@ -350,7 +363,7 @@ TEST(ComponentReprojectionTest, SplitHealMergeWalk) {
     alive[1] = false;
     const auto shrunk_labels = labels_of(g, alive, bridge_down);
     const auto shrunk =
-        reproject_weight_matrix(g, alive, shrunk_labels, method, opt);
+        dense_reprojection(g, alive, shrunk_labels, method, opt);
     expect_reprojection_invariants(shrunk, g, alive);
     EXPECT_DOUBLE_EQ(shrunk(3, 4), 0.0);
 
@@ -358,28 +371,21 @@ TEST(ComponentReprojectionTest, SplitHealMergeWalk) {
     // survivor re-projection bitwise (merge-on-heal is not a new
     // regime, it is the single-component special case).
     const auto healed =
-        reproject_weight_matrix(g, alive, labels_of(g, alive), method, opt);
+        dense_reprojection(g, alive, labels_of(g, alive), method, opt);
     expect_reprojection_invariants(healed, g, alive);
     EXPECT_GT(healed(3, 4), 0.0);
     expect_bitwise_equal(healed,
-                         reproject_weight_matrix(g, alive, method, opt));
+                         dense_reprojection(g, alive, method, opt));
 
-    // Sparse twins replay the dense walk bitwise at every epoch.
+    // The dense oracle replays the walk bitwise at every epoch.
     expect_bitwise_equal(
-        reproject_weight_matrix_sparse(g, {true, true, true, true, true,
-                                           true, true, true},
-                                       split_labels, method, opt)
-            .to_dense(),
-        split);
+        split, oracle::reproject_weight_matrix(
+                   g, std::vector<bool>(8, true), split_labels, method, opt));
+    expect_bitwise_equal(shrunk, oracle::reproject_weight_matrix(
+                                     g, alive, shrunk_labels, method, opt));
     expect_bitwise_equal(
-        reproject_weight_matrix_sparse(g, alive, shrunk_labels, method, opt)
-            .to_dense(),
-        shrunk);
-    expect_bitwise_equal(
-        reproject_weight_matrix_sparse(g, alive, labels_of(g, alive),
-                                       method, opt)
-            .to_dense(),
-        healed);
+        healed, oracle::reproject_weight_matrix(g, alive, labels_of(g, alive),
+                                                method, opt));
   }
 }
 
@@ -395,7 +401,7 @@ TEST(ComponentReprojectionTest, OptimizeSolvesDisconnectedSurvivorsPerBlock) {
   WeightOptimizerConfig opt;
   opt.max_iterations = 30;
   const auto w =
-      reproject_weight_matrix(g, alive, ReprojectionMethod::kOptimize, opt);
+      dense_reprojection(g, alive, ReprojectionMethod::kOptimize, opt);
   expect_reprojection_invariants(w, g, alive);
   // Both sides mix internally; nothing crosses the dead bridge.
   EXPECT_GT(w(0, 1), 0.0);

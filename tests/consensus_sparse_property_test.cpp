@@ -3,8 +3,9 @@
 // The CSR weight matrices, the sparse trainer path, and the derived-W̃
 // EXTRA iteration all promise the same doubles the dense code produced
 // — not approximately, bitwise. This suite enforces that promise at
-// small n where the dense oracle is cheap:
-//   * every sparse builder equals its dense twin entry-for-entry,
+// small n where the dense oracles (tests/oracle/) are cheap:
+//   * every sparse builder equals its dense reference entry-for-entry,
+//     the Metropolis kernel over random alive/label/kept-edge masks,
 //   * re-projection epochs (shrink → grow → shrink) replay identically,
 //   * a trainer fed the dense matrix and one fed the CSR matrix walk
 //     bitwise-equal trajectories on the sync and gossip fabrics, with
@@ -16,12 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "consensus/gossip_mixing.hpp"
 #include "consensus/mixing_spectrum.hpp"
 #include "consensus/sparse_weight_matrix.hpp"
 #include "consensus/weight_matrix.hpp"
@@ -30,6 +31,7 @@
 #include "core/snap_node.hpp"
 #include "core/snap_trainer.hpp"
 #include "linalg/eigen.hpp"
+#include "oracle/dense_mixing.hpp"
 #include "support/bitwise_result.hpp"
 #include "support/quadratic_model.hpp"
 #include "topology/generators.hpp"
@@ -77,6 +79,9 @@ TEST(SparseWeightMatrixTest, MaxDegreeMatchesDenseBitwise) {
 }
 
 TEST(SparseWeightMatrixTest, MetropolisMatchesDenseReprojectionBitwise) {
+  // The unlabelled kernel against the dense re-projection oracle, which
+  // labels the alive-induced components itself: Metropolis edges never
+  // cross a component, so both must give the same doubles.
   for (const auto& graph : property_graphs()) {
     const std::size_t n = graph.node_count();
     std::vector<bool> all_alive(n, true);
@@ -84,32 +89,87 @@ TEST(SparseWeightMatrixTest, MetropolisMatchesDenseReprojectionBitwise) {
     holes[0] = false;
     holes[n / 2] = false;
     for (const auto& alive : {all_alive, holes}) {
+      const topology::ComponentMap map = topology::connected_components(
+          graph, std::vector<std::uint8_t>(alive.begin(), alive.end()));
       const auto sparse =
           SparseWeightMatrix::metropolis_on_survivors(graph, alive);
-      const linalg::Matrix dense = reproject_weight_matrix(
-          graph, alive, ReprojectionMethod::kMetropolis);
+      const linalg::Matrix dense = oracle::reproject_weight_matrix(
+          graph, alive, map.label, ReprojectionMethod::kMetropolis);
       expect_bitwise_equal(sparse.to_dense(), dense);
       EXPECT_TRUE(is_feasible_weight_matrix(sparse, graph));
     }
   }
 }
 
-TEST(SparseWeightMatrixTest, ActivatedMixingMatchesDenseBitwise) {
-  for (const auto& graph : property_graphs()) {
-    const std::size_t n = graph.node_count();
-    common::Rng rng(13);
-    // A random half of the edges activated, in edge-list order.
-    std::vector<std::pair<topology::NodeId, topology::NodeId>> links;
-    for (const auto& e : graph.edges()) {
-      if (rng.uniform() < 0.5) links.push_back(e);
+/// `graph` restricted to its kept edges (same nodes, graph.edges() order).
+topology::Graph kept_subgraph(const topology::Graph& graph,
+                              const std::vector<std::uint8_t>& edge_kept) {
+  topology::Graph out(graph.node_count());
+  const auto& edges = graph.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (edge_kept.empty() || edge_kept[e] != 0) {
+      out.add_edge(edges[e].first, edges[e].second);
     }
-    std::vector<bool> alive(n, true);
-    alive[n - 1] = false;
-    for (const auto& mask : {std::vector<bool>{}, alive}) {
-      const auto sparse =
-          SparseWeightMatrix::activated_mixing(graph, links, mask);
-      const linalg::Matrix dense = activated_mixing_matrix(n, links, mask);
-      expect_bitwise_equal(sparse.to_dense(), dense);
+  }
+  return out;
+}
+
+TEST(SparseWeightMatrixTest, MetropolisKernelMatchesDenseOracleBitwise) {
+  // Every combination of node masks (none; holes; one component
+  // spanning the survivors; random labels with excluded nodes) and edge
+  // masks (none; every edge kept; ~30% dropped) on structured and random
+  // graphs. The oracle is the dense Metropolis builder run on the kept
+  // subgraph: a dropped edge must weigh exactly what a missing edge
+  // weighs, and every mask left empty must mean "no restriction".
+  constexpr std::size_t kEx = topology::ComponentMap::kExcluded;
+  std::vector<topology::Graph> graphs = property_graphs();
+  for (std::uint64_t seed = 100; seed < 110; ++seed) {
+    common::Rng topo(seed);
+    graphs.push_back(topology::make_random_connected(
+        5 + static_cast<std::size_t>(topo.uniform_u64(20)), 3.5, topo));
+  }
+  common::Rng rng(2024);
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const topology::Graph& graph = graphs[g];
+    const std::size_t n = graph.node_count();
+    for (int node_mask = 0; node_mask < 4; ++node_mask) {
+      for (int edge_mask = 0; edge_mask < 3; ++edge_mask) {
+        std::vector<bool> alive;
+        if (node_mask != 0) {
+          alive.assign(n, true);
+          for (std::size_t i = 0; i < n; ++i) alive[i] = !rng.bernoulli(0.2);
+        }
+        std::vector<std::size_t> labels;
+        if (node_mask == 2) {
+          labels.assign(n, kEx);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (alive[i]) labels[i] = 0;
+          }
+        } else if (node_mask == 3) {
+          labels.resize(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            labels[i] = rng.bernoulli(0.1) ? kEx : rng.uniform_u64(3);
+          }
+        }
+        std::vector<std::uint8_t> edge_kept;
+        if (edge_mask != 0) edge_kept.assign(graph.edge_count(), 1);
+        if (edge_mask == 2) {
+          for (auto& kept : edge_kept) kept = rng.bernoulli(0.3) ? 0 : 1;
+        }
+
+        const auto sparse = SparseWeightMatrix::metropolis_on_survivors(
+            graph, alive, labels, edge_kept);
+        const std::vector<bool> alive_all =
+            alive.empty() ? std::vector<bool>(n, true) : alive;
+        SCOPED_TRACE("graph " + std::to_string(g) + " node mask " +
+                     std::to_string(node_mask) + " edge mask " +
+                     std::to_string(edge_mask));
+        expect_bitwise_equal(
+            sparse.to_dense(),
+            oracle::metropolis_weights(kept_subgraph(graph, edge_kept),
+                                       alive_all, labels));
+        EXPECT_TRUE(is_feasible_weight_matrix(sparse, graph));
+      }
     }
   }
 }
@@ -177,9 +237,13 @@ TEST(SparseReprojectionTest, ShrinkGrowShrinkEpochsReplayBitwise) {
   for (const auto method :
        {ReprojectionMethod::kMetropolis, ReprojectionMethod::kOptimize}) {
     for (const auto& alive : epochs) {
+      // Without labels the production path blocks W by the survivors'
+      // components; the oracle is handed those components explicitly.
+      const std::vector<std::uint8_t> include(alive.begin(), alive.end());
       const auto sparse = reproject_weight_matrix_sparse(graph, alive, method);
-      const linalg::Matrix dense =
-          reproject_weight_matrix(graph, alive, method);
+      const linalg::Matrix dense = oracle::reproject_weight_matrix(
+          graph, alive, topology::connected_components(graph, include).label,
+          method);
       expect_bitwise_equal(sparse.to_dense(), dense);
       EXPECT_TRUE(is_feasible_weight_matrix(sparse, graph));
       // Replay: the same epoch re-projects to the same matrix.
@@ -187,6 +251,34 @@ TEST(SparseReprojectionTest, ShrinkGrowShrinkEpochsReplayBitwise) {
           reproject_weight_matrix_sparse(graph, alive, method).to_dense(),
           sparse.to_dense());
     }
+  }
+}
+
+TEST(SparseReprojectionTest, OptimizeOnKeptEdgesMatchesDenseOracleBitwise) {
+  // The sparsifier's kOptimize leg: one §IV-B solve per component of the
+  // kept subgraph, scattered onto the full graph's pattern. The oracle
+  // solves the same blocks densely on the kept subgraph itself.
+  WeightOptimizerConfig opt;
+  opt.max_iterations = 25;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    common::Rng rng(seed * 31);
+    const topology::Graph graph =
+        topology::make_random_connected(10, 3.5, rng);
+    std::vector<std::uint8_t> edge_kept(graph.edge_count(), 1);
+    for (auto& kept : edge_kept) kept = rng.bernoulli(0.25) ? 0 : 1;
+    std::vector<bool> alive(10, true);
+    alive[seed] = false;
+    const topology::Graph sub = kept_subgraph(graph, edge_kept);
+    const std::vector<std::uint8_t> include(alive.begin(), alive.end());
+    const auto labels = topology::connected_components(sub, include).label;
+    const auto sparse = reproject_weight_matrix_sparse(
+        graph, alive, labels, ReprojectionMethod::kOptimize, opt, edge_kept);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_bitwise_equal(
+        sparse.to_dense(),
+        oracle::reproject_weight_matrix(sub, alive, labels,
+                                        ReprojectionMethod::kOptimize, opt));
+    EXPECT_TRUE(is_feasible_weight_matrix(sparse, graph));
   }
 }
 

@@ -202,6 +202,9 @@ TEST(SparsifierPropertyTest, GreedyScheduleInvariantsOn108Triples) {
   }
 }
 
+// The sparsifier hands the Metropolis kernel its edge mask; a mask that
+// keeps every edge must be bitwise the same as passing none, with and
+// without component labels.
 TEST(SparsifierPropertyTest, AllKeptSubgraphMatchesSurvivorBuilders) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     common::Rng rng(seed * 131);
@@ -213,7 +216,7 @@ TEST(SparsifierPropertyTest, AllKeptSubgraphMatchesSurvivorBuilders) {
     if (seed % 3 == 0) alive[seed % g.node_count()] = false;
 
     const SparseWeightMatrix via_subgraph =
-        SparseWeightMatrix::metropolis_on_subgraph(g, all_kept, alive);
+        SparseWeightMatrix::metropolis_on_survivors(g, alive, {}, all_kept);
     const SparseWeightMatrix via_survivors =
         SparseWeightMatrix::metropolis_on_survivors(g, alive);
     ASSERT_TRUE(same_sparse(via_subgraph, via_survivors)) << "seed " << seed;
@@ -221,12 +224,13 @@ TEST(SparsifierPropertyTest, AllKeptSubgraphMatchesSurvivorBuilders) {
     const topology::ComponentMap map = topology::connected_components(
         g, std::vector<std::uint8_t>(alive.begin(), alive.end()));
     const SparseWeightMatrix via_components =
-        SparseWeightMatrix::metropolis_on_components(g, alive, map.label);
+        SparseWeightMatrix::metropolis_on_survivors(g, alive, map.label);
     const SparseWeightMatrix via_subgraph_labels =
-        SparseWeightMatrix::metropolis_on_subgraph(g, all_kept, alive,
-                                                   map.label);
+        SparseWeightMatrix::metropolis_on_survivors(g, alive, map.label,
+                                                    all_kept);
     ASSERT_TRUE(same_sparse(via_subgraph_labels, via_components))
         << "seed " << seed;
+    ASSERT_TRUE(same_sparse(via_components, via_survivors)) << "seed " << seed;
   }
 }
 

@@ -373,8 +373,8 @@ TEST(MixingExtremesTest, SparseErgodicEntryPointThrowsOnSplitBrain) {
   };
   const auto labels = topology::connected_components(g, include, down).label;
   const std::vector<bool> alive(4, true);
-  const auto split = SparseWeightMatrix::metropolis_on_components(
-      g, alive, labels);
+  const auto split =
+      SparseWeightMatrix::metropolis_on_survivors(g, alive, labels);
   EXPECT_THROW((void)ergodic_mixing_extremes(split),
                DisconnectedMixingError);
   // The healed single-component matrix passes the same gate.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/binary_io.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "consensus/weight_matrix.hpp"
@@ -69,6 +70,18 @@ TEST(SnapNodeTest, ComputeBeforeInitThrows) {
   SnapNode node(0, model, point_shard(linalg::Vector{0.0, 0.0}), {},
                 {}, 1.0);
   EXPECT_THROW(node.compute_update(0.1), common::ContractViolation);
+}
+
+TEST(SnapNodeTest, LoadRejectsCountThatWrapsTheByteSize) {
+  QuadraticModel model(2);
+  SnapNode node(0, model, point_shard(linalg::Vector{0.0, 0.0}), {},
+                {}, 1.0);
+  // A neighbor count of 2^61: count * 8 wraps to 0, which equals the 0
+  // bytes left after it.
+  common::ByteWriter writer;
+  writer.write_u64(std::uint64_t{1} << 61);
+  common::ByteReader reader(writer.bytes());
+  EXPECT_FALSE(node.load(reader));
 }
 
 TEST(SnapNodeTest, FirstUpdateMatchesClosedForm) {

@@ -81,7 +81,8 @@ TEST(FaultToleranceTest, ReprojectedMatrixIsFeasibleOnScenarioTopology) {
   alive[kCrashNode] = false;
   for (const auto method : {consensus::ReprojectionMethod::kMetropolis,
                             consensus::ReprojectionMethod::kOptimize}) {
-    const auto w = consensus::reproject_weight_matrix(g, alive, method);
+    const auto w =
+        consensus::reproject_weight_matrix_sparse(g, alive, method).to_dense();
     EXPECT_TRUE(consensus::is_feasible_weight_matrix(w, g));
     for (topology::NodeId j = 0; j < g.node_count(); ++j) {
       EXPECT_DOUBLE_EQ(w(kCrashNode, j), j == kCrashNode ? 1.0 : 0.0);

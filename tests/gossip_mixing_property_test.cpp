@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "consensus/gossip_mixing.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "linalg/matrix.hpp"
+#include "oracle/dense_mixing.hpp"
 #include "runtime/gossip.hpp"
 #include "topology/generators.hpp"
 
@@ -82,8 +82,7 @@ void check_activation_invariants(const Triple& t, const GossipConfig& cfg,
   // non-negative, identity on every non-activated row — and still a
   // feasible matrix for the full topology (activated support ⊆ edges).
   const linalg::Matrix w =
-      consensus::activated_mixing_matrix(t.graph.node_count(), links,
-                                         t.alive);
+      oracle::activated_mixing_matrix(t.graph.node_count(), links, t.alive);
   const std::size_t n = t.graph.node_count();
   constexpr double kTol = 1e-12;
   for (std::size_t i = 0; i < n; ++i) {

@@ -136,7 +136,7 @@ TEST(MembershipTest, ActiveMatrixStaysFeasibleAfterEveryEpoch) {
     for (topology::NodeId i = 0; i < g.node_count(); ++i) {
       alive[i] = injector.member(round, i) && !injector.node_down(round, i);
     }
-    const auto w = consensus::reproject_weight_matrix(
+    const auto w = consensus::reproject_weight_matrix_sparse(
         g, alive, consensus::ReprojectionMethod::kMetropolis);
     EXPECT_TRUE(consensus::is_feasible_weight_matrix(w, g))
         << "round " << round << " epoch " << epoch;
@@ -236,11 +236,15 @@ TEST(MembershipTest, DgdGrowPathAdoptsMatrixAndParams) {
   const auto g = topology::make_ring(n);
   std::vector<bool> initial_members(n, true);
   initial_members[5] = false;
-  const auto w_initial = consensus::reproject_weight_matrix(
-      g, initial_members, consensus::ReprojectionMethod::kMetropolis);
-  const auto w_full = consensus::reproject_weight_matrix(
-      g, std::vector<bool>(n, true),
-      consensus::ReprojectionMethod::kMetropolis);
+  const auto w_initial =
+      consensus::reproject_weight_matrix_sparse(
+          g, initial_members, consensus::ReprojectionMethod::kMetropolis)
+          .to_dense();
+  const auto w_full =
+      consensus::reproject_weight_matrix_sparse(
+          g, std::vector<bool>(n, true),
+          consensus::ReprojectionMethod::kMetropolis)
+          .to_dense();
 
   std::vector<linalg::Vector> targets;
   std::vector<linalg::Vector> x0;

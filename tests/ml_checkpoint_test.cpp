@@ -4,7 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 
+#include "common/binary_io.hpp"
 #include "common/rng.hpp"
 #include "ml/mlp.hpp"
 
@@ -68,6 +70,20 @@ TEST(CheckpointCodecTest, RejectsWrongMagic) {
 
 TEST(CheckpointCodecTest, RejectsEmptyBuffer) {
   EXPECT_FALSE(decode_checkpoint({}).has_value());
+}
+
+TEST(CheckpointCodecTest, RejectsParamCountThatWrapsTheByteSize) {
+  // A well-formed envelope whose count is 2^61: count * 8 wraps to 0,
+  // which equals the 0 parameter bytes left.
+  common::ByteWriter writer;
+  for (const char c : std::string_view("SNAPCKPT")) {
+    writer.write_u8(static_cast<std::uint8_t>(c));
+  }
+  writer.write_u32(1);  // version
+  writer.write_u32(0);  // empty model name
+  writer.write_u64(std::uint64_t{1} << 61);
+  writer.write_u64(fnv1a(writer.bytes()));
+  EXPECT_FALSE(decode_checkpoint(writer.bytes()).has_value());
 }
 
 TEST(CheckpointFileTest, SaveLoadRoundTrip) {

@@ -11,12 +11,14 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "net/link_failure.hpp"
+#include "oracle/link_failure.hpp"
 #include "topology/generators.hpp"
 #include "topology/graph.hpp"
 
 namespace snap::net {
 namespace {
+
+using oracle::LinkFailureModel;
 
 TEST(FaultInjectorTest, MemorylessPlanMatchesLinkFailureModelBitwise) {
   // exit == 1 − enter takes the exact LinkFailureModel sampling path:

@@ -1,7 +1,7 @@
 // LinkFailureModel contract tests: seeded determinism, empirical
 // down-rate matching the configured probability, and the non-adjacent
 // query contract (no link, nothing to fail).
-#include "net/link_failure.hpp"
+#include "oracle/link_failure.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include "topology/generators.hpp"
 #include "topology/graph.hpp"
 
-namespace snap::net {
+namespace snap::oracle {
 namespace {
 
 topology::Graph ring(std::size_t n) { return topology::make_ring(n); }
@@ -103,4 +103,4 @@ TEST(LinkFailureTest, ProbabilityIsClamped) {
 }
 
 }  // namespace
-}  // namespace snap::net
+}  // namespace snap::oracle

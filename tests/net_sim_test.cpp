@@ -3,12 +3,14 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "net/cost_model.hpp"
-#include "net/link_failure.hpp"
 #include "net/mailbox.hpp"
+#include "oracle/link_failure.hpp"
 #include "topology/generators.hpp"
 
 namespace snap::net {
 namespace {
+
+using oracle::LinkFailureModel;
 
 // ------------------------------------------------------------ HopMatrix
 
