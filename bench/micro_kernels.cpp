@@ -9,7 +9,6 @@
 #include "consensus/weight_matrix.hpp"
 #include "consensus/weight_optimizer.hpp"
 #include "data/synthetic_credit.hpp"
-#include "linalg/eigen.hpp"
 #include "ml/linear_svm.hpp"
 #include "ml/mlp.hpp"
 #include "net/frame.hpp"
@@ -18,23 +17,6 @@
 namespace {
 
 using namespace snap;
-
-void BM_JacobiEigenvalues(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(1);
-  linalg::Matrix m(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = r; c < n; ++c) {
-      const double v = rng.normal();
-      m(r, c) = v;
-      m(c, r) = v;
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::eigenvalues_symmetric(m));
-  }
-}
-BENCHMARK(BM_JacobiEigenvalues)->Arg(20)->Arg(60)->Arg(100);
 
 void BM_MaxDegreeWeights(benchmark::State& state) {
   common::Rng rng(2);
@@ -109,14 +91,32 @@ void BM_SvmGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_SvmGradient)->Arg(1'000)->Arg(10'000);
 
-void BM_MlpGradient(benchmark::State& state) {
+/// The uds2_mlp_n16 perfbench shard: 125 MNIST-shaped samples through the
+/// paper's 784-30-10 network.
+data::Dataset mlp_shard(std::size_t samples) {
   common::Rng rng(7);
   data::Dataset d(784, 10);
   std::vector<double> row(784);
-  for (int s = 0; s < state.range(0); ++s) {
+  for (std::size_t s = 0; s < samples; ++s) {
     for (double& px : row) px = rng.uniform();
     d.add(row, static_cast<std::size_t>(rng.uniform_u64(10)));
   }
+  return d;
+}
+
+void BM_MlpLoss(benchmark::State& state) {
+  const auto d = mlp_shard(static_cast<std::size_t>(state.range(0)));
+  const ml::Mlp mlp{ml::MlpConfig{}};
+  common::Rng init(8);
+  const linalg::Vector params = mlp.initial_params(init);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mlp.loss(params, d));
+  }
+}
+BENCHMARK(BM_MlpLoss)->Arg(125)->Unit(benchmark::kMillisecond);
+
+void BM_MlpGradient(benchmark::State& state) {
+  const auto d = mlp_shard(static_cast<std::size_t>(state.range(0)));
   const ml::Mlp mlp{ml::MlpConfig{}};
   common::Rng init(8);
   const linalg::Vector params = mlp.initial_params(init);
@@ -124,7 +124,7 @@ void BM_MlpGradient(benchmark::State& state) {
     benchmark::DoNotOptimize(mlp.loss_gradient(params, d));
   }
 }
-BENCHMARK(BM_MlpGradient)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MlpGradient)->Arg(125)->Unit(benchmark::kMillisecond);
 
 void BM_Ternarize(benchmark::State& state) {
   common::Rng rng(9);
@@ -136,16 +136,6 @@ void BM_Ternarize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Ternarize)->Arg(23'860);
-
-void BM_AllPairsHops(benchmark::State& state) {
-  common::Rng rng(11);
-  const auto g = topology::make_random_connected(
-      static_cast<std::size_t>(state.range(0)), 3.0, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.all_pairs_hops());
-  }
-}
-BENCHMARK(BM_AllPairsHops)->Arg(100);
 
 }  // namespace
 

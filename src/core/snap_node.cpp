@@ -13,6 +13,15 @@ namespace {
 
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
+/// Where compute_update's fresh gradient lands before it swaps into the
+/// node's grad_previous_. One buffer per pool thread rather than one per
+/// node: a node-round allocates nothing, and memory stays at one stored
+/// gradient per node.
+linalg::Vector& gradient_scratch() {
+  thread_local linalg::Vector buffer;
+  return buffer;
+}
+
 }  // namespace
 
 SnapNode::SnapNode(topology::NodeId id, const ml::Model& model,
@@ -196,9 +205,11 @@ void SnapNode::compute_update(double alpha) {
     return view_previous(s);
   };
 
+  linalg::Vector& grad_now = gradient_scratch();
+  grad_now.resize(dim);
+  model_->loss_gradient_into(x_current_, shard_, grad_now.span());
   if (iteration_ == 0) {
     // x¹ = Σ_j w_ij x̂_j⁰ − α ∇f_i(x⁰).
-    grad_previous_ = model_->gradient(x_current_, shard_);
     linalg::Vector& next = x_next_;
     next.resize(dim);
     next.fill(0.0);
@@ -206,7 +217,7 @@ void SnapNode::compute_update(double alpha) {
     for (std::size_t s = 0; s < deg; ++s) {
       next.axpy(w_neighbors_[s], current_of(s));
     }
-    next.axpy(-alpha, grad_previous_);
+    next.axpy(-alpha, grad_now);
   } else {
     // xᵏ⁺² = xᵏ⁺¹ + Σ_j w_ij x̂_jᵏ⁺¹ − Σ_j w̃'_ij x̂_jᵏ
     //        − α (∇f_i(xᵏ⁺¹) − ∇f_i(xᵏ)),  with w̃'_ij = (w'_ij+1{i=j})/2
@@ -217,7 +228,6 @@ void SnapNode::compute_update(double alpha) {
     // (row, view) product the previous round added, else the
     // ½(Wₜ − Wₜ₋₁)x̂ᵏ mismatch feeds a disagreement-proportional error
     // through the accumulator every round and the recursion diverges.
-    linalg::Vector grad_now = model_->gradient(x_current_, shard_);
     linalg::Vector& next = x_next_;
     next = x_current_;
     next.axpy(w_self_, x_current_);
@@ -238,8 +248,8 @@ void SnapNode::compute_update(double alpha) {
     }
     next.axpy(-alpha, grad_now);
     next.axpy(alpha, grad_previous_);
-    grad_previous_ = std::move(grad_now);
   }
+  std::swap(grad_previous_, grad_now);
   // Rotate (previous, current, next) ← (current, next, previous): the
   // retired iterate's storage becomes next round's output buffer.
   std::swap(x_previous_, x_current_);

@@ -239,7 +239,7 @@ class SnapNode {
   linalg::Vector x_previous_;
   linalg::Vector x_current_;
   /// compute_update's output buffer, rotated with x_previous_ so a
-  /// round allocates nothing beyond what Model::gradient returns.
+  /// round allocates nothing.
   linalg::Vector x_next_;
   linalg::Vector grad_previous_;
   linalg::Vector advertised_;

@@ -1,5 +1,6 @@
 #include "ml/linear_svm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -48,10 +49,19 @@ double LinearSvm::loss(const linalg::Vector& params,
 
 LossGradient LinearSvm::loss_gradient(const linalg::Vector& params,
                                       const data::Dataset& data) const {
-  SNAP_REQUIRE(params.size() == param_count());
-  SNAP_REQUIRE(data.feature_dim() == config_.feature_dim);
   LossGradient out;
   out.gradient = linalg::Vector(param_count());
+  out.loss = loss_gradient_into(params, data, out.gradient.span());
+  return out;
+}
+
+double LinearSvm::loss_gradient_into(const linalg::Vector& params,
+                                     const data::Dataset& data,
+                                     std::span<double> gradient) const {
+  SNAP_REQUIRE(params.size() == param_count());
+  SNAP_REQUIRE(data.feature_dim() == config_.feature_dim);
+  SNAP_REQUIRE(gradient.size() == param_count());
+  std::fill(gradient.begin(), gradient.end(), 0.0);
   double loss_acc = 0.0;
 
   for (std::size_t s = 0; s < data.size(); ++s) {
@@ -63,24 +73,23 @@ LossGradient LinearSvm::loss_gradient(const linalg::Vector& params,
     // d/dm (slack²) = −2·y·slack
     const double coeff = -2.0 * y * slack;
     for (std::size_t i = 0; i < config_.feature_dim; ++i) {
-      out.gradient[i] += coeff * x[i];
+      gradient[i] += coeff * x[i];
     }
-    out.gradient[config_.feature_dim] += coeff;
+    gradient[config_.feature_dim] += coeff;
   }
 
   if (!data.empty()) {
     const double inv = 1.0 / static_cast<double>(data.size());
-    out.gradient *= inv;
+    for (double& g : gradient) g *= inv;
     loss_acc *= inv;
   }
 
   double reg = 0.0;
   for (std::size_t i = 0; i < config_.feature_dim; ++i) {
-    out.gradient[i] += config_.l2 * params[i];
+    gradient[i] += config_.l2 * params[i];
     reg += params[i] * params[i];
   }
-  out.loss = loss_acc + 0.5 * config_.l2 * reg;
-  return out;
+  return loss_acc + 0.5 * config_.l2 * reg;
 }
 
 std::size_t LinearSvm::predict(const linalg::Vector& params,

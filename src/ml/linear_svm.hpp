@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "ml/model.hpp"
 
@@ -39,6 +40,9 @@ class LinearSvm final : public Model {
               const data::Dataset& data) const override;
   LossGradient loss_gradient(const linalg::Vector& params,
                              const data::Dataset& data) const override;
+  double loss_gradient_into(const linalg::Vector& params,
+                            const data::Dataset& data,
+                            std::span<double> gradient) const override;
   std::size_t predict(const linalg::Vector& params,
                       std::span<const double> features) const override;
   linalg::Vector initial_params(common::Rng& rng) const override;

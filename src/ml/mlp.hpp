@@ -8,9 +8,22 @@
 // The gradient is exact backprop over the full provided dataset (EXTRA
 // uses deterministic local gradients); stochastic trainers pass a
 // mini-batch subset instead.
+//
+// The hidden layer is register-tiled: one pass over the input computes
+// up to ten hidden pre-activations for two samples at once, each in its
+// own accumulator that starts at b1[h] and adds w1[h][i]·x[i] in
+// ascending i. The gradient runs in blocks of samples: a first phase
+// does the forward pass, the output-layer and b1 gradients and keeps
+// every sample's δ_hidden; a second phase adds δ_hidden ⊗ x into g_w1
+// four rows at a time (4 × in doubles, which stay in L1), looping over
+// the block's samples in ascending order and skipping a (sample, row)
+// whose δ is exactly zero. Every gradient element therefore still adds
+// its samples in ascending order, so the results are bitwise those of
+// the scalar one-unit-at-a-time kernels (tests/oracle/reference_mlp).
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "ml/model.hpp"
 
@@ -40,6 +53,9 @@ class Mlp final : public Model {
               const data::Dataset& data) const override;
   LossGradient loss_gradient(const linalg::Vector& params,
                              const data::Dataset& data) const override;
+  double loss_gradient_into(const linalg::Vector& params,
+                            const data::Dataset& data,
+                            std::span<double> gradient) const override;
   std::size_t predict(const linalg::Vector& params,
                       std::span<const double> features) const override;
   linalg::Vector initial_params(common::Rng& rng) const override;
@@ -59,12 +75,19 @@ class Mlp final : public Model {
   }
 
  private:
-  /// Forward pass for one sample; fills hidden activations and output
-  /// probabilities. Returns the cross-entropy of `label` (ignored when
-  /// label == SIZE_MAX).
-  double forward(const linalg::Vector& params,
-                 std::span<const double> features, std::size_t label,
-                 std::span<double> hidden, std::span<double> probs) const;
+  /// Hidden activations σ(W1·x + b1) of `samples.size()` (1 or 2)
+  /// samples, written to hidden[k·hidden_dim + h] for sample k.
+  void hidden_layer(const double* params,
+                    std::span<const double* const> samples,
+                    double* hidden) const;
+  /// Output layer and softmax for one sample's hidden activations; fills
+  /// `probs` and returns the cross-entropy of `label` (0 when label ==
+  /// SIZE_MAX).
+  double output_layer(const double* params, const double* hidden,
+                      std::size_t label, double* probs) const;
+  /// Refuses data whose rows or labels do not fit the network.
+  void require_fits(const linalg::Vector& params,
+                    const data::Dataset& data) const;
 
   MlpConfig config_;
 };

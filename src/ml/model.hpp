@@ -44,6 +44,15 @@ class Model {
   virtual LossGradient loss_gradient(const linalg::Vector& params,
                                      const data::Dataset& data) const = 0;
 
+  /// loss_gradient writing the gradient into `gradient` (param_count()
+  /// doubles, overwritten) and returning the loss: the allocation-free
+  /// form the training loop calls every round. Bitwise equal to
+  /// loss_gradient. The default copies loss_gradient's result; models
+  /// with a hot gradient override it and make loss_gradient the wrapper.
+  virtual double loss_gradient_into(const linalg::Vector& params,
+                                    const data::Dataset& data,
+                                    std::span<double> gradient) const;
+
   /// Predicted class for one feature row.
   virtual std::size_t predict(const linalg::Vector& params,
                               std::span<const double> features) const = 0;

@@ -51,6 +51,7 @@ double SoftmaxRegression::loss(const linalg::Vector& params,
                                const data::Dataset& data) const {
   SNAP_REQUIRE(params.size() == param_count());
   SNAP_REQUIRE(data.feature_dim() == config_.feature_dim);
+  SNAP_REQUIRE(data.num_classes() <= config_.num_classes);
   std::vector<double> logits(config_.num_classes);
   double acc = 0.0;
   for (std::size_t s = 0; s < data.size(); ++s) {
@@ -71,6 +72,7 @@ LossGradient SoftmaxRegression::loss_gradient(
     const linalg::Vector& params, const data::Dataset& data) const {
   SNAP_REQUIRE(params.size() == param_count());
   SNAP_REQUIRE(data.feature_dim() == config_.feature_dim);
+  SNAP_REQUIRE(data.num_classes() <= config_.num_classes);
   LossGradient out;
   out.gradient = linalg::Vector(param_count());
   std::vector<double> logits(config_.num_classes);

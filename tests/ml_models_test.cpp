@@ -4,6 +4,7 @@
 #include <memory>
 #include <ostream>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "ml/linear_svm.hpp"
@@ -259,6 +260,42 @@ TEST(MlpTest, AccuracyOnEmptyDataIsOne) {
   common::Rng init(12);
   const data::Dataset empty(784, 10);
   EXPECT_DOUBLE_EQ(mlp.accuracy(mlp.initial_params(init), empty), 1.0);
+}
+
+// A dataset with more classes than the model has outputs would read
+// probs[label] (or logits[label]) past the end for the extra labels; the
+// models refuse it before touching a sample.
+TEST(ModelLabelRangeTest, MlpRefusesMoreClassesThanOutputs) {
+  MlpConfig cfg;
+  cfg.input_dim = 4;
+  cfg.hidden_dim = 3;
+  cfg.output_dim = 10;
+  const Mlp mlp(cfg);
+  data::Dataset twelve(4, 12);
+  twelve.add(std::vector<double>{0.1, 0.2, 0.3, 0.4}, 11);
+  common::Rng init(1);
+  const linalg::Vector params = mlp.initial_params(init);
+  EXPECT_THROW(mlp.loss(params, twelve), common::ContractViolation);
+  EXPECT_THROW(mlp.loss_gradient(params, twelve), common::ContractViolation);
+  linalg::Vector gradient(mlp.param_count());
+  EXPECT_THROW(mlp.loss_gradient_into(params, twelve, gradient.span()),
+               common::ContractViolation);
+  // Fewer classes than outputs is fine: the spare outputs never win.
+  data::Dataset three(4, 3);
+  three.add(std::vector<double>{0.1, 0.2, 0.3, 0.4}, 2);
+  EXPECT_NO_THROW(mlp.loss_gradient(params, three));
+}
+
+TEST(ModelLabelRangeTest, SoftmaxRefusesMoreClassesThanItHas) {
+  const SoftmaxRegression softmax(
+      SoftmaxRegressionConfig{.feature_dim = 4, .num_classes = 10});
+  data::Dataset twelve(4, 12);
+  twelve.add(std::vector<double>{0.1, 0.2, 0.3, 0.4}, 11);
+  common::Rng init(2);
+  const linalg::Vector params = softmax.initial_params(init);
+  EXPECT_THROW(softmax.loss(params, twelve), common::ContractViolation);
+  EXPECT_THROW(softmax.loss_gradient(params, twelve),
+               common::ContractViolation);
 }
 
 /// Gradient correctness across all models and several datasets —
