@@ -1,6 +1,7 @@
 // Fuzz entry point for everything that parses bytes off the network:
 // the update-frame codec (formats A and B), the checksummed STATE_SYNC
-// codec, the transport wire-record header, and the stream reassembler.
+// codec, the transport's record codecs (frame header, control records,
+// SHARE rows), and the stream reassembler.
 // Arbitrary input must never crash, hang, or yield a structurally
 // invalid frame — decode rejects or returns a valid object, whole or
 // not at all.
@@ -58,6 +59,11 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
   (void)snap::net::decode_heartbeat_record(input);
   (void)snap::net::decode_reconnect_record(input);
   (void)snap::net::decode_reconnect_ack_record(input);
+  if (const auto share = snap::net::decode_share_record(input)) {
+    // The size check precedes the allocation: a decoded row can never
+    // claim more values than the input carried bytes for.
+    if (share->values.size() * sizeof(double) > size) std::abort();
+  }
 
   // Stream reassembly: feed the input twice with a mid-buffer split so
   // partial-prefix and partial-record paths both run. Poisoning (an
@@ -100,8 +106,8 @@ void write_corpus_file(const std::filesystem::path& dir,
 
 /// Seeds the corpus with the same families of inputs the in-tree gtest
 /// fuzz suite generates: valid sparse frames across densities (format A
-/// and B territory), STATE_SYNC frames, transport wire records, framed
-/// streams, and bit-flipped mutants of each.
+/// and B territory), STATE_SYNC frames, transport wire records, SHARE
+/// rows, framed streams, and bit-flipped mutants of each.
 void emit_corpus(const std::filesystem::path& dir) {
   namespace net = snap::net;
   std::filesystem::create_directories(dir);
@@ -165,6 +171,17 @@ void emit_corpus(const std::filesystem::path& dir) {
   ack.incarnation = 3;
   emit(net::encode_reconnect_ack_record(ack));
   emit(FrameReassembler::frame(net::encode_reconnect_ack_record(ack)));
+
+  // Owner-computed rows: a gradient row and a one-double loss row.
+  net::ShareRecord share;
+  share.barrier = 7;
+  share.node = 5;
+  share.values.resize(25);
+  for (auto& v : share.values) v = rng.normal();
+  emit(net::encode_share_record(share));
+  emit(FrameReassembler::frame(net::encode_share_record(share)));
+  share.values.resize(1);
+  emit(net::encode_share_record(share));
 
   std::cout << "wrote " << serial << " corpus files to " << dir.string()
             << '\n';

@@ -55,6 +55,17 @@ if ! cmp -s "$SMOKE_DIR/sim.csv" "$SMOKE_DIR/uds.csv"; then
   diff "$SMOKE_DIR/sim.csv" "$SMOKE_DIR/uds.csv" | head -20 >&2
   exit 1
 fi
+# The MLP leg: owner-computed 23,860-double gradient rows cross the wire.
+MNIST_ARGS=(--workload=mnist "${SMOKE_ARGS[@]}")
+build/examples/snap_cli "${MNIST_ARGS[@]}" \
+  --csv="$SMOKE_DIR/mnist-sim.csv" >/dev/null
+build/examples/snap_cli "${MNIST_ARGS[@]}" --transport=uds --shards=2 \
+  --rendezvous="$SMOKE_DIR/mnist" --csv="$SMOKE_DIR/mnist-uds.csv" >/dev/null
+if ! cmp -s "$SMOKE_DIR/mnist-sim.csv" "$SMOKE_DIR/mnist-uds.csv"; then
+  echo "error: MLP UDS 2-shard run diverged from the sim oracle" >&2
+  diff "$SMOKE_DIR/mnist-sim.csv" "$SMOKE_DIR/mnist-uds.csv" | head -20 >&2
+  exit 1
+fi
 echo "    sim and 2-shard UDS trajectories are bitwise identical"
 
 echo "==> chaos smoke: UDS run with injected SIGKILLs vs sim oracle"

@@ -13,13 +13,16 @@ namespace {
 
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
-/// Where compute_update's fresh gradient lands before it swaps into the
-/// node's grad_previous_. One buffer per pool thread rather than one per
-/// node: a node-round allocates nothing, and memory stays at one stored
-/// gradient per node.
-linalg::Vector& gradient_scratch() {
-  thread_local linalg::Vector buffer;
-  return buffer;
+/// One spare gradient buffer per pool thread. extra_step parks the
+/// retired previous gradient here while it is still hot from the
+/// recursion's read, and gradient_row takes it when the node holds no
+/// buffer — so a sweep that computes and steps each node in turn writes
+/// every gradient into a cached buffer, and the nodes keep one stored
+/// gradient each. A node computed in a phase of its own keeps both
+/// buffers across rounds instead.
+linalg::Vector& spare_gradient() {
+  thread_local linalg::Vector spare;
+  return spare;
 }
 
 }  // namespace
@@ -178,9 +181,25 @@ void SnapNode::set_initial(const linalg::Vector& x0) {
   mean_abs_initial_ = x0.empty() ? 0.0 : x0.norm1() / double(x0.size());
 }
 
-void SnapNode::compute_update(double alpha) {
+std::span<double> SnapNode::gradient_row() {
+  SNAP_REQUIRE_MSG(!x_current_.empty(), "set_initial not called");
+  if (grad_now_.empty()) std::swap(grad_now_, spare_gradient());
+  grad_now_.resize(x_current_.size());
+  gradient_pending_ = true;
+  return grad_now_.span();
+}
+
+void SnapNode::compute_gradient() {
+  const std::span<double> row = gradient_row();
+  model_->loss_gradient_into(x_current_, shard_, row);
+}
+
+void SnapNode::extra_step(double alpha) {
   SNAP_REQUIRE_MSG(!x_current_.empty(), "set_initial not called");
   const std::size_t dim = x_current_.size();
+  SNAP_REQUIRE_MSG(gradient_pending_,
+                   "extra_step needs this round's gradient row");
+  gradient_pending_ = false;
   const std::size_t deg = neighbors_.size();
 
   // kReweight: an absent neighbor's weight folds into the node's own
@@ -205,9 +224,7 @@ void SnapNode::compute_update(double alpha) {
     return view_previous(s);
   };
 
-  linalg::Vector& grad_now = gradient_scratch();
-  grad_now.resize(dim);
-  model_->loss_gradient_into(x_current_, shard_, grad_now.span());
+  const linalg::Vector& grad_now = grad_now_;
   if (iteration_ == 0) {
     // x¹ = Σ_j w_ij x̂_j⁰ − α ∇f_i(x⁰).
     linalg::Vector& next = x_next_;
@@ -249,7 +266,10 @@ void SnapNode::compute_update(double alpha) {
     next.axpy(-alpha, grad_now);
     next.axpy(alpha, grad_previous_);
   }
-  std::swap(grad_previous_, grad_now);
+  std::swap(grad_previous_, grad_now_);
+  if (linalg::Vector& spare = spare_gradient(); spare.empty()) {
+    std::swap(grad_now_, spare);
+  }
   // Rotate (previous, current, next) ← (current, next, previous): the
   // retired iterate's storage becomes next round's output buffer.
   std::swap(x_previous_, x_current_);

@@ -5,7 +5,8 @@
 // most recently received, which may be stale (filtered updates,
 // stragglers). Each iteration it:
 //   1. computes the EXTRA update from its own exact history and the
-//      neighbor views (compute_update),
+//      neighbor views (compute_update = compute_gradient, the model
+//      call, then extra_step, the recursion),
 //   2. decides which parameters to transmit by comparing its new
 //      parameters against the values it last advertised
 //      (collect_updates), and
@@ -112,8 +113,28 @@ class SnapNode {
   void adopt_params(const linalg::Vector& x);
 
   /// Advances the local iterate one EXTRA step (eq. (8)) using the
-  /// current neighbor views. `alpha` is the step size.
-  void compute_update(double alpha);
+  /// current neighbor views. `alpha` is the step size. Exactly
+  /// compute_gradient() followed by extra_step(alpha).
+  void compute_update(double alpha) {
+    compute_gradient();
+    extra_step(alpha);
+  }
+
+  /// The model half of compute_update: ∇f_i at the current iterate,
+  /// written into gradient_row().
+  void compute_gradient();
+
+  /// This round's gradient buffer (param_count doubles): what
+  /// compute_gradient writes, or where a process that does not compute
+  /// this node adopts the owner's row from the wire. extra_step swaps it
+  /// with the stored previous gradient and recycles the retired one, so
+  /// a steady-state round allocates nothing.
+  std::span<double> gradient_row();
+
+  /// The EXTRA half of compute_update: the recursion of eq. (8),
+  /// consuming gradient_row(). Call once per compute_gradient (or
+  /// adopted row).
+  void extra_step(double alpha);
 
   /// Restarts the EXTRA recursion from the current iterate: the next
   /// compute_update performs a fresh first step (x¹ = Wx⁰ − α∇f) with
@@ -242,6 +263,12 @@ class SnapNode {
   /// round allocates nothing.
   linalg::Vector x_next_;
   linalg::Vector grad_previous_;
+  /// This round's gradient (gradient_row); swapped into grad_previous_
+  /// by extra_step. Empty between rounds when extra_step parked the
+  /// retired buffer as the thread's spare.
+  linalg::Vector grad_now_;
+  /// Set by gradient_row, consumed by extra_step: one row per step.
+  bool gradient_pending_ = false;
   linalg::Vector advertised_;
   StragglerPolicy straggler_policy_;
   /// Neighbor views as slot-major contiguous slabs of dim_ doubles.

@@ -125,17 +125,47 @@ double residual_of(const std::vector<SnapNode>& nodes,
   });
 }
 
+// Buffers of mean_local_loss, kept across rounds.
+struct LossScratch {
+  std::vector<double> losses;
+  std::vector<std::size_t> computed;
+};
+
+// Owner-computes: each member's f_i(at) is evaluated only where `wire`
+// computes the node (every node when `wire` is null: the sim), and the
+// rest arrive as one-double rows. `losses` is ordered_parallel_sum's
+// buffer; the fold stays buffer-then-sum in node order, so the mean is
+// bitwise the same on every transport.
 double mean_local_loss(const std::vector<SnapNode>& nodes,
                        const std::vector<bool>& alive,
-                       const linalg::Vector& at, common::ThreadPool& pool) {
+                       const linalg::Vector& at, common::ThreadPool& pool,
+                       net::Transport<SnapWire>* wire, LossScratch& scratch) {
   const bool use_all = all_dead(alive);
-  std::size_t count = 0;
-  const double total =
-      common::ordered_parallel_sum(pool, nodes.size(), [&](std::size_t i) {
-        return (use_all || alive[i]) ? nodes[i].local_loss(at) : 0.0;
-      });
+  const auto member = [&](std::size_t i) { return use_all || alive[i]; };
+  std::vector<double>& losses = scratch.losses;
+  losses.assign(nodes.size(), 0.0);
+  // Fanned out over the computed nodes only: the pool chunks statically.
+  scratch.computed.clear();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    count += (use_all || alive[i]) ? 1 : 0;
+    if (member(i) && (wire == nullptr || wire->computes(i))) {
+      scratch.computed.push_back(i);
+    }
+  }
+  pool.parallel_for(0, scratch.computed.size(), [&](std::size_t k) {
+    const std::size_t i = scratch.computed[k];
+    losses[i] = nodes[i].local_loss(at);
+  });
+  if (wire != nullptr) {
+    wire->exchange_rows([&](topology::NodeId i) {
+      return member(i) ? std::span<double>(&losses[i], 1)
+                       : std::span<double>();
+    });
+  }
+  double total = 0.0;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    total += losses[i];
+    count += member(i) ? 1 : 0;
   }
   return total / static_cast<double>(count);
 }
@@ -575,7 +605,16 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
     };
   }
 
-  // 1. Local EXTRA update from the current views, then rotate the view
+  // 1. Local EXTRA update. The gradient is its own hook so the fabric
+  // can run it only where the transport computes the node; elsewhere the
+  // owner's row arrives in gradient_row before local_update.
+  hooks.local_gradient = [&](topology::NodeId i) {
+    nodes[i].compute_gradient();
+  };
+  hooks.gradient_row = [&](topology::NodeId i) {
+    return nodes[i].gradient_row();
+  };
+  // The EXTRA step from the current views, then rotate the view
   // double-buffer so frames arriving for this round land "fresh". Each
   // node only touches its own state. Paced async first folds in exactly
   // one queued frame per neighbor — the round-aligned delivery the
@@ -596,7 +635,7 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
         queued.pop_front();
       }
     }
-    nodes[i].compute_update(config_.alpha);
+    nodes[i].extra_step(config_.alpha);
     nodes[i].advance_views();
     ++rounds[i];
   };
@@ -886,11 +925,13 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
 
   // 4. Bookkeeping: the mean model's aggregate objective, consensus
   // residual, and (gated) test accuracy.
+  LossScratch loss_scratch;
   hooks.evaluate = [&](std::size_t, bool measure_accuracy) {
     const linalg::Vector mean = mean_of(nodes, alive, fabric->pool());
     runtime::RoundEval eval;
     eval.consensus_residual = residual_of(nodes, alive, mean, fabric->pool());
-    eval.train_loss = mean_local_loss(nodes, alive, mean, fabric->pool());
+    eval.train_loss = mean_local_loss(nodes, alive, mean, fabric->pool(),
+                                      socket, loss_scratch);
     if (measure_accuracy) {
       eval.test_accuracy = model_->accuracy(mean, test);
       eval.evaluated = true;
@@ -1081,15 +1122,17 @@ TrainResult SnapTrainer::train(const data::Dataset& test) {
   };
 
   TrainResult result = fabric->run(hooks);
-  // Publish the shard's wire counters (frames, OS bytes, per-frame
-  // charged-vs-encoded parity) before the artifacts are torn down.
-  if (socket != nullptr) socket->write_stats();
 
   const linalg::Vector mean = mean_of(nodes, alive, fabric->pool());
   result.final_params = mean;
-  result.final_train_loss =
-      mean_local_loss(nodes, alive, mean, fabric->pool());
+  result.final_train_loss = mean_local_loss(nodes, alive, mean,
+                                            fabric->pool(), socket,
+                                            loss_scratch);
   result.final_test_accuracy = model_->accuracy(mean, test);
+  // Publish the shard's wire counters (frames, shares, OS bytes,
+  // per-frame charged-vs-encoded parity) before the artifacts are torn
+  // down.
+  if (socket != nullptr) socket->write_stats();
   return result;
 }
 

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -37,12 +38,17 @@ constexpr std::uint8_t kRecordBarrier = 3;
 constexpr std::uint8_t kRecordHeartbeat = 4;
 constexpr std::uint8_t kRecordReconnect = 5;
 constexpr std::uint8_t kRecordReconnectAck = 6;
+constexpr std::uint8_t kRecordShare = 7;
 
 constexpr std::uint32_t kHelloMagic = 0x534E4150;  // "SNAP"
-constexpr std::uint32_t kProtocolVersion = 1;
+// Version 2 added SHARE records (owner-computed rows).
+constexpr std::uint32_t kProtocolVersion = 2;
 
 // type + flip + seq + from + to + state_sync + charged_bytes.
 constexpr std::size_t kFrameHeader = 1 + 8 + 8 + 4 + 4 + 1 + 8;
+
+// type + barrier + node + count + checksum.
+constexpr std::size_t kShareHeader = 1 + 8 + 4 + 4 + 8;
 
 // How long a blocked shard waits for peer bytes before declaring the
 // mesh dead (a peer crashed mid-run); generous next to any test budget.
@@ -74,6 +80,24 @@ std::vector<std::byte> encode_barrier(std::uint64_t flip) {
 
 void sleep_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+}
+
+/// FNV-1a over the values' 64-bit patterns, one word per step in four
+/// interleaved lanes (a gradient row is ~190 KB; byte-wise FNV would
+/// cost more than the copy). Each step is injective in both arguments
+/// and the lanes fold injectively, so any changed word changes the
+/// digest.
+std::uint64_t share_checksum(std::span<const double> values) noexcept {
+  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+  std::uint64_t lane[4] = {0xCBF29CE484222325ULL, 0x84222325CBF29CE4ULL,
+                           0x9CE484222325CBF2ULL, 0x2325CBF29CE48422ULL};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::uint64_t& h = lane[i % 4];
+    h = (h ^ std::bit_cast<std::uint64_t>(values[i])) * kPrime;
+  }
+  std::uint64_t digest = lane[0];
+  for (std::size_t k = 1; k < 4; ++k) digest = (digest ^ lane[k]) * kPrime;
+  return digest;
 }
 
 }  // namespace
@@ -124,6 +148,43 @@ std::optional<HeartbeatRecord> decode_heartbeat_record(
   HeartbeatRecord record;
   record.flip = reader.read_u64();
   if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
+  return record;
+}
+
+std::vector<std::byte> encode_share_record(const ShareRecord& record) {
+  SNAP_REQUIRE_MSG(record.values.size() <= 0xFFFFFFFFULL,
+                   "share row exceeds u32 value count");
+  const std::span<const double> values(record.values);
+  common::ByteWriter writer(kShareHeader + values.size_bytes());
+  writer.write_u8(kRecordShare);
+  writer.write_u64(record.barrier);
+  writer.write_u32(record.node);
+  writer.write_u32(static_cast<std::uint32_t>(values.size()));
+  writer.write_u64(share_checksum(values));
+  // Raw doubles in the writer's (native little-endian) layout.
+  writer.write_bytes(std::as_bytes(values));
+  return writer.take();
+}
+
+std::optional<ShareRecord> decode_share_record(
+    std::span<const std::byte> bytes) {
+  common::ByteReader reader(bytes);
+  if (reader.read_u8() != kRecordShare) return std::nullopt;
+  ShareRecord record;
+  record.barrier = reader.read_u64();
+  record.node = reader.read_u32();
+  const std::uint32_t count = reader.read_u32();
+  const std::uint64_t checksum = reader.read_u64();
+  // Exact size before any allocation: a damaged count must neither
+  // over-allocate nor read past the record.
+  if (!reader.ok() ||
+      reader.remaining() != sizeof(double) * std::uint64_t{count}) {
+    return std::nullopt;
+  }
+  record.values.resize(count);
+  std::memcpy(record.values.data(), bytes.data() + kShareHeader,
+              sizeof(double) * count);
+  if (share_checksum(record.values) != checksum) return std::nullopt;
   return record;
 }
 
@@ -189,6 +250,12 @@ struct SocketHub::Impl {
   std::vector<FrameReassembler> reassemblers;
   /// Frames received but not yet claimed by a finish_flip, keyed by flip.
   std::map<std::uint64_t, std::vector<WireRecord>> pending_frames;
+  /// Shares received but not yet claimed by a finish_exchange, keyed by
+  /// barrier, then node (one share per node and barrier).
+  std::map<std::uint64_t, std::map<topology::NodeId, ShareRecord>>
+      pending_shares;
+  /// Every barrier index below this one has finished.
+  std::uint64_t next_barrier = 0;
   /// Which peer shards' barriers arrived, per flip.
   std::map<std::uint64_t, std::set<std::size_t>> barriers_seen;
   /// Peers whose connection is gone — orderly close and crash both land
@@ -201,14 +268,14 @@ struct SocketHub::Impl {
   /// Highest RECONNECT incarnation accepted per peer (rendezvous = 0);
   /// a replacement connection must strictly supersede it.
   std::vector<std::uint64_t> incarnation_seen;
-  /// One framed FRAME/BARRIER image destined for a peer, kept for
+  /// One framed FRAME/SHARE/BARRIER image destined for a peer, kept for
   /// replay until the peer acknowledges the flip (barrier/heartbeat).
   struct LoggedSend {
     std::uint64_t flip = 0;
     std::vector<std::byte> bytes;
   };
-  /// Per-peer replay log, appended unconditionally on every FRAME and
-  /// BARRIER send — even while the peer's link is down, so a respawned
+  /// Per-peer replay log, appended unconditionally on every FRAME, SHARE
+  /// and BARRIER send — even while the peer's link is down, so a respawned
   /// incarnation receives records we never physically shipped.
   std::vector<std::deque<LoggedSend>> sent_log;
   SocketHubStats stats;
@@ -341,9 +408,14 @@ struct SocketHub::Impl {
   /// if the link is up. The log is authoritative: a record logged while
   /// the peer is down reaches it through the reconnect replay flush.
   void log_send(std::size_t peer_shard, std::uint64_t flip,
-                const std::vector<std::byte>& framed) {
-    sent_log[peer_shard].push_back({flip, framed});
-    if (peer_fds[peer_shard] >= 0) send_all(peer_shard, framed);
+                std::vector<std::byte> framed) {
+    sent_log[peer_shard].push_back({flip, std::move(framed)});
+    // Written from the log entry itself: send_all's drain can prune only
+    // flips the peer has finished, never the one being sent, and a
+    // deque's pop_front leaves references to the other entries valid.
+    if (peer_fds[peer_shard] >= 0) {
+      send_all(peer_shard, sent_log[peer_shard].back().bytes);
+    }
   }
 
   /// Drops replay-log entries the peer can never need again: it proved
@@ -683,6 +755,31 @@ struct SocketHub::Impl {
       pending_frames[record->flip].push_back(std::move(*record));
       return;
     }
+    if (type == kRecordShare) {
+      std::optional<ShareRecord> share = decode_share_record(body);
+      SNAP_REQUIRE_MSG(share.has_value(), "malformed share record from "
+                                          "peer shard "
+                                              << peer_shard);
+      SNAP_REQUIRE_MSG(
+          share->node < node_count &&
+              shard_of_node(share->node, node_count, config.shards) ==
+                  peer_shard,
+          "peer shard " << peer_shard << " shared node " << share->node
+                        << ", which it does not own");
+      SNAP_REQUIRE_MSG(share->barrier >= next_barrier,
+                       "peer shard " << peer_shard << " shared node "
+                                     << share->node << " for barrier "
+                                     << share->barrier
+                                     << ", which already finished");
+      auto& slot = pending_shares[share->barrier];
+      SNAP_REQUIRE_MSG(!slot.contains(share->node),
+                       "duplicate share of node " << share->node
+                                                  << " for barrier "
+                                                  << share->barrier);
+      const topology::NodeId node = share->node;
+      slot.emplace(node, std::move(*share));
+      return;
+    }
     if (type == kRecordBarrier) {
       common::ByteReader reader(body);
       reader.read_u8();
@@ -841,7 +938,7 @@ struct SocketHub::Impl {
     // Scrub the dead incarnation's traffic at and above the resume
     // point — the respawn replays it bit for bit, and keeping both
     // copies would double-deliver frames and trip the duplicate-
-    // barrier check.
+    // barrier and duplicate-share checks.
     for (auto& [pending_flip, records] : pending_frames) {
       if (pending_flip < resume_from) continue;
       std::erase_if(records, [&](const WireRecord& record) {
@@ -850,6 +947,14 @@ struct SocketHub::Impl {
       });
     }
     std::erase_if(pending_frames,
+                  [](const auto& entry) { return entry.second.empty(); });
+    for (auto& [barrier, shares] : pending_shares) {
+      if (barrier < resume_from) continue;
+      std::erase_if(shares, [&](const auto& entry) {
+        return shard_of_node(entry.first, node_count, config.shards) == shard;
+      });
+    }
+    std::erase_if(pending_shares,
                   [](const auto& entry) { return entry.second.empty(); });
     for (auto& [barrier_flip, seen] : barriers_seen) {
       if (barrier_flip >= resume_from) seen.erase(shard);
@@ -950,6 +1055,24 @@ struct SocketHub::Impl {
       }
     }
   }
+
+  /// Sends BARRIER for `flip` to every participating peer and parks
+  /// until each one's barrier for it arrived (see finish_flip).
+  void await_barrier(std::uint64_t flip);
+
+  /// A record filed under an already-finished index would have been
+  /// consumed by its finish; anything older still pending is a protocol
+  /// bug.
+  void require_nothing_stale(std::uint64_t flip) const {
+    SNAP_REQUIRE_MSG(
+        pending_frames.empty() || pending_frames.begin()->first > flip,
+        "stale frames for flip " << pending_frames.begin()->first
+                                 << " left behind at flip " << flip);
+    SNAP_REQUIRE_MSG(
+        pending_shares.empty() || pending_shares.begin()->first > flip,
+        "stale shares for barrier " << pending_shares.begin()->first
+                                    << " left behind at flip " << flip);
+  }
 };
 
 SocketHub::SocketHub(const TransportConfig& config, std::size_t node_count)
@@ -1020,62 +1143,102 @@ std::uint64_t SocketHub::live_from(std::size_t peer_shard) const noexcept {
                                               : 0;
 }
 
-std::vector<WireRecord> SocketHub::finish_flip(std::uint64_t flip) {
-  ++impl_->stats.flips;
+void SocketHub::send_share(const ShareRecord& record) {
+  const std::vector<std::byte> framed =
+      FrameReassembler::frame(encode_share_record(record));
+  for (std::size_t s = 0; s < impl_->config.shards; ++s) {
+    if (s == impl_->config.shard_id) continue;
+    if (!impl_->participates(s, record.barrier)) continue;
+    impl_->log_send(s, record.barrier, framed);
+    ++impl_->stats.share_records_sent;
+    impl_->stats.share_bytes_sent += sizeof(double) * record.values.size();
+  }
+}
+
+void SocketHub::Impl::await_barrier(std::uint64_t flip) {
   // Barrier to every participating peer, logged before the write so a
   // peer that is down (or dies mid-write) still receives it from the
   // reconnect replay flush.
   const std::vector<std::byte> barrier =
       FrameReassembler::frame(encode_barrier(flip));
   std::size_t participating = 0;
-  for (std::size_t s = 0; s < impl_->config.shards; ++s) {
-    if (s == impl_->config.shard_id) continue;
-    if (!impl_->participates(s, flip)) continue;
+  for (std::size_t s = 0; s < config.shards; ++s) {
+    if (s == config.shard_id) continue;
+    if (!participates(s, flip)) continue;
     ++participating;
-    impl_->log_send(s, flip, barrier);
+    log_send(s, flip, barrier);
   }
   if (participating > 0) {
     const std::vector<std::byte> heartbeat =
         FrameReassembler::frame(encode_heartbeat_record({flip}));
-    const int interval_ms = std::max(
-        1, static_cast<int>(impl_->config.heartbeat_interval_s * 1000.0));
+    const int interval_ms =
+        std::max(1, static_cast<int>(config.heartbeat_interval_s * 1000.0));
     double quiet_s = 0.0;
-    while (impl_->barriers_seen[flip].size() < participating) {
-      if (impl_->pump_once(flip, interval_ms)) {
+    while (barriers_seen[flip].size() < participating) {
+      if (pump_once(flip, interval_ms)) {
         quiet_s = 0.0;  // any traffic (or a reconnect) resets the clock
         continue;
       }
       // Quiet interval: beacon our park position to the live peers (it
       // prunes their replay logs) and enforce the hard deadline.
-      quiet_s += impl_->config.heartbeat_interval_s;
-      SNAP_REQUIRE_MSG(quiet_s < impl_->config.park_timeout_s,
-                       "shard " << impl_->config.shard_id
-                                << " parked at flip " << flip << " for "
-                                << quiet_s
+      quiet_s += config.heartbeat_interval_s;
+      SNAP_REQUIRE_MSG(quiet_s < config.park_timeout_s,
+                       "shard " << config.shard_id << " parked at flip "
+                                << flip << " for " << quiet_s
                                 << "s with no traffic (crashed peer never "
                                    "respawned?)");
-      for (std::size_t s = 0; s < impl_->config.shards; ++s) {
-        if (s == impl_->config.shard_id || impl_->peer_fds[s] < 0) continue;
-        impl_->send_all(s, heartbeat);
+      for (std::size_t s = 0; s < config.shards; ++s) {
+        if (s == config.shard_id || peer_fds[s] < 0) continue;
+        send_all(s, heartbeat);
       }
     }
   }
-  impl_->barriers_seen.erase(flip);
+  barriers_seen.erase(flip);
+  next_barrier = flip + 1;
+}
+
+std::vector<WireRecord> SocketHub::finish_flip(std::uint64_t flip) {
+  ++impl_->stats.flips;
+  impl_->await_barrier(flip);
+  SNAP_REQUIRE_MSG(!impl_->pending_shares.contains(flip),
+                   "share records at flip " << flip
+                                            << ", which exchanges no rows");
   std::vector<WireRecord> frames;
   if (const auto it = impl_->pending_frames.find(flip);
       it != impl_->pending_frames.end()) {
     frames = std::move(it->second);
     impl_->pending_frames.erase(it);
   }
-  // A frame filed under an already-finished flip would have been
-  // consumed above; anything older still pending is a protocol bug.
-  if (!impl_->pending_frames.empty()) {
-    SNAP_REQUIRE_MSG(impl_->pending_frames.begin()->first > flip,
-                     "stale frames for flip "
-                         << impl_->pending_frames.begin()->first
-                         << " left behind at flip " << flip);
-  }
+  impl_->require_nothing_stale(flip);
   return frames;
+}
+
+std::vector<ShareRecord> SocketHub::finish_exchange(std::uint64_t barrier,
+                                                    std::size_t row_length) {
+  impl_->await_barrier(barrier);
+  SNAP_REQUIRE_MSG(!impl_->pending_frames.contains(barrier),
+                   "frame records at barrier " << barrier
+                                               << ", which only exchanges "
+                                                  "rows");
+  std::vector<ShareRecord> shares;
+  if (const auto it = impl_->pending_shares.find(barrier);
+      it != impl_->pending_shares.end()) {
+    // Length first, for the whole set: nothing is handed out unless
+    // every row fits.
+    for (const auto& [node, share] : it->second) {
+      SNAP_REQUIRE_MSG(share.values.size() == row_length,
+                       "share of node " << node << " for barrier " << barrier
+                                        << " carries "
+                                        << share.values.size()
+                                        << " values, expected "
+                                        << row_length);
+    }
+    shares.reserve(it->second.size());
+    for (auto& [node, share] : it->second) shares.push_back(std::move(share));
+    impl_->pending_shares.erase(it);
+  }
+  impl_->require_nothing_stale(barrier);
+  return shares;
 }
 
 SocketHubStats& SocketHub::stats() noexcept { return impl_->stats; }
@@ -1099,7 +1262,9 @@ void SocketHub::write_stats() const {
       << "os_bytes_sent=" << s.os_bytes_sent << '\n'
       << "os_bytes_received=" << s.os_bytes_received << '\n'
       << "reconnects=" << s.reconnects << '\n'
-      << "flips=" << s.flips << '\n';
+      << "flips=" << s.flips << '\n'
+      << "share_records_sent=" << s.share_records_sent << '\n'
+      << "share_bytes_sent=" << s.share_bytes_sent << '\n';
 }
 
 void SocketHub::close() {

@@ -2,37 +2,62 @@
 //
 // How K processes run one deterministic training run
 // --------------------------------------------------
-// Every shard process executes the *full* seeded replica — all n nodes'
-// phases, bit for bit the SimTransport trajectory — and the shards keep
-// each other honest through the wire: a frame whose sender the local
-// shard owns and whose receiver it does not is encoded with the
-// scheme's WireCodec and shipped to the receiver's owner over a real
-// socket; symmetrically, a frame *into* an owned node from a non-owned
-// sender is never taken from local memory — the locally computed copy
-// is dropped and the inbox entry is adopted from the bytes that crossed
-// the socket. Owned nodes therefore train on wire-decoded input for
-// every cross-shard edge: corrupt one byte in flight and the checksums/
-// structure checks reject the frame and the run aborts loudly, instead
-// of the replica silently papering over it.
+// Bookkeeping is replicated; model work is computed by the owner;
+// shares are adopted.
+//
+// Replicated: every shard process runs the cheap per-node phases for
+// all n nodes — APE collect, mix, the mean and residual folds, fault
+// draws, churn, restarts — bit for bit the SimTransport trajectory, so
+// every shard holds every node's complete state (and its checkpoint
+// keeps the single-process format).
+//
+// Owner-computed: the two model calls that dominate a round, each
+// node's gradient and its loss at the mean model, run only on the
+// shard that owns the node (computes()). exchange_rows then ships the
+// owner's rows to every peer as SHARE records — the raw doubles plus a
+// checksum — and each peer adopts them into the node's buffer instead
+// of recomputing them. A loss is a one-double row, and the loss fold
+// still buffers per node and sums in node order, so train_loss is
+// bitwise the sim's. Shares are the emulation's own traffic: never
+// charged to the CostTracker, never counted as frames.
+//
+// Adopted frames: a frame whose sender the local shard owns and whose
+// receiver it does not is encoded with the scheme's WireCodec and
+// shipped to the receiver's owner over a real socket; symmetrically, a
+// frame *into* an owned node from a non-owned sender is never taken
+// from local memory — the locally computed copy is dropped and the
+// inbox entry is adopted from the bytes that crossed the socket. Owned
+// nodes therefore train on wire-decoded input for every cross-shard
+// edge: corrupt one byte in flight and the checksums/structure checks
+// reject the frame and the run aborts loudly, instead of the replica
+// silently papering over it.
 //
 // Ordering: the sim inbox order is global post order. Because every
-// replica executes the identical serial post sequence, a per-process
-// post counter (seq) is identical across shards; it rides the wire
-// header, dropped local copies remember the seq they expect, and the
-// flip merges local + wire messages back into ascending seq — the
-// bitwise sim order. A wire frame whose (seq, from, to) does not match
-// a dropped local copy means the replicas diverged: hard error.
+// replica executes the identical serial post sequence, the process's
+// one post counter (next_seq_) is identical across shards; it rides
+// the wire header, dropped local copies remember the seq they
+// expect, and the flip merges local + wire messages back into
+// ascending seq — the bitwise sim order. A wire frame whose
+// (seq, from, to) does not match a dropped local copy means the
+// replicas diverged: hard error.
 //
 // Rendezvous and barriers: shard k binds shard-<k>.sock (UDS) or an
 // ephemeral TCP port published as shard-<k>.port in the rendezvous
 // directory, connects to every lower-numbered shard with bounded
 // doubling backoff (FaultRecoveryConfig semantics), and validates a
 // HELLO (magic, protocol version, shard/node counts) per link. Each
-// flip_round sends the flip's frames plus a BARRIER record to every
-// peer, then reads — reassembling partial reads — until every peer's
-// barrier for that flip arrived. The per-round flip count is
-// deterministic, so barriers align across processes without a
+// flip_round and each exchange_rows sends its frames or shares plus a
+// BARRIER record to every peer, then reads — reassembling partial
+// reads — until every peer's barrier for that index arrived. Flips and
+// exchanges share one barrier index space, and their count per round
+// is deterministic, so barriers align across processes without a
 // coordinator.
+//
+// Crash recovery: a respawned shard resumes from its checkpoint and
+// adopts each survivor's parked barrier index (live_from). Below it,
+// the resumed shard keeps its locally computed frames and computes
+// every node's model work itself (the full-local fallback, bitwise the
+// wire copies by replica determinism); from it on, it exchanges again.
 #pragma once
 
 #include <algorithm>
@@ -106,6 +131,23 @@ std::vector<std::byte> encode_reconnect_record(const ReconnectRecord& record);
 std::optional<ReconnectRecord> decode_reconnect_record(
     std::span<const std::byte> bytes);
 
+/// One owner-computed row — a node's gradient, or its loss as a
+/// one-double row — on its way to the replicas that adopt it instead of
+/// recomputing it.
+struct ShareRecord {
+  std::uint64_t barrier = 0;  ///< exchange index (shared with flips)
+  topology::NodeId node = 0;
+  std::vector<double> values;
+};
+
+/// Serializes a SHARE record body: barrier, node, value count, a
+/// checksum over the values, then the raw doubles.
+std::vector<std::byte> encode_share_record(const ShareRecord& record);
+/// nullopt on truncation, wrong type byte, a count that disagrees with
+/// the size, checksum mismatch, or trailing garbage.
+std::optional<ShareRecord> decode_share_record(
+    std::span<const std::byte> bytes);
+
 /// The survivor's reply: `parked_flip` is the first flip for which the
 /// resumed shard must exchange wire traffic again (everything below it
 /// runs on the full-local replica); `incarnation` echoes the handshake.
@@ -148,6 +190,11 @@ struct SocketHubStats {
   std::uint64_t os_bytes_received = 0;
   std::uint64_t reconnects = 0;
   std::uint64_t flips = 0;
+  /// SHARE records shipped (one per peer) and their row bytes (8 per
+  /// double, record framing excluded). Emulation traffic: never in
+  /// frames_sent or the charged bytes.
+  std::uint64_t share_records_sent = 0;
+  std::uint64_t share_bytes_sent = 0;
 };
 
 /// Byte-level peer mesh between shard processes (pimpl'd so this header
@@ -179,6 +226,19 @@ class SocketHub {
   /// it missed — until the barrier arrives or park_timeout_s elapses
   /// with no traffic at all.
   std::vector<WireRecord> finish_flip(std::uint64_t flip);
+
+  /// Ships one owner-computed row to every peer taking part in its
+  /// barrier, logged for replay like a frame.
+  void send_share(const ShareRecord& record);
+
+  /// Row-exchange barrier `barrier` (the flip index space): waits
+  /// exactly like finish_flip and returns the peers' shares for it. The
+  /// hub refuses — before any state is touched — a share for a node its
+  /// sender does not own, a duplicate, a share for a barrier that
+  /// already finished, and (here, once the row length is known) a row
+  /// of any length other than `row_length`.
+  std::vector<ShareRecord> finish_exchange(std::uint64_t barrier,
+                                           std::size_t row_length);
 
   /// First flip at which `peer_shard` exchanges wire traffic with us.
   /// 0 in steady state; a resumed process adopts each survivor's parked
@@ -239,53 +299,45 @@ class SocketTransport final : public Transport<Payload> {
             std::size_t wire_bytes, bool state_sync) override {
     this->charge(from, to, wire_bytes, state_sync);
     const std::uint64_t seq = next_seq_++;
-    const bool from_owned = owns(from);
-    const bool to_owned = owns(to);
-    if (from_owned && !to_owned) {
-      const std::size_t dest = shard_of_node(to, node_count_, config_.shards);
-      // Participation gate: flips below the peer's live_from bound ran
-      // (or will run) on its full-local replica — the peer already
-      // consumed this frame's dead-incarnation twin, so resending would
-      // double-deliver. Stats counters are skipped with the send so a
-      // crash-free peer's wire parity stays exact.
-      if (flip_index_ >= hub_.live_from(dest)) {
-        // This shard is the frame's authoritative sender: put the real
-        // bytes on the wire toward the receiver's owner.
-        WireRecord record;
-        record.flip = flip_index_;
-        record.seq = seq;
-        record.from = from;
-        record.to = to;
-        record.state_sync = state_sync;
-        record.charged_bytes = wire_bytes;
-        record.payload = codec_.encode(payload);
-        if (wire_bytes > 0) {
-          hub_.stats().charged_bytes_sent += wire_bytes;
-          hub_.stats().payload_bytes_sent += record.payload.size();
-          if (record.payload.size() != wire_bytes) {
-            ++hub_.stats().mismatched_frames;
-          }
-        }
-        hub_.send_frame(dest, record);
-      }
-    }
-    if (to_owned && !from_owned) {
-      const std::size_t src =
-          shard_of_node(from, node_count_, config_.shards);
-      if (flip_index_ >= hub_.live_from(src)) {
-        // The authoritative copy is in flight from the sender's owner;
-        // drop the locally computed one and remember what must arrive.
-        expected_.emplace(seq, std::make_pair(from, to));
-        return;
-      }
-      // Full-local fallback (resumed shard below the peer's parked
-      // flip, or the peer finished and exited): keep the locally
-      // computed copy — bitwise the wire frame by replica determinism.
+    if (owns(from) != owns(to)) {
+      crossing_.push_back(
+          {seq, from, to, std::move(payload), wire_bytes, state_sync});
+      return;
     }
     staged_[to].push_back({seq, Message{from, std::move(payload)}});
   }
 
   void flip_round() override {
+    // A frame belongs to the flip that delivers it, which need not be the
+    // index current at post: an exchange barrier may sit in between. So
+    // the live_from gates and the wire stamp are decided here.
+    for (Crossing& frame : crossing_) {
+      if (owns(frame.from)) {
+        const std::size_t dest =
+            shard_of_node(frame.to, node_count_, config_.shards);
+        // Participation gate: flips below the peer's live_from bound ran
+        // (or will run) on its full-local replica — the peer already
+        // consumed this frame's dead-incarnation twin, so resending
+        // would double-deliver. Stats counters are skipped with the send
+        // so a crash-free peer's wire parity stays exact.
+        if (flip_index_ >= hub_.live_from(dest)) send(frame, dest);
+      } else {
+        const std::size_t src =
+            shard_of_node(frame.from, node_count_, config_.shards);
+        if (flip_index_ >= hub_.live_from(src)) {
+          // The authoritative copy is in flight from the sender's owner;
+          // drop the locally computed one and remember what must arrive.
+          expected_.emplace(frame.seq, std::make_pair(frame.from, frame.to));
+          continue;
+        }
+        // Full-local fallback (resumed shard below the peer's parked
+        // flip, or the peer finished and exited): keep the locally
+        // computed copy — bitwise the wire frame by replica determinism.
+      }
+      staged_[frame.to].push_back(
+          {frame.seq, Message{frame.from, std::move(frame.payload)}});
+    }
+    crossing_.clear();
     const std::vector<WireRecord> arrived = hub_.finish_flip(flip_index_);
     for (const WireRecord& record : arrived) {
       const auto it = expected_.find(record.seq);
@@ -336,6 +388,54 @@ class SocketTransport final : public Transport<Payload> {
     return inbox_[node];
   }
 
+  /// Owned nodes, plus a peer's nodes while that peer is below its
+  /// live_from bound (the full-local fallback of a resumed shard).
+  bool computes(topology::NodeId node) const noexcept override {
+    const std::size_t shard = shard_of_node(node, node_count_, config_.shards);
+    return shard == config_.shard_id || flip_index_ < hub_.live_from(shard);
+  }
+
+  void exchange_rows(const RowOf& row_of) override {
+    // Which rows arrive is fixed before the barrier: a reconnect accepted
+    // while parked moves live_from, and with it computes().
+    rows_.resize(node_count_);
+    adopt_.assign(node_count_, 0);
+    std::size_t row_length = 0;
+    std::size_t expected = 0;
+    for (topology::NodeId node = 0; node < node_count_; ++node) {
+      rows_[node] = row_of(node);
+      if (rows_[node].empty()) continue;
+      SNAP_REQUIRE_MSG(row_length == 0 || rows_[node].size() == row_length,
+                       "exchange_rows needs rows of one length");
+      row_length = rows_[node].size();
+      if (!computes(node)) {
+        adopt_[node] = 1;
+        ++expected;
+      } else if (owns(node)) {
+        hub_.send_share(
+            {flip_index_, node, {rows_[node].begin(), rows_[node].end()}});
+      }
+    }
+    const std::vector<ShareRecord> arrived =
+        hub_.finish_exchange(flip_index_, row_length);
+    // The whole set is checked before any row is adopted.
+    for (const ShareRecord& share : arrived) {
+      SNAP_REQUIRE_MSG(adopt_[share.node] != 0,
+                       "shard " << config_.shard_id << " barrier "
+                                << flip_index_ << ": unexpected share for node "
+                                << share.node);
+    }
+    SNAP_REQUIRE_MSG(arrived.size() == expected,
+                     "shard " << config_.shard_id << " barrier " << flip_index_
+                              << ": " << arrived.size() << " of " << expected
+                              << " expected share(s) arrived");
+    for (const ShareRecord& share : arrived) {
+      std::copy(share.values.begin(), share.values.end(),
+                rows_[share.node].begin());
+    }
+    ++flip_index_;
+  }
+
   const SocketHubStats& wire_stats() const noexcept { return hub_.stats(); }
 
   /// Writes shard-<id>.stats into the rendezvous dir (see SocketHub).
@@ -353,7 +453,8 @@ class SocketTransport final : public Transport<Payload> {
     const std::uint64_t seq = reader.read_u64();
     const std::uint64_t flip = reader.read_u64();
     if (!reader.ok()) return false;
-    SNAP_REQUIRE_MSG(expected_.empty() && next_seq_ == 0 && flip_index_ == 0,
+    SNAP_REQUIRE_MSG(crossing_.empty() && expected_.empty() &&
+                         next_seq_ == 0 && flip_index_ == 0,
                      "wire state must be restored before any post");
     next_seq_ = seq;
     flip_index_ = flip;
@@ -368,15 +469,51 @@ class SocketTransport final : public Transport<Payload> {
   }
 
  private:
+  /// A cross-shard frame posted since the last flip.
+  struct Crossing {
+    std::uint64_t seq = 0;
+    topology::NodeId from = 0;
+    topology::NodeId to = 0;
+    Payload payload;
+    std::size_t wire_bytes = 0;
+    bool state_sync = false;
+  };
+
+  /// This shard is the frame's authoritative sender: puts the real bytes
+  /// on the wire toward the receiver's owner.
+  void send(const Crossing& frame, std::size_t dest) {
+    WireRecord record;
+    record.flip = flip_index_;
+    record.seq = frame.seq;
+    record.from = frame.from;
+    record.to = frame.to;
+    record.state_sync = frame.state_sync;
+    record.charged_bytes = frame.wire_bytes;
+    record.payload = codec_.encode(frame.payload);
+    if (frame.wire_bytes > 0) {
+      hub_.stats().charged_bytes_sent += frame.wire_bytes;
+      hub_.stats().payload_bytes_sent += record.payload.size();
+      if (record.payload.size() != frame.wire_bytes) {
+        ++hub_.stats().mismatched_frames;
+      }
+    }
+    hub_.send_frame(dest, record);
+  }
+
   TransportConfig config_;
   WireCodec<Payload> codec_;
   std::size_t node_count_ = 0;
   SocketHub hub_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t flip_index_ = 0;
+  /// Cross-shard frames awaiting their flip (see flip_round).
+  std::vector<Crossing> crossing_;
   /// Per-destination staging: (seq, message), merged and sorted at flip.
   std::vector<std::vector<std::pair<std::uint64_t, Message>>> staged_;
   std::vector<std::vector<Message>> inbox_;
+  /// exchange_rows scratch: each node's row, and whether it arrives.
+  std::vector<std::span<double>> rows_;
+  std::vector<std::uint8_t> adopt_;
   /// seq -> (from, to) of dropped local copies awaiting their wire twin.
   std::map<std::uint64_t, std::pair<topology::NodeId, topology::NodeId>>
       expected_;

@@ -124,6 +124,10 @@ struct WireCodec {
   std::function<std::optional<Payload>(std::span<const std::byte>)> decode;
 };
 
+/// One row of doubles per node, addressed by node id (exchange_rows).
+/// An empty span means the node takes no part.
+using RowOf = std::function<std::span<double>(topology::NodeId node)>;
+
 /// The seam the fabrics deliver through. Round-structured: frames
 /// posted since the last flip become readable at the next flip, per
 /// destination, in global post order (the determinism contract the
@@ -188,6 +192,22 @@ class Transport {
 
   /// Current fabric round (1-based; 0 before the first begin_round).
   std::size_t round() const noexcept { return round_; }
+
+  /// Owner-computes: does this process run `node`'s model work
+  /// (gradient, loss)? Rows it does not compute arrive through
+  /// exchange_rows. The sim computes every node.
+  virtual bool computes(topology::NodeId /*node*/) const noexcept {
+    return true;
+  }
+
+  /// Row-exchange barrier for owner-computed model work. On return every
+  /// taking-part node's row holds the same bits on every process: rows
+  /// of nodes this process computes are inputs, the others are adopted
+  /// from the bytes their owner shipped. All non-empty rows have one
+  /// length. The sim computes everything, so it exchanges nothing.
+  /// Never charged to the CostTracker: it is the emulation's own
+  /// traffic, not a frame of the algorithm.
+  virtual void exchange_rows(const RowOf& /*row_of*/) {}
 
   /// Checkpoint hooks: serialize / restore the backend's replicated
   /// wire position (per-frame seq counter, flip index — everything a

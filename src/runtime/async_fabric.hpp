@@ -326,6 +326,7 @@ class AsyncFabric final : public RoundFabric<Payload> {
 
   void on_compute_done(topology::NodeId node, std::size_t round) {
     maybe_begin(round);
+    if (hooks_->local_gradient) hooks_->local_gradient(node);
     if (hooks_->local_update) hooks_->local_update(node);
     std::vector<Envelope<Payload>> envelopes;
     if (hooks_->collect) envelopes = hooks_->collect(node);

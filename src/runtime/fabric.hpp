@@ -98,6 +98,9 @@ class MessageSink {
 /// Call order per round r (sync; async interleaves rounds per node but
 /// preserves the per-node order):
 ///   begin_round(r)                       [serial, once per round]
+///   local_gradient(i)                    [per node the transport
+///                                         computes]
+///   ... socket transport exchanges gradient_row(i) ...
 ///   local_update(i)                      [per node]
 ///   collect(i) -> envelopes              [per node]
 ///   ... fabric sends, charges bytes ...
@@ -113,7 +116,18 @@ struct RoundHooks {
   /// Serial round preamble (advance failure draws, draw minibatches).
   std::function<void(std::size_t round)> begin_round;
 
-  /// Node-local compute: gradient / EXTRA step / view rotation.
+  /// Owner-computes model work: node `node`'s gradient, written into
+  /// gradient_row(node). Over a socket transport the shared-clock
+  /// fabrics run it only on live nodes the transport computes, then
+  /// exchange the rows so every process holds every live node's row
+  /// before local_update. On the sim (which computes every node) and
+  /// on the async fabric it runs right before the node's local_update.
+  /// Set both or neither.
+  std::function<void(topology::NodeId node)> local_gradient;
+  std::function<std::span<double>(topology::NodeId node)> gradient_row;
+
+  /// Node-local compute: EXTRA step / view rotation (and the gradient,
+  /// for schemes without local_gradient).
   std::function<void(topology::NodeId node)> local_update;
 
   /// Filter + frame: returns everything `node` transmits this round.

@@ -4,8 +4,9 @@
 // to hand-roll, with the exact same phase interleaving and — crucially —
 // the exact same determinism discipline:
 //
-//   - parallel phases (local_update, collect, mix) fan out on the pool
-//     and write only node-owned slots of preallocated buffers;
+//   - parallel phases (local_gradient, local_update, collect, mix) fan
+//     out on the pool and write only node-owned slots of preallocated
+//     buffers;
 //   - everything stateful — transport posts, CostTracker charges, the
 //     convergence detector — replays serially in ascending node order
 //     from those buffers.
@@ -139,9 +140,33 @@ class SyncFabric : public RoundFabric<Payload> {
 
     if (hooks.begin_round) hooks.begin_round(round);
 
+    // Owner-computes: the model call runs only where the transport
+    // computes the node; the exchange hands every process the rows it
+    // skipped, bit for bit the owner's. The sim computes every node and
+    // exchanges nothing, so there the gradient rides the local_update
+    // sweep instead: a second pass over 10⁴ nodes' state costs the sync
+    // SVM workload a few percent of its round.
+    const bool split = hooks.local_gradient &&
+                       transport_->kind() != net::TransportKind::kSim;
+    if (split) {
+      // Over the computed nodes only: the pool chunks statically, and a
+      // shard's owned block would otherwise land on a single thread.
+      computed_.clear();
+      for (topology::NodeId i = 0; i < n; ++i) {
+        if (!down(i) && transport_->computes(i)) computed_.push_back(i);
+      }
+      pool_.parallel_for(0, computed_.size(), [&](std::size_t k) {
+        hooks.local_gradient(computed_[k]);
+      });
+      transport_->exchange_rows([&](topology::NodeId i) {
+        return down(i) ? std::span<double>() : hooks.gradient_row(i);
+      });
+    }
     if (hooks.local_update) {
       pool_.parallel_for(0, n, [&](std::size_t i) {
-        if (!down(i)) hooks.local_update(i);
+        if (down(i)) return;
+        if (hooks.local_gradient && !split) hooks.local_gradient(i);
+        hooks.local_update(i);
       });
     }
     if (config_.faults != nullptr && hooks.node_skipped) {
@@ -463,6 +488,8 @@ class SyncFabric : public RoundFabric<Payload> {
   std::unique_ptr<net::Transport<Payload>> transport_;
   std::vector<std::vector<Envelope<Payload>>> staged_;
   std::vector<std::vector<Envelope<Payload>>> replies_;
+  /// The nodes whose gradient this process computes this round.
+  std::vector<topology::NodeId> computed_;
   std::size_t current_round_ = 0;
   std::uint64_t round_frames_dropped_ = 0;
   std::uint64_t round_frames_corrupted_ = 0;

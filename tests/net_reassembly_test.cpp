@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
@@ -272,12 +273,66 @@ TEST(WireRecordTest, ReconnectAckRoundTripsAndRejectsDamage) {
   EXPECT_FALSE(decode_reconnect_ack_record(padded).has_value());
 }
 
+TEST(WireRecordTest, ShareRoundTripsAndRejectsDamage) {
+  ShareRecord record;
+  record.barrier = 0x0102030405060708ULL;
+  record.node = 6;
+  record.values = {1.5, -0.0, 3.25e-300, -7.0, 0.1, 42.0};
+  const auto bytes = encode_share_record(record);
+  const auto decoded = decode_share_record(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->barrier, record.barrier);
+  EXPECT_EQ(decoded->node, record.node);
+  ASSERT_EQ(decoded->values.size(), record.values.size());
+  // Bit for bit, signed zero included.
+  EXPECT_EQ(std::memcmp(decoded->values.data(), record.values.data(),
+                        sizeof(double) * record.values.size()),
+            0);
+
+  // A one-double row (a node's loss) round-trips too.
+  const ShareRecord loss{3, 1, {0.693}};
+  const auto loss_decoded = decode_share_record(encode_share_record(loss));
+  ASSERT_TRUE(loss_decoded.has_value());
+  EXPECT_EQ(loss_decoded->values, loss.values);
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(decode_share_record({bytes.data(), len}).has_value())
+        << "truncation to " << len;
+  }
+  auto wrong_type = bytes;
+  wrong_type[0] = std::byte{99};
+  EXPECT_FALSE(decode_share_record(wrong_type).has_value());
+  auto padded = bytes;
+  padded.push_back(std::byte{0});
+  EXPECT_FALSE(decode_share_record(padded).has_value());
+  // A count that disagrees with the size (type + barrier + node first).
+  auto bad_count = bytes;
+  bad_count[1 + 8 + 4] ^= std::byte{0x01};
+  EXPECT_FALSE(decode_share_record(bad_count).has_value());
+  // Any flipped bit in the values fails the checksum.
+  for (std::size_t at = bytes.size() - 8 * record.values.size();
+       at < bytes.size(); at += 5) {
+    auto flipped = bytes;
+    flipped[at] ^= std::byte{0x10};
+    EXPECT_FALSE(decode_share_record(flipped).has_value())
+        << "bit flip at byte " << at;
+  }
+}
+
 TEST(WireRecordTest, RecordTypesDoNotCrossDecode) {
   // Each decoder owns exactly one type byte: feeding it a well-formed
   // record of any *other* type must fail whole, never alias fields.
   const auto heartbeat = encode_heartbeat_record({5});
   const auto reconnect = encode_reconnect_record({1, 2, 8, 3, 0});
   const auto ack = encode_reconnect_ack_record({0, 6, 3});
+  const auto share = encode_share_record({5, 2, {1.0, 2.0}});
+  EXPECT_FALSE(decode_share_record(heartbeat).has_value());
+  EXPECT_FALSE(decode_share_record(reconnect).has_value());
+  EXPECT_FALSE(decode_share_record(ack).has_value());
+  EXPECT_FALSE(decode_heartbeat_record(share).has_value());
+  EXPECT_FALSE(decode_reconnect_record(share).has_value());
+  EXPECT_FALSE(decode_reconnect_ack_record(share).has_value());
+  EXPECT_FALSE(decode_wire_record(share).has_value());
   EXPECT_FALSE(decode_heartbeat_record(reconnect).has_value());
   EXPECT_FALSE(decode_heartbeat_record(ack).has_value());
   EXPECT_FALSE(decode_reconnect_record(heartbeat).has_value());
