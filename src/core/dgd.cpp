@@ -14,11 +14,9 @@ namespace {
 // DGD runs on an abstract mixing matrix (possibly dense — no topology),
 // so the fabric does no byte accounting and messages carry pointers
 // into the frozen current_ snapshot.
-runtime::FabricConfig dgd_fabric_config(std::size_t threads,
-                                        net::FaultInjector* faults) {
+runtime::FabricConfig dgd_fabric_config(std::size_t threads) {
   runtime::FabricConfig config;
   config.threads = threads;
-  config.faults = faults;
   return config;
 }
 
@@ -31,10 +29,9 @@ DgdIteration::DgdIteration(linalg::Matrix w,
     : w_(std::move(w)),
       alpha_(alpha),
       gradient_(std::move(gradient)),
-      threads_(threads),
       current_(std::move(initial)),
       fabric_(std::make_unique<runtime::SyncFabric<const linalg::Vector*>>(
-          dgd_fabric_config(threads, nullptr))) {
+          dgd_fabric_config(threads))) {
   SNAP_REQUIRE(alpha_ > 0.0);
   SNAP_REQUIRE(gradient_ != nullptr);
   SNAP_REQUIRE(!current_.empty());
@@ -54,13 +51,6 @@ DgdIteration& DgdIteration::operator=(DgdIteration&&) noexcept = default;
 
 common::ThreadPool& DgdIteration::pool() const noexcept {
   return fabric_->pool();
-}
-
-void DgdIteration::set_fault_injector(net::FaultInjector* faults) {
-  faults_ = faults;
-  // The fabric owns the fault plumbing, so attach/detach rebuilds it.
-  fabric_ = std::make_unique<runtime::SyncFabric<const linalg::Vector*>>(
-      dgd_fabric_config(threads_, faults_));
 }
 
 void DgdIteration::set_weight_matrix(linalg::Matrix w) {
@@ -110,19 +100,12 @@ void DgdIteration::step() {
   // next_[i] = Σ_j w_ij x_j − α ∇f_i(x_i), folding j in ascending
   // order (deliveries arrive sorted by sender; the self term slots in
   // at j == i) — bitwise identical to the pre-refactor dense loop.
-  // Under faults the weight of every expected-but-missing delivery
-  // (down link, crashed sender) folds into the receiver's own iterate
-  // instead, so the round's effective mixing row stays stochastic —
-  // without the fold the iterate leaks mass toward zero every faulty
-  // round. Fault-free nothing is ever missing and the extra term never
-  // fires.
   hooks.mix = [&](topology::NodeId i,
                   std::span<const runtime::Delivery<Payload>> deliveries,
                   runtime::MessageSink<Payload>&) {
     linalg::Vector& next = next_[i];
     next = linalg::Vector(dim);
     std::size_t d = 0;
-    double missing = 0.0;
     for (topology::NodeId j = 0; j < n; ++j) {
       const double w = w_(i, j);
       if (j == i) {
@@ -132,18 +115,10 @@ void DgdIteration::step() {
       if (d < deliveries.size() && deliveries[d].from == j) {
         if (w != 0.0) next.axpy(w, *deliveries[d].payload);
         ++d;
-      } else {
-        missing += w;
       }
     }
-    if (missing != 0.0) next.axpy(missing, current_[i]);
     next.axpy(-alpha_, gradients_[i]);
   };
-
-  // A crashed node neither computes nor mixes; its parameters ride
-  // through the round frozen (next_ would otherwise swap in a stale
-  // staging buffer from two rounds ago).
-  hooks.node_skipped = [&](topology::NodeId i) { next_[i] = current_[i]; };
 
   fabric_->step_round(hooks, iteration_ + 1);
   current_.swap(next_);

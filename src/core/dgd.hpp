@@ -26,10 +26,6 @@ class ByteWriter;
 class ByteReader;
 }  // namespace snap::common
 
-namespace snap::net {
-class FaultInjector;
-}  // namespace snap::net
-
 namespace snap::runtime {
 template <typename Payload>
 class SyncFabric;
@@ -53,15 +49,6 @@ class DgdIteration {
   DgdIteration(DgdIteration&&) noexcept;
   DgdIteration& operator=(DgdIteration&&) noexcept;
 
-  /// Attaches a fault schedule (borrowed; must outlive this object and
-  /// have been built over a graph with node_count() nodes). Rounds with
-  /// faults keep the effective mixing matrix stochastic: a missing
-  /// delivery's weight folds into the receiver's own iterate, and a
-  /// crashed node carries its parameters frozen through the round.
-  /// Pass nullptr to detach. DGD is sync-only, so there is no recovery
-  /// timing to configure.
-  void set_fault_injector(net::FaultInjector* faults);
-
   /// Replaces the mixing matrix mid-run — the caller-driven membership
   /// epoch (elastic membership grows/shrinks W by re-projection; DGD has
   /// no recursion state to restart, so swapping W is the whole story).
@@ -78,10 +65,10 @@ class DgdIteration {
   void step();
 
   /// Serializes the evolving state (iterates + iteration counter) for
-  /// round-aligned checkpoints. The mixing matrix, step size, gradient
-  /// oracle, and fault schedule are construction inputs the caller
-  /// recreates before load(); DGD's recursion is memoryless beyond the
-  /// current iterate, so this is the whole story.
+  /// round-aligned checkpoints. The mixing matrix, step size and
+  /// gradient oracle are construction inputs the caller recreates
+  /// before load(); DGD's recursion is memoryless beyond the current
+  /// iterate, so this is the whole story.
   void save(common::ByteWriter& writer) const;
   /// Restores state saved by save() into an object built with the same
   /// node count and dimension. Returns false on truncation or a shape
@@ -100,8 +87,6 @@ class DgdIteration {
   linalg::Matrix w_;
   double alpha_;
   GradientFn gradient_;
-  std::size_t threads_;
-  net::FaultInjector* faults_ = nullptr;
   std::vector<linalg::Vector> current_;
   std::vector<linalg::Vector> next_;       // mix-phase staging
   std::vector<linalg::Vector> gradients_;  // local-update staging

@@ -17,7 +17,6 @@
 
 #include "consensus/sparse_weight_matrix.hpp"
 #include "consensus/topology_sparsifier.hpp"
-#include "consensus/weight_reprojection.hpp"
 #include "core/ape.hpp"
 #include "core/snap_node.hpp"
 #include "core/training.hpp"
@@ -58,9 +57,6 @@ struct SnapTrainerConfig {
   /// recursion anchors to the dead node's frozen parameters and the
   /// known divergence mode from persistent view skew returns.
   bool reproject_on_churn = true;
-  /// How the surviving weight block is rebuilt on churn.
-  consensus::ReprojectionMethod churn_reprojection =
-      consensus::ReprojectionMethod::kMetropolis;
   /// Warm-start joiners: when a node joins (or rejoins), one live
   /// neighbor donates its current model over a STATE_SYNC frame
   /// (bytes charged, tallied in IterationStats::state_sync_bytes) and

@@ -37,9 +37,10 @@
 // begin_round(r) hook fires when the *first* node enters round r (link
 // failure draws and minibatch sequences advance on that global round
 // counter), and SNAP's synchronized EXTRA restart — a shared-clock
-// concept — runs from end_round at the eval barrier, so under skew a
-// fast node restarts a round or two into its future. Both collapse to
-// the sync semantics when compute times are homogeneous.
+// concept that runs from end_round on every fabric — fires here at the
+// eval barrier, so under skew a fast node restarts a round or two into
+// its future. Both collapse to the sync semantics when compute times
+// are homogeneous.
 //
 // Fault layer (FabricConfig::faults): the injector's schedule is
 // round-indexed, so both fabrics replay the same fault timeline. A

@@ -104,11 +104,11 @@ class MessageSink {
 ///   local_update(i)                      [per node]
 ///   collect(i) -> envelopes              [per node]
 ///   ... fabric sends, charges bytes ...
-///   after_send()                         [serial; sync only]
 ///   mix(i, deliveries, sink)             [per receiving node]
 ///   evaluate(r, measure_accuracy)        [serial]
 ///   end_round(r)                         [serial, after the fabric has
-///                                         observed the eval]
+///                                         observed the eval; before
+///                                         the round's checkpoint]
 template <typename Payload>
 struct RoundHooks {
   std::size_t node_count = 0;
@@ -135,11 +135,6 @@ struct RoundHooks {
       collect;
   bool parallel_collect = true;
 
-  /// Serial hook between send and delivery (SNAP's synchronized EXTRA
-  /// restart rides here). Not invoked by async fabrics — there is no
-  /// global post-send instant; see AsyncFabric's notes.
-  std::function<void()> after_send;
-
   /// Folds arrived messages into `node`'s state. Sync fabrics deliver a
   /// whole round's inbox at once; the async fabric delivers frames one
   /// at a time, as they arrive.
@@ -148,9 +143,10 @@ struct RoundHooks {
                      MessageSink<Payload>& sink)>
       mix;
 
-  /// Serial round postamble: observers, double-buffer swaps, restarts
-  /// that may tolerate async skew. Runs after the fabric recorded the
-  /// round's stats and fed the convergence detector.
+  /// Serial round postamble: observers and SNAP's synchronized EXTRA
+  /// restart, on every fabric. Runs after the fabric recorded the
+  /// round's stats and fed the convergence detector, and before the
+  /// round's checkpoint is written.
   std::function<void(std::size_t round)> end_round;
 
   /// Whole-system measurement: aggregate loss, consensus residual and
@@ -198,12 +194,6 @@ struct RoundHooks {
   std::function<void(std::size_t round, const net::PartitionDelta& delta,
                      MessageSink<Payload>& sink)>
       on_partition;
-
-  /// Fault-layer callback: invoked serially in place of a down node's
-  /// local_update/collect each round it is held down (sync fabric
-  /// only; async nodes simply go dormant). DGD uses it to keep its
-  /// double-buffer coherent for skipped nodes.
-  std::function<void(topology::NodeId node)> node_skipped;
 
   /// Checkpoint hooks: serialize / restore everything the scheme owns
   /// that the fabric cannot see — trainer params + EXTRA memory, APE

@@ -169,11 +169,6 @@ class SyncFabric : public RoundFabric<Payload> {
         hooks.local_update(i);
       });
     }
-    if (config_.faults != nullptr && hooks.node_skipped) {
-      for (topology::NodeId i = 0; i < n; ++i) {
-        if (down(i)) hooks.node_skipped(i);
-      }
-    }
 
     // Filter/encode fans out into per-node staging slots ...
     if (hooks.collect) {
@@ -196,8 +191,6 @@ class SyncFabric : public RoundFabric<Payload> {
       }
       staged_[i].clear();
     }
-
-    if (hooks.after_send) hooks.after_send();
 
     deliver_waves(hooks, n, round);
   }

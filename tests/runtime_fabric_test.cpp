@@ -68,7 +68,6 @@ TEST(SyncFabricTest, WavesAccountingAndPhaseOrder) {
     if (i != 0) out.push_back({0, int(100 + i), 10});
     return out;
   };
-  hooks.after_send = [&] { order.push_back("after_send"); };
   hooks.mix = [&](topology::NodeId i, std::span<const Delivery<int>> in,
                   MessageSink<int>& sink) {
     if (in.empty()) return;
@@ -93,8 +92,8 @@ TEST(SyncFabricTest, WavesAccountingAndPhaseOrder) {
   EXPECT_EQ(hub_inbox[0], (std::vector<int>{101, 102, 103}));
   EXPECT_EQ(order,
             (std::vector<std::string>{"begin1", "update0", "update1",
-                                      "update2", "update3", "after_send",
-                                      "mix0", "mix1", "mix2", "mix3"}));
+                                      "update2", "update3", "mix0", "mix1",
+                                      "mix2", "mix3"}));
   // Ring of 4, hub at 0: spokes 1 and 3 are 1 hop away, spoke 2 is 2.
   EXPECT_EQ(result.total_bytes, 3u * 10 + 3u * 20);
   EXPECT_EQ(result.total_cost, (1u + 2 + 1) * 10 + (1u + 2 + 1) * 20);

@@ -8,7 +8,10 @@
 // exercise every backlog path — link bursts (merge while silent, drain
 // on recovery), gossip duty cycling with crashes, warm-start joins
 // (full-vector priming) and partitions (heal clears), sparsified links,
-// paced async, and a checkpoint resume (backlog save/load).
+// paced async, and a checkpoint resume (backlog save/load). Two more
+// pin SNAP's one synchronized EXTRA restart (every APE controller below
+// ε), straight through and across a checkpoint written on the restart
+// round itself.
 //
 // A deliberate trajectory change must re-record these constants and say
 // why in the change log; an accidental one fails here.
@@ -19,7 +22,9 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "core/snap_node.hpp"
 #include "experiments/scenario.hpp"
 #include "runtime/fabric.hpp"
 
@@ -194,6 +199,54 @@ TEST(TrajectoryFingerprintTest, GossipCheckpointResume) {
   fs::remove(path);
   // Resume is bitwise the uninterrupted run, so both pins are one value.
   EXPECT_EQ(fingerprint(resumed), 0x9d1b0dc51b1f716fULL);
+}
+
+// Long enough for every APE controller to decay below ε: the one
+// synchronized restart fires at round kApeRestartRound.
+constexpr std::size_t kApeRestartRound = 540;
+constexpr std::uint64_t kApeRestartFingerprint = 0x137484e757a91a24ULL;
+
+ScenarioConfig ape_restart() { return base(runtime::FabricKind::kSync, 560); }
+
+TEST(TrajectoryFingerprintTest, SyncApeThroughRestart) {
+  const ScenarioConfig cfg = ape_restart();
+  Scenario scenario(cfg);
+  std::size_t restart_round = 0;
+  scenario.set_snap_observer(
+      [&](std::size_t round, const std::vector<core::SnapNode>& nodes) {
+        if (restart_round == 0 && round > cfg.ape_warmup_iterations &&
+            nodes[0].iteration() == 0) {
+          restart_round = round;
+        }
+      });
+  const core::TrainResult result = scenario.run(Scheme::kSnap);
+  ASSERT_GT(restart_round, 0u) << "premise: the APE restart must fire";
+  EXPECT_EQ(restart_round, kApeRestartRound);
+  EXPECT_EQ(fingerprint(result), kApeRestartFingerprint);
+}
+
+TEST(TrajectoryFingerprintTest, SyncApeRestartCheckpointResume) {
+  // The checkpoint is written on the restart round, so the blob must
+  // already carry the restarted recursion.
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("snap-restart-" + std::to_string(::getpid()) + ".ckpt");
+  fs::remove(path);
+  ScenarioConfig first = ape_restart();
+  first.convergence.min_iterations = kApeRestartRound;
+  first.convergence.max_iterations = kApeRestartRound;
+  first.checkpoint.path = path.string();
+  first.checkpoint.every = kApeRestartRound / 2;
+  Scenario(first).run(Scheme::kSnap);
+  ASSERT_TRUE(fs::exists(path)) << "no checkpoint written";
+
+  ScenarioConfig second = ape_restart();
+  second.checkpoint.path = path.string();
+  second.checkpoint.every = kApeRestartRound / 2;
+  second.checkpoint.resume = true;
+  const core::TrainResult resumed = Scenario(second).run(Scheme::kSnap);
+  fs::remove(path);
+  EXPECT_EQ(fingerprint(resumed), kApeRestartFingerprint);
 }
 
 }  // namespace
