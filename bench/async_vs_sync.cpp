@@ -38,9 +38,9 @@ int main() {
   base.convergence.loss_tolerance = 0.0;  // fixed 40-round horizon
   base.convergence.max_iterations = 40;
   base.seed = 2020;
-  base.async_timing.compute_s = 5e-3;
-  base.async_timing.link_latency_s = 1e-3;
-  base.async_timing.nic_bandwidth_bytes_per_s = 1e9 / 8.0;
+  base.async.compute_s = 5e-3;
+  base.async.link_latency_s = 1e-3;
+  base.async.nic_bandwidth_bytes_per_s = 1e9 / 8.0;
 
   // --- 1. Fidelity: homogeneous async vs sync, per-scheme. -------------
   experiments::print_banner(
@@ -87,9 +87,9 @@ int main() {
                              "mean stale", "max stale", "final loss"});
   experiments::ScenarioConfig cfg = base;
   cfg.fabric = runtime::FabricKind::kAsync;
-  cfg.async_timing.node_compute_s = runtime::linear_compute_spread(
-      cfg.nodes, cfg.async_timing.compute_s, 2.0);
-  cfg.async_timing.compute_jitter = 0.1;
+  cfg.async.node_compute_s = runtime::linear_compute_spread(
+      cfg.nodes, cfg.async.compute_s, 2.0);
+  cfg.async.compute_jitter = 0.1;
   const experiments::Scenario scenario(cfg);
   double snap_time = 0.0;
   for (const Scheme scheme :

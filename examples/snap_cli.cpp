@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
   }
   cfg.faults.partition_confirm_rounds =
       std::stoul(get("partition-confirm", "1"));
-  cfg.fault_recovery.suspect_after_s =
+  cfg.recovery.suspect_after_s =
       std::stod(get("recovery-timeout", "0"));
   cfg.reproject_on_churn = !args.contains("no-reproject");
   cfg.latent_joiners = std::stoul(get("joiners", "0"));
@@ -359,21 +359,21 @@ int main(int argc, char** argv) {
   cfg.gossip.restart_every = std::stoul(get("gossip-restart", "16"));
   const double base_compute = std::stod(get("compute", "0.001"));
   const double hetero = std::stod(get("hetero", "0"));
-  cfg.async_timing.compute_s = base_compute;
+  cfg.async.compute_s = base_compute;
   if (hetero > 0.0) {
     // Latent joiners occupy node slots from round 1, so the per-node
     // timing vector must cover them too.
-    cfg.async_timing.node_compute_s = runtime::linear_compute_spread(
+    cfg.async.node_compute_s = runtime::linear_compute_spread(
         cfg.nodes + cfg.latent_joiners, base_compute, hetero);
   }
-  cfg.async_timing.compute_jitter = std::stod(get("jitter", "0"));
-  cfg.async_timing.link_latency_s = std::stod(get("latency", "0.001"));
-  cfg.async_timing.nic_bandwidth_bytes_per_s =
+  cfg.async.compute_jitter = std::stod(get("jitter", "0"));
+  cfg.async.link_latency_s = std::stod(get("latency", "0.001"));
+  cfg.async.nic_bandwidth_bytes_per_s =
       std::stod(get("bandwidth", "1.25e8"));
-  cfg.async_timing.max_staleness_rounds =
+  cfg.async.max_staleness_rounds =
       std::stoul(get("max-staleness", "0"));
   cfg.async_free_run = args.contains("free-run");
-  cfg.async_timing.seed = cfg.seed;
+  cfg.async.seed = cfg.seed;
 
   if (args.contains("sparsify")) {
     const std::string spec = get("sparsify", "");

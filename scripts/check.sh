@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Repo-wide check: the tier-1 build + full ctest suite, then ASan, TSan,
-# and UBSan builds of the runtime/net surface (event queue, mailbox,
-# fabric, thread pool, fault injector, wire-decoder fuzz, membership)
-# so the sanitizer wiring is exercised routinely, not just when someone
-# remembers.
+# Repo-wide check: the src/-vs-tests/oracle boundary, the tier-1 build +
+# full ctest suite, then ASan, TSan, and UBSan builds of the runtime/net
+# surface (event queue, mailbox, fabric, thread pool, fault injector,
+# wire-decoder fuzz, membership) so the sanitizer wiring is exercised
+# routinely, not just when someone remembers.
 #
 # Usage: scripts/check.sh [--fast | --san <address|thread|undefined>]
 #   --fast       skip the sanitizer builds (tier-1 only)
@@ -36,6 +36,18 @@ case "${1:-}" in
     exit 2
     ;;
 esac
+
+echo "==> boundary: src/ never uses the test-only oracle library"
+# tests/oracle holds the reference builders and ablation-only schemes
+# the suites compare against; production code must not depend on them.
+if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]oracle/' src; then
+  echo "error: a file under src/ includes an oracle/ header" >&2
+  exit 1
+fi
+if grep -rnw --include=CMakeLists.txt snap_oracle src; then
+  echo "error: a src/ CMake target links snap_oracle" >&2
+  exit 1
+fi
 
 echo "==> tier-1: configure + build + ctest (build/)"
 cmake -B build -S . >/dev/null

@@ -99,20 +99,13 @@ core::TrainResult train_parameter_server(
   const std::size_t round_samples =
       minibatch ? std::min(config.batch_size, max_shard) : max_shard;
 
-  runtime::FabricConfig fabric_config;
-  fabric_config.threads = config.threads;
-  fabric_config.graph = &graph;
-  fabric_config.convergence = config.convergence;
-  fabric_config.eval = config.eval;
-  fabric_config.timing = config.timing;
-  fabric_config.round_compute_flops =
-      runtime::gradient_flops(p, round_samples);
-  fabric_config.faults = injector ? &*injector : nullptr;
-  fabric_config.recovery = config.recovery;
-  fabric_config.checkpoint = config.checkpoint;
   using Payload = linalg::Vector;
-  auto fabric = runtime::make_fabric<Payload>(config.fabric, fabric_config,
-                                              config.async);
+  auto fabric = runtime::make_fabric<Payload>(
+      config.fabric,
+      runtime::fabric_config(config, config.eval, graph,
+                             injector ? &*injector : nullptr,
+                             runtime::gradient_flops(p, round_samples)),
+      config.async);
 
   // Round-scoped state. Every worker keeps its own copy of the global
   // model (they are identical under sync execution; under async a

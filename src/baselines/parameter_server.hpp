@@ -37,9 +37,20 @@ struct CompressedGradient {
 using GradientCompressor = std::function<CompressedGradient(
     const linalg::Vector& gradient, std::size_t worker)>;
 
-struct ParameterServerConfig {
+/// The shared run settings come from runtime::RunConfig. Worker churn
+/// degrades gracefully: the server aggregates whatever the surviving
+/// workers upload and re-pushes the model to restarted workers. A crash
+/// of the PS node itself is *not* supported — the scheme has no
+/// failover, which is precisely the single-point-of-failure contrast
+/// with SNAP's decentralized recovery — so scheduled crashes may not
+/// target the (seed-chosen) server node, and a random crash landing on
+/// it stalls the run until restart (or ends it early). Under kAsync the
+/// PS round stays barrier-synchronized by construction (workers wait for
+/// the push), so heterogeneity shows up purely as wall-clock time. A
+/// checkpoint (sync fabric only) carries the global model, every
+/// worker's copy, in-flight uploads, and the minibatch RNG stream.
+struct ParameterServerConfig : runtime::RunConfig {
   double alpha = 0.05;  ///< server-side gradient step size
-  core::ConvergenceCriteria convergence;
   core::EvalConfig eval;
   std::uint64_t seed = 1;
   /// Optional upload compressor (TernGrad installs one).
@@ -49,40 +60,6 @@ struct ParameterServerConfig {
   /// enables minibatching — that stochasticity is what its ternary
   /// quantizer amplifies.
   std::size_t batch_size = 0;
-  /// Threads for the per-worker gradient and loss evaluation (0 = one
-  /// per hardware thread). Results are bitwise identical for every
-  /// value: batch sampling, compression (stateful), accounting, and the
-  /// gradient average all run serially in worker order — only the pure
-  /// gradient/loss computations fan out.
-  std::size_t threads = 1;
-  /// Generalized fault process (net::FaultPlan; default fault-free).
-  /// Worker churn degrades gracefully: the server aggregates whatever
-  /// the surviving workers upload and re-pushes the model to restarted
-  /// workers. A crash of the PS node itself is *not* a supported
-  /// scenario — the scheme has no failover, which is precisely the
-  /// single-point-of-failure contrast with SNAP's decentralized
-  /// recovery — so scheduled crashes may not target the (seed-chosen)
-  /// server node, and a random crash landing on it simply stalls the
-  /// run until restart (or ends it early if the node never returns).
-  net::FaultPlan faults;
-  /// Recovery semantics when faults are active (async suspicion window,
-  /// bounded retransmission).
-  runtime::FaultRecoveryConfig recovery;
-  /// Execution engine (see SnapTrainerConfig::fabric). Under kAsync the
-  /// PS round stays barrier-synchronized by construction — workers wait
-  /// for the parameter push — so heterogeneity shows up purely as
-  /// wall-clock time: the round takes as long as the slowest worker
-  /// plus the incast-serialized uploads.
-  runtime::FabricKind fabric = runtime::FabricKind::kSync;
-  /// Heterogeneity model used when fabric == kAsync.
-  runtime::AsyncTimingConfig async;
-  /// Closed-form round timing that stamps sim_seconds under kSync.
-  runtime::TimingModel timing;
-  /// Round-aligned checkpointing (see FabricConfig::checkpoint). The PS
-  /// scheme serializes the global model, every worker's local copy,
-  /// in-flight gradient uploads, and the minibatch RNG stream, so a
-  /// resumed run continues the exact draw sequence. Sync fabric only.
-  runtime::CheckpointConfig checkpoint;
 };
 
 /// Runs the PS scheme over `graph` with one data shard per node.

@@ -505,14 +505,27 @@ bool SnapNode::load(common::ByteReader& reader) {
   mean_abs_initial_ = reader.read_f64();
   if (!reader.ok()) return false;
   // Shape consistency: everything slot-indexed must agree with the
-  // neighbor list, and the view slabs with dim_.
+  // neighbor list (strictly ascending, never the node itself), and
+  // every per-parameter vector with dim_ — collect_updates and
+  // reindex_views index them up to dim_ unchecked.
   const std::size_t deg = neighbors_.size();
+  for (std::size_t s = 0; s < deg; ++s) {
+    const bool ascending = s == 0 || neighbors_[s - 1] < neighbors_[s];
+    if (!ascending || neighbors_[s] == id_) return false;
+  }
+  for (const auto& [key, view] : parked_views_) {
+    if (view.current.size() != dim_ || view.previous.size() != dim_) {
+      return false;
+    }
+  }
   return w_neighbors_.size() == deg && fresh_.size() == deg &&
          fresh_previous_.size() == deg &&
          view_current_slab_.size() == deg * dim_ &&
          view_previous_slab_.size() == deg * dim_ &&
          w_neighbors_prev_.size() == neighbors_prev_.size() &&
-         x_current_.size() == dim_;
+         dim_ == model_->param_count() && x_current_.size() == dim_ &&
+         x_previous_.size() == dim_ && advertised_.size() == dim_ &&
+         (grad_previous_.empty() || grad_previous_.size() == dim_);
 }
 
 }  // namespace snap::core

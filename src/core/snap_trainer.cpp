@@ -330,19 +330,10 @@ class SnapScheme {
   /// Points at this scheme's fault injector: the scheme must outlive
   /// the fabric built from it.
   runtime::FabricConfig fabric_config() {
-    runtime::FabricConfig fabric;
-    fabric.threads = config_.threads;
-    fabric.graph = &graph_;
-    fabric.convergence = config_.convergence;
-    fabric.eval = config_.eval;
-    fabric.timing = config_.timing;
     // The slowest node (largest shard) bounds the shared round.
-    fabric.round_compute_flops =
-        runtime::gradient_flops(model_.param_count(), max_shard_);
-    fabric.faults = injector_ ? &*injector_ : nullptr;
-    fabric.recovery = config_.recovery;
-    fabric.checkpoint = config_.checkpoint;
-    return fabric;
+    return runtime::fabric_config(
+        config_, config_.eval, graph_, injector_ ? &*injector_ : nullptr,
+        runtime::gradient_flops(model_.param_count(), max_shard_));
   }
 
   /// The only place that knows RoundHooks. `socket` is the fabric's
@@ -1012,6 +1003,10 @@ class SnapScheme {
   bool load_state(common::ByteReader& reader) {
     for (SnapNode& node : nodes_) {
       if (!node.load(reader)) return false;
+      // Ascending (checked by load), so the last id bounds them all.
+      if (!node.neighbors().empty() && node.neighbors().back() >= n_) {
+        return false;
+      }
     }
     for (topology::NodeId i = 0; i < n_; ++i) {
       const bool armed = reader.read_u8() != 0;

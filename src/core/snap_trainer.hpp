@@ -30,7 +30,11 @@
 
 namespace snap::core {
 
-struct SnapTrainerConfig {
+/// The shared run settings (convergence, threads, faults, recovery,
+/// fabric, async, timing, checkpoint) come from runtime::RunConfig. A
+/// crash freezes the node (pause-resume: its state survives, in-flight
+/// frames don't).
+struct SnapTrainerConfig : runtime::RunConfig {
   double alpha = 0.05;                ///< EXTRA step size
   FilterMode filter = FilterMode::kApe;
   ApeConfig ape;                      ///< used when filter == kApe
@@ -41,16 +45,7 @@ struct SnapTrainerConfig {
   /// parameter (SNAP-0 behaviour), which is what the early iterations
   /// do anyway since every change dwarfs any reasonable threshold.
   std::size_t ape_warmup_iterations = 5;
-  ConvergenceCriteria convergence;
   EvalConfig eval;
-  /// Generalized fault process: bursty link outages, scheduled/random
-  /// node crash-restart, frame corruption (net::FaultPlan). Default is
-  /// fault-free. A crash freezes the node (pause-resume semantics: its
-  /// state survives, in-flight frames don't).
-  net::FaultPlan faults;
-  /// Recovery semantics when faults are active: async suspicion window
-  /// and bounded retransmission.
-  runtime::FaultRecoveryConfig recovery;
   /// Self-healing on confirmed churn: re-project W onto the surviving
   /// topology (weight_reprojection) and restart the EXTRA recursion from
   /// the current iterates. Disable only for ablations — without it the
@@ -68,21 +63,6 @@ struct SnapTrainerConfig {
   StragglerPolicy straggler_policy = StragglerPolicy::kReweight;
   /// Seeds model initialization and failure sampling.
   std::uint64_t seed = 1;
-  /// Threads for the embarrassingly-parallel per-node phases of each
-  /// round (local updates, filtering, loss evaluation). 0 = one per
-  /// hardware thread, 1 = fully serial. Results are bitwise identical
-  /// for every value: parallel regions only write per-node slots of
-  /// preallocated buffers, and every reduction (byte accounting,
-  /// mailbox delivery, loss/mean/residual folds) runs serially in fixed
-  /// node order afterwards.
-  std::size_t threads = 1;
-  /// Execution engine. kSync is the paper's shared-clock exchange
-  /// (default, bitwise-deterministic); kAsync runs the same phase hooks
-  /// event-driven with per-node compute times and per-link
-  /// latency/bandwidth from `async`.
-  runtime::FabricKind fabric = runtime::FabricKind::kSync;
-  /// Heterogeneity model used when fabric == kAsync.
-  runtime::AsyncTimingConfig async;
   /// Activation scheduler used when fabric == kGossip: each round only
   /// a sparse activated link subset (random matching or per-node
   /// fan-out) exchanges frames, the node rows are rebuilt as
@@ -100,8 +80,6 @@ struct SnapTrainerConfig {
   /// AsyncTimingConfig::max_staleness_rounds as the only brake) for
   /// staleness experiments.
   bool async_free_run = false;
-  /// Closed-form round timing that stamps sim_seconds under kSync.
-  runtime::TimingModel timing;
   /// Delivery backend. kSim (default) runs in-process on the
   /// deterministic RoundMailbox oracle; kUds/kTcp runs this process as
   /// shard `transport.shard_id` of `transport.shards`, carrying
@@ -111,15 +89,6 @@ struct SnapTrainerConfig {
   /// OS-level byte counts differ. Socket backends require a sync or
   /// gossip fabric.
   net::TransportConfig transport;
-  /// Round-aligned crash checkpointing (sync/gossip fabrics only):
-  /// `checkpoint.every > 0` writes a RunCheckpoint to `checkpoint.path`
-  /// after every such round; `checkpoint.resume` restores from it before
-  /// round 1 (missing file = cold start, i.e. replay from round 0). The
-  /// blob carries the complete trainer state — node iterates/views, APE
-  /// controllers, membership masks, gossip backlog — plus fabric series
-  /// and transport wire positions, so a resumed run is bitwise identical
-  /// to one that never stopped.
-  runtime::CheckpointConfig checkpoint;
   /// Cost-aware topology sparsification (sync/gossip fabrics only).
   /// When enabled, the trainer prunes the mixing topology under the
   /// configured SLEM/cost budget before round 1 — replacing the

@@ -172,13 +172,10 @@ Scenario::Scenario(const ScenarioConfig& config)
 
 Scenario::~Scenario() = default;
 
-core::TrainResult Scenario::run(Scheme scheme) const {
-  return run(scheme, impl_->config.convergence);
-}
-
 core::TrainResult Scenario::run(
-    Scheme scheme, const core::ConvergenceCriteria& criteria) const {
+    Scheme scheme, std::optional<core::ConvergenceCriteria> criteria) const {
   const ScenarioConfig& cfg = impl_->config;
+  if (!criteria) criteria = cfg.convergence;
   // Only the SNAP family speaks the SnapWire codec; the reference and
   // PS baselines have no socket payload codec, so a sharded run that
   // reaches them is a misconfiguration worth failing loudly on.
@@ -192,7 +189,7 @@ core::TrainResult Scenario::run(
     case Scheme::kCentralized: {
       baselines::CentralizedConfig c;
       c.alpha = cfg.alpha;
-      c.convergence = criteria;
+      c.convergence = *criteria;
       c.seed = cfg.seed;
       return baselines::train_centralized(*impl_->model,
                                           impl_->pooled_train, impl_->test,
@@ -207,37 +204,16 @@ core::TrainResult Scenario::run(
     case Scheme::kSno:
       return run_snap_variant(core::FilterMode::kSendAll, true,
                               cfg.link_failure_probability, criteria);
-    case Scheme::kPs: {
-      baselines::ParameterServerConfig c;
-      c.alpha = cfg.alpha;
-      c.convergence = criteria;
-      c.seed = cfg.seed;
-      c.threads = cfg.threads;
-      c.faults = cfg.faults;
-      c.recovery = cfg.fault_recovery;
-      c.fabric = cfg.fabric;
-      c.async = cfg.async_timing;
-      c.timing = cfg.timing;
-      c.checkpoint = cfg.checkpoint;
-      return baselines::train_parameter_server(impl_->graph, *impl_->model,
-                                               impl_->shards, impl_->test,
-                                               c);
-    }
+    case Scheme::kPs:
     case Scheme::kTernGrad: {
       baselines::ParameterServerConfig c;
+      static_cast<runtime::RunConfig&>(c) = cfg;
+      c.convergence = *criteria;
       c.alpha = cfg.alpha;
-      c.convergence = criteria;
       c.seed = cfg.seed;
-      c.threads = cfg.threads;
-      c.faults = cfg.faults;
-      c.recovery = cfg.fault_recovery;
-      c.fabric = cfg.fabric;
-      c.async = cfg.async_timing;
-      c.timing = cfg.timing;
-      c.checkpoint = cfg.checkpoint;
       return baselines::train_parameter_server(
           impl_->graph, *impl_->model, impl_->shards, impl_->test,
-          baselines::terngrad_config(c));
+          scheme == Scheme::kTernGrad ? baselines::terngrad_config(c) : c);
     }
   }
   SNAP_ASSERT(false);
@@ -246,35 +222,18 @@ core::TrainResult Scenario::run(
 
 core::TrainResult Scenario::run_snap_variant(
     core::FilterMode filter, bool optimized_weights,
-    double link_failure_probability) const {
-  return run_snap_variant(filter, optimized_weights,
-                          link_failure_probability,
-                          impl_->config.convergence);
-}
-
-core::TrainResult Scenario::run_snap_variant(
-    core::FilterMode filter, bool optimized_weights,
     double link_failure_probability,
-    const core::ConvergenceCriteria& criteria) const {
-  return run_snap_variant(filter, optimized_weights,
-                          link_failure_probability, criteria,
-                          core::StragglerPolicy::kReweight);
-}
-
-core::TrainResult Scenario::run_snap_variant(
-    core::FilterMode filter, bool optimized_weights,
-    double link_failure_probability,
-    const core::ConvergenceCriteria& criteria,
+    std::optional<core::ConvergenceCriteria> criteria,
     core::StragglerPolicy straggler_policy) const {
   const ScenarioConfig& cfg = impl_->config;
   core::SnapTrainerConfig c;
+  static_cast<runtime::RunConfig&>(c) = cfg;
+  if (criteria) c.convergence = *criteria;
   c.straggler_policy = straggler_policy;
   c.alpha = cfg.alpha;
   c.filter = filter;
   c.ape = cfg.ape;
   c.ape_warmup_iterations = cfg.ape_warmup_iterations;
-  c.convergence = criteria;
-  c.faults = cfg.faults;
   // The legacy Fig. 9 straggler knob folds into the fault plan as a
   // memoryless link chain (same fork, same draw stream), unless the plan
   // already sets its own link bursts.
@@ -284,18 +243,12 @@ core::TrainResult Scenario::run_snap_variant(
     c.faults.link_enter_burst = legacy.link_enter_burst;
     c.faults.link_exit_burst = legacy.link_exit_burst;
   }
-  c.recovery = cfg.fault_recovery;
   c.reproject_on_churn = cfg.reproject_on_churn;
   c.warm_start_joins = cfg.warm_start_joins;
   c.seed = cfg.seed;
-  c.threads = cfg.threads;
-  c.fabric = cfg.fabric;
-  c.async = cfg.async_timing;
   c.async_free_run = cfg.async_free_run;
   c.gossip = cfg.gossip;
-  c.timing = cfg.timing;
   c.transport = cfg.transport;
-  c.checkpoint = cfg.checkpoint;
   c.sparsify = cfg.sparsify;
   core::SnapTrainer trainer =
       optimized_weights

@@ -44,7 +44,10 @@ enum class Workload {
   kMnistMlp,   ///< testbed: 784–30–10 MLP
 };
 
-struct ScenarioConfig {
+/// The shared run settings come from runtime::RunConfig; Scenario
+/// forwards them to the SNAP family and the PS baselines (the
+/// centralized reference takes only `convergence`).
+struct ScenarioConfig : runtime::RunConfig {
   Workload workload = Workload::kCreditSvm;
   std::size_t nodes = 60;        ///< paper default
   double average_degree = 3.0;   ///< paper default
@@ -72,7 +75,6 @@ struct ScenarioConfig {
   std::size_t test_samples = 0;
 
   double alpha = 0.3;  ///< step size shared by all schemes
-  core::ConvergenceCriteria convergence;
   core::ApeConfig ape;
   /// Iterations before the APE controllers are armed (the budget is
   /// anchored to the mean |parameter| at this point; see
@@ -80,16 +82,9 @@ struct ScenarioConfig {
   std::size_t ape_warmup_iterations = 5;
   /// Per-round probability that a link drops both directions' frames
   /// (the Fig. 9 straggler knob). The SNAP family folds it into `faults`
-  /// as a memoryless link plan when the plan sets no link bursts itself.
+  /// as a memoryless link plan when the plan sets no link bursts itself;
+  /// the PS baselines see `faults` alone.
   double link_failure_probability = 0.0;
-  /// Generalized fault process threaded into every scheme that takes
-  /// one (SNAP family and the PS baselines): bursty link outages,
-  /// scheduled/random node churn, frame corruption. Default fault-free;
-  /// `link_failure_probability` above stays the legacy memoryless knob.
-  net::FaultPlan faults;
-  /// Recovery semantics when faults are active (async suspicion window,
-  /// bounded retransmission).
-  runtime::FaultRecoveryConfig fault_recovery;
   /// SNAP self-healing on confirmed churn (see
   /// SnapTrainerConfig::reproject_on_churn).
   bool reproject_on_churn = true;
@@ -105,19 +100,8 @@ struct ScenarioConfig {
   /// SnapTrainerConfig::warm_start_joins). The cold ablation knob.
   bool warm_start_joins = true;
   consensus::WeightOptimizerConfig weight_optimizer;
-  /// Threads for the per-node phases of every scheme's round (0 = one
-  /// per hardware thread). Results are bitwise identical for every
-  /// value — see SnapTrainerConfig::threads.
-  std::size_t threads = 1;
   std::uint64_t seed = 2020;  ///< venue year — printed by every bench
 
-  /// Execution engine for the decentralized schemes (ignored by
-  /// kCentralized): kSync is the paper's shared-clock round, kAsync the
-  /// event-driven runtime where frames arrive when they arrive.
-  runtime::FabricKind fabric = runtime::FabricKind::kSync;
-  /// Heterogeneity model (per-node compute, NIC bandwidth, link
-  /// latency) used when fabric == kAsync.
-  runtime::AsyncTimingConfig async_timing;
   /// Activation scheduler (matching / push-pull, fan-out, seed) used by
   /// the SNAP family when fabric == kGossip. The PS baselines ignore it
   /// — a star topology degenerates to the sync exchange.
@@ -126,18 +110,12 @@ struct ScenarioConfig {
   /// gate and let every node free-run (staleness experiments; EXTRA
   /// diverges under persistent view skew, so default off).
   bool async_free_run = false;
-  /// Closed-form round timing that stamps sim_seconds under kSync.
-  runtime::TimingModel timing;
   /// Delivery backend for the SNAP family (see
   /// SnapTrainerConfig::transport): kSim is the in-process oracle;
   /// kUds/kTcp runs this process as one shard of a multi-process run.
   /// The centralized reference and the PS baselines are sim-only —
   /// running them under a socket transport is a contract violation.
   net::TransportConfig transport;
-  /// Round-aligned crash checkpointing for the SNAP family and the PS
-  /// baselines (see SnapTrainerConfig::checkpoint): write every N
-  /// rounds, resume from the latest blob on restart.
-  runtime::CheckpointConfig checkpoint;
   /// Cost-aware topology sparsification for the SNAP family (see
   /// SnapTrainerConfig::sparsify): prune the mixing topology under a
   /// SLEM/cost budget before round 1 and at every membership/partition
@@ -160,32 +138,22 @@ class Scenario {
   /// centralized/PS schemes. Pass nullptr to clear.
   void set_snap_observer(core::IterationObserver observer);
 
-  /// Runs one scheme on this scenario's fixed workload/topology.
-  core::TrainResult run(Scheme scheme) const;
-
-  /// Same, with the convergence criteria overridden (e.g. target-loss
-  /// mode for the cross-scheme sweeps).
-  core::TrainResult run(Scheme scheme,
-                        const core::ConvergenceCriteria& criteria) const;
+  /// Runs one scheme on this scenario's fixed workload/topology, with
+  /// the config's convergence criteria unless `criteria` overrides them
+  /// (e.g. target-loss mode for the cross-scheme sweeps).
+  core::TrainResult run(
+      Scheme scheme,
+      std::optional<core::ConvergenceCriteria> criteria = std::nullopt) const;
 
   /// Runs a SNAP-family variant with explicit knobs (used by the Fig. 5
-  /// weight-matrix ablation and the Fig. 9 straggler sweep).
-  core::TrainResult run_snap_variant(core::FilterMode filter,
-                                     bool optimized_weights,
-                                     double link_failure_probability) const;
-
-  /// Same, with the convergence criteria overridden.
+  /// weight-matrix ablation and the Fig. 9 straggler sweep); `criteria`
+  /// overrides the config's as in run().
   core::TrainResult run_snap_variant(
       core::FilterMode filter, bool optimized_weights,
       double link_failure_probability,
-      const core::ConvergenceCriteria& criteria) const;
-
-  /// Full-control variant: also selects the straggler policy.
-  core::TrainResult run_snap_variant(
-      core::FilterMode filter, bool optimized_weights,
-      double link_failure_probability,
-      const core::ConvergenceCriteria& criteria,
-      core::StragglerPolicy straggler_policy) const;
+      std::optional<core::ConvergenceCriteria> criteria = std::nullopt,
+      core::StragglerPolicy straggler_policy =
+          core::StragglerPolicy::kReweight) const;
 
   /// The centralized scheme's converged training loss on this workload
   /// (computed once, then cached). The sweeps use

@@ -461,13 +461,6 @@ class SocketTransport final : public Transport<Payload> {
     return true;
   }
 
- protected:
-  void enqueue(topology::NodeId /*from*/, topology::NodeId /*to*/,
-               Payload /*payload*/) override {
-    // post() is fully overridden; the base never routes through here.
-    SNAP_REQUIRE_MSG(false, "SocketTransport::enqueue is unreachable");
-  }
-
  private:
   /// A cross-shard frame posted since the last flip.
   struct Crossing {

@@ -146,14 +146,11 @@ class Transport {
   /// not owned; must outlive the transport's last post.
   void attach_cost(CostTracker* cost) noexcept { cost_ = cost; }
 
-  /// Charges and queues one frame for delivery at the next flip.
-  /// wire_bytes == 0 marks a free co-located hand-off (no charge).
+  /// Charges (charge()) and queues one frame for delivery at the next
+  /// flip. wire_bytes == 0 marks a free co-located hand-off (no charge).
   virtual void post(topology::NodeId from, topology::NodeId to,
                     Payload payload, std::size_t wire_bytes,
-                    bool state_sync) {
-    charge(from, to, wire_bytes, state_sync);
-    enqueue(from, to, std::move(payload));
-  }
+                    bool state_sync) = 0;
 
   /// Charges a frame that crossed the wire but is never delivered
   /// (fault-injected corruption): identical accounting on every
@@ -219,11 +216,6 @@ class Transport {
     return true;
   }
 
- protected:
-  /// Queues one already-charged frame.
-  virtual void enqueue(topology::NodeId from, topology::NodeId to,
-                       Payload payload) = 0;
-
  private:
   CostTracker* cost_ = nullptr;
   std::uint64_t state_sync_bytes_ = 0;
@@ -244,16 +236,15 @@ class SimTransport final : public Transport<Payload> {
   std::size_t node_count() const noexcept override {
     return mailbox_.node_count();
   }
+  void post(topology::NodeId from, topology::NodeId to, Payload payload,
+            std::size_t wire_bytes, bool state_sync) override {
+    this->charge(from, to, wire_bytes, state_sync);
+    mailbox_.post(from, to, std::move(payload));
+  }
   void flip_round() override { mailbox_.flip_round(); }
   const std::vector<Message>& inbox(
       topology::NodeId node) const override {
     return mailbox_.inbox(node);
-  }
-
- protected:
-  void enqueue(topology::NodeId from, topology::NodeId to,
-               Payload payload) override {
-    mailbox_.post(from, to, std::move(payload));
   }
 
  private:

@@ -74,6 +74,23 @@ core::IterationStats shared_round_stats(const RoundEval& eval,
   return stats;
 }
 
+FabricConfig fabric_config(const RunConfig& run, const core::EvalConfig& eval,
+                           const topology::Graph& graph,
+                           net::FaultInjector* injector,
+                           double round_compute_flops) {
+  FabricConfig config;
+  config.threads = run.threads;
+  config.graph = &graph;
+  config.convergence = run.convergence;
+  config.eval = eval;
+  config.timing = run.timing;
+  config.round_compute_flops = round_compute_flops;
+  config.faults = injector;
+  config.recovery = run.recovery;
+  config.checkpoint = run.checkpoint;
+  return config;
+}
+
 bool measures_accuracy(const FabricConfig& config, std::size_t round) {
   return round % std::max<std::size_t>(config.eval.every, 1) == 0 ||
          round == config.convergence.max_iterations;

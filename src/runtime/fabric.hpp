@@ -1,7 +1,7 @@
 // Pluggable round fabric — the execution layer under every trainer.
 //
-// The paper's algorithms (SNAP's filtered EXTRA, DGD, the parameter
-// server) are *round-structured*: each node repeatedly runs
+// The paper's algorithms (SNAP's filtered EXTRA, the parameter server,
+// and the test-only DGD baseline) are *round-structured*: each node repeatedly runs
 //     local update → filter/encode → deliver → mix → evaluate.
 // What used to be four hand-rolled copies of that loop is now one
 // algorithm-side contract (RoundHooks) executed by a RoundFabric:
@@ -212,8 +212,8 @@ struct RoundHooks {
   /// begin_round — by GossipFabric only. A scheme that participates in
   /// gossip transmits only on these links and builds its per-activation
   /// effective mixing from them; a scheme that leaves this unset is run
-  /// with full sync semantics (the degenerate path — DGD and the
-  /// parameter server ignore the activation schedule entirely).
+  /// with full sync semantics (the degenerate path — the parameter
+  /// server ignores the activation schedule entirely).
   std::function<void(std::size_t round,
                      std::span<const ActivatedLink> links)>
       on_activation;
@@ -322,12 +322,48 @@ inline double bounded_backoff(const FaultRecoveryConfig& recovery,
   return scaled < cap ? scaled : cap;
 }
 
+/// The run settings every trainer takes (SNAP, the parameter server,
+/// and the Scenario harness that forwards them to either).
+struct RunConfig {
+  core::ConvergenceCriteria convergence;
+  /// Threads for the per-node phases of each round (0 = one per
+  /// hardware thread, 1 = fully serial). Results are bitwise identical
+  /// for every value: parallel regions write only per-node slots, and
+  /// every reduction (byte accounting, mailbox delivery, loss/mean/
+  /// residual folds) runs serially in fixed node order afterwards.
+  std::size_t threads = 1;
+  /// Generalized fault process: bursty link outages, scheduled/random
+  /// node crash-restart and join/leave, frame corruption
+  /// (net::FaultPlan). Default fault-free.
+  net::FaultPlan faults;
+  /// Recovery semantics when faults are active (async suspicion window,
+  /// bounded retransmission).
+  FaultRecoveryConfig recovery;
+  /// Execution engine: kSync is the paper's shared-clock exchange
+  /// (bitwise-deterministic), kAsync the event-driven runtime timed by
+  /// `async`, kGossip a sparse activated link subset per tick.
+  FabricKind fabric = FabricKind::kSync;
+  /// Heterogeneity model (per-node compute, NIC bandwidth, link
+  /// latency) used when fabric == kAsync.
+  AsyncTimingConfig async;
+  /// Closed-form round timing that stamps sim_seconds under kSync.
+  TimingModel timing;
+  /// Round-aligned crash checkpointing (sync/gossip fabrics only):
+  /// `checkpoint.every > 0` writes a RunCheckpoint to `checkpoint.path`
+  /// after every such round; `checkpoint.resume` restores from it before
+  /// round 1 (missing file = cold start). The blob carries the complete
+  /// scheme state, so a resumed run is bitwise identical to one that
+  /// never stopped.
+  CheckpointConfig checkpoint;
+};
+
 /// Everything a fabric needs besides the algorithm itself.
 struct FabricConfig {
   /// Thread-pool width for the parallel phases (0 = hardware threads).
   std::size_t threads = 1;
   /// Topology for byte/cost accounting and hop-aware latency. nullptr
-  /// disables accounting (DGD's abstract mixing-matrix mode).
+  /// disables accounting (an abstract mixing-matrix run, as the
+  /// test-only DGD baseline does).
   const topology::Graph* graph = nullptr;
   core::ConvergenceCriteria convergence;
   core::EvalConfig eval;
@@ -350,6 +386,14 @@ struct FabricConfig {
   /// align a checkpoint on.
   CheckpointConfig checkpoint;
 };
+
+/// The FabricConfig a trainer runs `run` with over `graph`. `injector`
+/// (nullptr = fault-free) is borrowed and must outlive the fabric;
+/// `round_compute_flops` is the slowest node's per-round gradient cost.
+FabricConfig fabric_config(const RunConfig& run, const core::EvalConfig& eval,
+                           const topology::Graph& graph,
+                           net::FaultInjector* injector,
+                           double round_compute_flops);
 
 /// The IterationStats columns every fabric derives the same way for
 /// `round`: the evaluation, the CostTracker tallies (this closes the

@@ -9,10 +9,10 @@
 // `on_activation` hook before the round's phases run. Schemes that
 // understand the hook (SNAP/EXTRA trainers) restrict their sends to the
 // activated links and rebuild their mixing rows on the activated
-// subgraph; schemes that leave the hook unset (the parameter server,
-// plain DGD configured without it) get bitwise-identical sync-fabric
-// behavior — the degenerate path the topology makes natural, since a
-// star's "matching" would serialize the star anyway.
+// subgraph; schemes that leave the hook unset (the parameter server)
+// get bitwise-identical sync-fabric behavior — the degenerate path the
+// topology makes natural, since a star's "matching" would serialize the
+// star anyway.
 //
 // Determinism: the activation set is a pure function of (seed, graph,
 // membership epoch, round) — see runtime/gossip.hpp. The draw happens

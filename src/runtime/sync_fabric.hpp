@@ -82,8 +82,9 @@ class SyncFabric : public RoundFabric<Payload> {
 
   /// Executes exactly one synchronous round — message exchange
   /// included, evaluation/stats excluded. `round` is 1-based. This is
-  /// the step-driven entry point (DgdIteration::step); run() composes
-  /// it with the measurement machinery.
+  /// the step-driven entry point for callers that drive rounds
+  /// themselves (the test-only DGD baseline); run() composes it with
+  /// the measurement machinery.
   void step_round(RoundHooks<Payload>& hooks, std::size_t round) {
     const std::size_t n = hooks.node_count;
     SNAP_REQUIRE(n > 0);

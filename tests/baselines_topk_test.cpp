@@ -1,4 +1,4 @@
-#include "baselines/topk.hpp"
+#include "oracle/topk.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,9 @@
 namespace snap::baselines {
 namespace {
 
+using oracle::make_topk_compressor;
+using oracle::sparsify_top_k;
+using oracle::topk_config;
 using snap::testing::QuadraticModel;
 using snap::testing::point_shard;
 

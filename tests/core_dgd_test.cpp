@@ -1,6 +1,6 @@
 // DGD baseline and the EXTRA-vs-DGD exactness gap (the quantitative
 // reason the paper builds on EXTRA, §IV-A).
-#include "core/dgd.hpp"
+#include "oracle/dgd.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 
 namespace snap::core {
 namespace {
+
+using oracle::DgdIteration;
 
 struct QuadraticOracle {
   std::vector<linalg::Vector> centers;

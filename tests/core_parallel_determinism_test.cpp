@@ -9,8 +9,8 @@
 #include "baselines/terngrad.hpp"
 #include "common/rng.hpp"
 #include "consensus/weight_matrix.hpp"
-#include "core/dgd.hpp"
 #include "core/snap_trainer.hpp"
+#include "oracle/dgd.hpp"
 #include "support/bitwise_result.hpp"
 #include "support/quadratic_model.hpp"
 #include "topology/generators.hpp"
@@ -18,6 +18,7 @@
 namespace snap::core {
 namespace {
 
+using oracle::DgdIteration;
 using snap::testing::QuadraticModel;
 using snap::testing::bits_of;
 using snap::testing::expect_bitwise_equal;

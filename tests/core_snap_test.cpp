@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/binary_io.hpp"
 #include "common/check.hpp"
@@ -81,6 +84,49 @@ TEST(SnapNodeTest, LoadRejectsCountThatWrapsTheByteSize) {
   common::ByteWriter writer;
   writer.write_u64(std::uint64_t{1} << 61);
   common::ByteReader reader(writer.bytes());
+  EXPECT_FALSE(node.load(reader));
+}
+
+TEST(SnapNodeTest, LoadRejectsAdvertisedShorterThanDim) {
+  QuadraticModel model(2);
+  SnapNode node(0, model, point_shard(linalg::Vector{0.0, 0.0}), {},
+                {}, 1.0);
+  node.set_initial(linalg::Vector{7.5, -3.25});
+  common::ByteWriter writer;
+  node.save(writer);
+  std::vector<std::byte> blob(writer.bytes().begin(), writer.bytes().end());
+  // Blob prefix for a node with no neighbors: four empty u64-counted
+  // lists and two f64 self weights (48 bytes), the dirty flag (1), then
+  // x_previous_ and x_current_ (count + 2 doubles each) and the empty
+  // grad_previous_ (count only).
+  constexpr std::size_t kDim = 2;
+  constexpr std::size_t kAdvertised = 49 + 2 * (8 + 8 * kDim) + 8;
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, blob.data() + at, sizeof value);
+    return value;
+  };
+  ASSERT_EQ(u64_at(kAdvertised), kDim);
+  ASSERT_EQ(u64_at(kAdvertised + 8 + 8 * kDim), kDim);  // dim_ follows
+  {
+    common::ByteReader intact(blob);
+    ASSERT_TRUE(node.load(intact));
+  }
+  {
+    // Self-consistent, but shaped for another model.
+    QuadraticModel wider(3);
+    SnapNode other(0, wider, point_shard(linalg::Vector{0.0, 0.0, 0.0}),
+                   {}, {}, 1.0);
+    common::ByteReader intact(blob);
+    EXPECT_FALSE(other.load(intact));
+  }
+  // Splice one double out of the advertised_ block: the blob stays
+  // well-formed, but collect_updates would index advertised_[1].
+  const std::uint64_t shorter = kDim - 1;
+  std::memcpy(blob.data() + kAdvertised, &shorter, sizeof shorter);
+  const auto first_value = blob.begin() + kAdvertised + 8;
+  blob.erase(first_value, first_value + 8);
+  common::ByteReader reader(blob);
   EXPECT_FALSE(node.load(reader));
 }
 

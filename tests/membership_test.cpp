@@ -15,11 +15,11 @@
 #include "common/rng.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "consensus/weight_reprojection.hpp"
-#include "core/dgd.hpp"
 #include "core/training.hpp"
 #include "experiments/scenario.hpp"
 #include "net/fault_injector.hpp"
 #include "net/frame.hpp"
+#include "oracle/dgd.hpp"
 #include "runtime/fabric.hpp"
 #include "topology/generators.hpp"
 
@@ -255,7 +255,7 @@ TEST(MembershipTest, DgdGrowPathAdoptsMatrixAndParams) {
     targets.push_back(t);
     x0.push_back(linalg::Vector(2));
   }
-  core::DgdIteration dgd(
+  oracle::DgdIteration dgd(
       w_initial, x0, /*alpha=*/0.2,
       [&](std::size_t node, const linalg::Vector& x) {
         linalg::Vector grad(2);

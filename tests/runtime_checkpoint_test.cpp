@@ -22,10 +22,10 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "consensus/weight_matrix.hpp"
-#include "core/dgd.hpp"
 #include "experiments/scenario.hpp"
 #include "runtime/fabric.hpp"
 #include "ml/checkpoint.hpp"
+#include "oracle/dgd.hpp"
 #include "runtime/run_checkpoint.hpp"
 #include "support/bitwise_result.hpp"
 #include "topology/generators.hpp"
@@ -274,14 +274,14 @@ TEST(RuntimeCheckpointTest, DgdSaveLoadContinuesBitwise) {
     return g;
   };
 
-  core::DgdIteration original(w, init, 0.1, gradient);
+  oracle::DgdIteration original(w, init, 0.1, gradient);
   for (int i = 0; i < 4; ++i) original.step();
 
   common::ByteWriter writer;
   original.save(writer);
   const std::vector<std::byte> blob = writer.take();
 
-  core::DgdIteration restored(w, init, 0.1, gradient);
+  oracle::DgdIteration restored(w, init, 0.1, gradient);
   common::ByteReader reader(blob);
   ASSERT_TRUE(restored.load(reader));
   EXPECT_EQ(reader.remaining(), 0u);
@@ -306,7 +306,7 @@ TEST(RuntimeCheckpointTest, DgdLoadRejectsShapeMismatchAndTruncation) {
   const auto gradient = [](std::size_t, const linalg::Vector& x) {
     return x;
   };
-  core::DgdIteration four(
+  oracle::DgdIteration four(
       w, std::vector<linalg::Vector>(4, linalg::Vector(2)), 0.1, gradient);
 
   common::ByteWriter writer;
@@ -315,14 +315,14 @@ TEST(RuntimeCheckpointTest, DgdLoadRejectsShapeMismatchAndTruncation) {
 
   // Wrong node count.
   const auto graph3 = topology::make_ring(3);
-  core::DgdIteration three(consensus::max_degree_weights(graph3),
+  oracle::DgdIteration three(consensus::max_degree_weights(graph3),
                            std::vector<linalg::Vector>(3, linalg::Vector(2)),
                            0.1, gradient);
   common::ByteReader mismatched(blob);
   EXPECT_FALSE(three.load(mismatched));
 
   // Truncated payload.
-  core::DgdIteration target(
+  oracle::DgdIteration target(
       w, std::vector<linalg::Vector>(4, linalg::Vector(2)), 0.1, gradient);
   common::ByteReader truncated(
       std::span<const std::byte>(blob.data(), blob.size() / 2));
@@ -466,6 +466,12 @@ TEST(RuntimeCheckpointTest, SnapLoadRejectsOutOfRangeIds) {
       << "backlog parameter index >= total_params accepted";
   EXPECT_TRUE(patched_resume_throws(layout->first_prev, 8, n))
       << "prev_links endpoint >= n accepted";
+  // The blob opens with node 0's neighbor list (u64 count, u64 ids,
+  // ascending): raising the last id to n keeps it ascending.
+  const std::uint64_t degree0 = u64_at(saved->algorithm_state, 0);
+  ASSERT_GT(degree0, 0u);
+  EXPECT_TRUE(patched_resume_throws(8 * degree0, 8, n))
+      << "node neighbor id >= n accepted";
   fs::remove(path);
 }
 

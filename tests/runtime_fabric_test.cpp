@@ -147,7 +147,7 @@ TEST(AsyncFabricTest, HomogeneousSnapMatchesSyncTrajectory) {
   const auto sync = sync_scenario.run(experiments::Scheme::kSnap);
 
   cfg.fabric = FabricKind::kAsync;
-  cfg.async_timing = homogeneous_fast_links();
+  cfg.async = homogeneous_fast_links();
   const experiments::Scenario async_scenario(cfg);
   const auto async = async_scenario.run(experiments::Scheme::kSnap);
 
@@ -173,7 +173,7 @@ TEST(AsyncFabricTest, HomogeneousPsMatchesSyncTrajectory) {
   const auto sync = sync_scenario.run(experiments::Scheme::kPs);
 
   cfg.fabric = FabricKind::kAsync;
-  cfg.async_timing = homogeneous_fast_links();
+  cfg.async = homogeneous_fast_links();
   const experiments::Scenario async_scenario(cfg);
   const auto async = async_scenario.run(experiments::Scheme::kPs);
 
@@ -193,11 +193,11 @@ TEST(AsyncFabricTest, HomogeneousPsMatchesSyncTrajectory) {
 TEST(AsyncFabricTest, HeterogeneousRunsAreDeterministic) {
   experiments::ScenarioConfig cfg = small_scenario();
   cfg.fabric = FabricKind::kAsync;
-  cfg.async_timing.compute_s = 1e-3;
-  cfg.async_timing.node_compute_s =
+  cfg.async.compute_s = 1e-3;
+  cfg.async.node_compute_s =
       linear_compute_spread(cfg.nodes, 1e-3, 2.0);
-  cfg.async_timing.compute_jitter = 0.2;  // exercises the rng streams
-  cfg.async_timing.seed = 7;
+  cfg.async.compute_jitter = 0.2;  // exercises the rng streams
+  cfg.async.seed = 7;
 
   const auto run_once = [&cfg] {
     const experiments::Scenario scenario(cfg);
@@ -225,7 +225,7 @@ TEST(AsyncFabricTest, SimSecondsAreMonotoneInBothFabrics) {
   experiments::ScenarioConfig cfg = small_scenario();
   for (const FabricKind kind : {FabricKind::kSync, FabricKind::kAsync}) {
     cfg.fabric = kind;
-    cfg.async_timing = homogeneous_fast_links();
+    cfg.async = homogeneous_fast_links();
     const experiments::Scenario scenario(cfg);
     const auto result = scenario.run(experiments::Scheme::kSnap);
     double last = 0.0;
@@ -242,13 +242,13 @@ TEST(AsyncFabricTest, HeterogeneityProducesStalenessUnlessBounded) {
   experiments::ScenarioConfig cfg = small_scenario();
   cfg.convergence.max_iterations = 30;
   cfg.fabric = FabricKind::kAsync;
-  cfg.async_timing = homogeneous_fast_links();
+  cfg.async = homogeneous_fast_links();
   // Strong spread: the slowest node takes 3x the fastest's time, so
   // fast nodes run rounds ahead and slow frames land stale. Free-run
   // mode: the default neighborhood pacing gate would hold staleness
   // at zero.
   cfg.async_free_run = true;
-  cfg.async_timing.node_compute_s =
+  cfg.async.node_compute_s =
       linear_compute_spread(cfg.nodes, 1e-3, 2.0);
 
   const experiments::Scenario free_running(cfg);
@@ -259,7 +259,7 @@ TEST(AsyncFabricTest, HeterogeneityProducesStalenessUnlessBounded) {
   }
   EXPECT_GE(unbounded_max, 2u);
 
-  cfg.async_timing.max_staleness_rounds = 1;
+  cfg.async.max_staleness_rounds = 1;
   const experiments::Scenario gated(cfg);
   const auto bounded = gated.run(experiments::Scheme::kSnap);
   std::uint64_t bounded_max = 0;
@@ -284,10 +284,10 @@ TEST(AsyncFabricTest, NeighborhoodPacingKeepsHeterogeneousSnapStable) {
   const auto sync = sync_scenario.run(experiments::Scheme::kSnap);
 
   cfg.fabric = FabricKind::kAsync;
-  cfg.async_timing = homogeneous_fast_links();
-  cfg.async_timing.node_compute_s =
+  cfg.async = homogeneous_fast_links();
+  cfg.async.node_compute_s =
       linear_compute_spread(cfg.nodes, 1e-3, 2.0);
-  cfg.async_timing.compute_jitter = 0.1;
+  cfg.async.compute_jitter = 0.1;
   const experiments::Scenario paced_scenario(cfg);
   const auto paced = paced_scenario.run(experiments::Scheme::kSnap);
 
@@ -312,11 +312,11 @@ TEST(AsyncFabricTest, SnapBeatsPsOnWallClockUnderHeterogeneity) {
   // simulated wall clock must come out ahead.
   experiments::ScenarioConfig cfg = small_scenario();
   cfg.fabric = FabricKind::kAsync;
-  cfg.async_timing.compute_s = 1e-3;
-  cfg.async_timing.node_compute_s =
+  cfg.async.compute_s = 1e-3;
+  cfg.async.node_compute_s =
       linear_compute_spread(cfg.nodes, 1e-3, 2.0);
-  cfg.async_timing.link_latency_s = 1e-3;
-  cfg.async_timing.nic_bandwidth_bytes_per_s = 1e9 / 8.0;
+  cfg.async.link_latency_s = 1e-3;
+  cfg.async.nic_bandwidth_bytes_per_s = 1e9 / 8.0;
   const experiments::Scenario scenario(cfg);
   const auto snap = scenario.run(experiments::Scheme::kSnap);
   const auto ps = scenario.run(experiments::Scheme::kPs);
