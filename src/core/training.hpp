@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "linalg/vector.hpp"
+#include "runtime/phase_profile.hpp"
 
 namespace snap::core {
 
@@ -189,6 +190,9 @@ struct TrainResult {
   /// Simulated wall-clock of the whole run (seconds); the last
   /// iteration's cumulative sim_seconds. 0 when time is not modeled.
   double total_sim_seconds = 0.0;
+  /// Real wall-clock per round phase; filled by the sync and gossip
+  /// fabrics, all zero on the others.
+  runtime::PhaseProfile profile;
 };
 
 /// When to declare a run converged.

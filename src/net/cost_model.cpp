@@ -57,6 +57,8 @@ void CostTracker::set_hop_matrix(HopMatrix hop_matrix) {
   SNAP_REQUIRE_MSG(hop_matrix.node_count() >= hops_.node_count(),
                    "routing table cannot shrink below the node set");
   hops_ = std::move(hop_matrix);
+  iter_inbound_.resize(hops_.node_count(), 0);
+  iter_outbound_.resize(hops_.node_count(), 0);
 }
 
 void CostTracker::record_flow(topology::NodeId u, topology::NodeId v,
@@ -68,14 +70,25 @@ void CostTracker::record_flow(topology::NodeId u, topology::NodeId v,
       static_cast<std::uint64_t>(bytes) * static_cast<std::uint64_t>(h);
   total_cost_ += cost;
   iter_cost_ += cost;
-  if (iter_inbound_.size() != hops_.node_count()) {
-    iter_inbound_.assign(hops_.node_count(), 0);
-    iter_outbound_.assign(hops_.node_count(), 0);
-  }
   if (u != v) {
     iter_outbound_[u] += bytes;
     iter_inbound_[v] += bytes;
   }
+}
+
+void CostTracker::record_sent(topology::NodeId u, std::uint64_t bytes,
+                              std::uint64_t cost) {
+  SNAP_REQUIRE(u < iter_outbound_.size());
+  total_bytes_ += bytes;
+  iter_bytes_ += bytes;
+  total_cost_ += cost;
+  iter_cost_ += cost;
+  iter_outbound_[u] += bytes;
+}
+
+void CostTracker::record_received(topology::NodeId v, std::uint64_t bytes) {
+  SNAP_REQUIRE(v < iter_inbound_.size());
+  iter_inbound_[v] += bytes;
 }
 
 std::uint64_t CostTracker::iteration_max_inbound() const noexcept {

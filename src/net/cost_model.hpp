@@ -29,8 +29,11 @@ namespace snap::net {
 /// one source row at a time, caching it for reuse. The graph is held
 /// by value — callers routinely construct trackers from temporaries.
 ///
-/// Not thread-safe: the row cache mutates under const hops(). All
-/// charging paths call it from the fabric's serial accounting section.
+/// Not thread-safe: the row cache mutates under const hops(). Only
+/// record_flow calls it, and only from serial sections; no parallel
+/// phase does (the fabrics' parallel pull path charges one-hop frames
+/// through CostTracker::record_sent / record_received, which never
+/// route).
 class HopMatrix {
  public:
   /// Requires a connected graph (every flow must be routable).
@@ -65,12 +68,25 @@ class HopMatrix {
 class CostTracker {
  public:
   explicit CostTracker(HopMatrix hop_matrix)
-      : hops_(std::move(hop_matrix)) {}
+      : hops_(std::move(hop_matrix)),
+        iter_inbound_(hops_.node_count(), 0),
+        iter_outbound_(hops_.node_count(), 0) {}
 
   /// Records one flow of `bytes` from u to v. Flows between co-located
   /// endpoints (u == v) carry no network cost.
   void record_flow(topology::NodeId u, topology::NodeId v,
                    std::size_t bytes);
+
+  /// Bulk charging: record_flow over a set of flows between distinct
+  /// endpoints, split by endpoint. record_sent adds one sender's tally
+  /// — `bytes` raw, `cost` hop-weighted — to the totals and to u's
+  /// outbound slot; record_received adds `bytes` to v's inbound slot.
+  /// Every sum is a uint64 sum, so any call order gives the same
+  /// result as replaying the flows one by one. record_received writes
+  /// only v's slot: parallel phases may call it for distinct v.
+  void record_sent(topology::NodeId u, std::uint64_t bytes,
+                   std::uint64_t cost);
+  void record_received(topology::NodeId v, std::uint64_t bytes);
 
   /// Marks the end of an iteration: snapshots the per-iteration series.
   void end_iteration();

@@ -58,6 +58,22 @@ class RoundMailbox {
     return incoming_[node];
   }
 
+  /// Pull-based delivery: appends a message straight to `to`'s current
+  /// inbox, after whatever the last flip delivered. Touches only `to`'s
+  /// inbox, so receivers may pull in parallel for distinct `to`.
+  void deliver(topology::NodeId from, topology::NodeId to, Payload payload) {
+    SNAP_REQUIRE(from < node_count() && to < node_count());
+    SNAP_REQUIRE_MSG(from != to, "node " << from << " messaging itself");
+    incoming_[to].push_back(Message{from, std::move(payload)});
+  }
+
+  /// Empties `node`'s current inbox (keeping its capacity) once it has
+  /// been read. Touches only that inbox.
+  void clear_inbox(topology::NodeId node) {
+    SNAP_REQUIRE(node < node_count());
+    incoming_[node].clear();
+  }
+
  private:
   std::vector<std::vector<Message>> outgoing_;
   std::vector<std::vector<Message>> incoming_;

@@ -247,6 +247,14 @@ class SimTransport final : public Transport<Payload> {
     return mailbox_.inbox(node);
   }
 
+  /// Pull-based delivery (RoundMailbox::deliver): the shared-clock
+  /// fabrics' receivers append their one-hop frames after the flip,
+  /// charging them themselves. Parallel-safe for distinct `to`.
+  void deliver(topology::NodeId from, topology::NodeId to, Payload payload) {
+    mailbox_.deliver(from, to, std::move(payload));
+  }
+  void clear_inbox(topology::NodeId node) { mailbox_.clear_inbox(node); }
+
  private:
   RoundMailbox<Payload> mailbox_;
 };

@@ -9,8 +9,10 @@
 //   - SyncFabric — the paper's shared-clock exchange (§II-B/§IV-D).
 //     Reproduces the pre-refactor semantics bit for bit, including the
 //     `threads` determinism contract: parallel phases write only
-//     per-node slots, and everything stateful (mailbox posts, byte
-//     accounting, convergence folds) replays serially in node order.
+//     per-node slots, and everything order-dependent (socket and
+//     multi-hop posts, convergence folds) replays serially in node
+//     order. On the sim transport, one-hop frames are pulled by their
+//     receivers in parallel, in that same order (see sync_fabric.hpp).
 //     Simulated time comes from the closed-form TimingModel.
 //
 //   - AsyncFabric — event-driven execution on net::EventQueue. Each
@@ -133,6 +135,13 @@ struct RoundHooks {
   /// Filter + frame: returns everything `node` transmits this round.
   std::function<std::vector<Envelope<Payload>>(topology::NodeId node)>
       collect;
+  /// Runs collect on the pool. It is also the one-hop contract: every
+  /// envelope collect returns goes to a neighbor of its sender in the
+  /// current graph. On the sim transport the shared-clock fabrics then
+  /// deliver by pull (each receiver takes its neighbors' frames in
+  /// parallel) and fail loudly on a frame to a non-neighbor or to self.
+  /// Set false for multi-hop flows (the parameter server's hub): those
+  /// are collected, charged and posted serially in node order.
   bool parallel_collect = true;
 
   /// Folds arrived messages into `node`'s state. Sync fabrics deliver a

@@ -2,7 +2,8 @@
 //
 // GossipFabric keeps SyncFabric's phase interleaving and determinism
 // discipline wholesale — rounds tick on a shared clock, parallel phases
-// write only node-owned slots, stateful effects replay serially — and
+// write only node-owned slots, delivery (pull on the sim transport,
+// serial post otherwise) and the phase profile are SyncFabric's — and
 // changes exactly one thing: each round a seeded scheduler activates a
 // sparse subset of the alive edges (random maximal matching, or a small
 // per-node push-pull fan-out) and announces it through the

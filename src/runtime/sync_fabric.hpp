@@ -7,12 +7,28 @@
 //   - parallel phases (local_gradient, local_update, collect, mix) fan
 //     out on the pool and write only node-owned slots of preallocated
 //     buffers;
-//   - everything stateful — transport posts, CostTracker charges, the
-//     convergence detector — replays serially in ascending node order
-//     from those buffers.
+//   - everything whose result depends on order — socket posts, whose
+//     wire sequence numbers follow the post order, multi-hop charges,
+//     the convergence detector — replays serially in ascending node
+//     order from those buffers.
+//
+// One-hop frames on the sim transport are delivered by pull instead.
+// Each sender's collect task applies its own frames' fault draws and
+// tallies their charges; each receiver's mix task then takes the frames
+// addressed to it from its current-graph neighbors in ascending sender
+// id, appends them to its inbox after what the serial churn and
+// partition hooks posted, charges its inbound slot, mixes and clears
+// the inbox. That is the serial loop's inbox order exactly; the fault
+// draws are pure lookups into the materialized round; and the charges
+// are uint64 sums, which a serial O(n) fold adds to the CostTracker in
+// any order with the same result. The fold also checks that every staged
+// frame was pulled exactly once, so a frame to a non-neighbor or to self
+// fails loudly. Socket transports, collect hooks that are not parallel
+// (the parameter server's multi-hop hub flows) and graph-less runs keep
+// the serial post.
 //
 // Results are therefore bitwise identical for every `threads` value,
-// and bitwise identical to the pre-refactor per-scheme loops.
+// and bitwise identical between the pull and the serial delivery.
 //
 // Frames move through the net::Transport seam: the in-process
 // SimTransport by default (the deterministic oracle), or an injected
@@ -40,6 +56,7 @@
 #include "net/cost_model.hpp"
 #include "net/transport.hpp"
 #include "runtime/fabric.hpp"
+#include "runtime/phase_profile.hpp"
 
 namespace snap::runtime {
 
@@ -89,6 +106,7 @@ class SyncFabric : public RoundFabric<Payload> {
     const std::size_t n = hooks.node_count;
     SNAP_REQUIRE(n > 0);
     ensure_capacity(n);
+    PhaseClock clock(profile_);
     current_round_ = round;
     round_frames_dropped_ = 0;
     round_frames_corrupted_ = 0;
@@ -108,27 +126,26 @@ class SyncFabric : public RoundFabric<Payload> {
         // Before any handoff frame needs a route.
         refresh_routes(cost_, *config_.faults);
       }
-      if (hooks.on_churn && !delta.empty()) {
+      const net::PartitionDelta& pdelta =
+          config_.faults->partition_delta(round);
+      const bool churn = hooks.on_churn && !delta.empty();
+      const bool partition = hooks.on_partition && !pdelta.empty();
+      if (churn || partition) clock.lap(Phase::kPreamble, /*count=*/false);
+      if (churn) {
         StagingSink sink(&replies_);
         hooks.on_churn(round, delta, sink);
         // Churn-time sends ride the round's first delivery wave.
-        for (topology::NodeId i = 0; i < n; ++i) {
-          for (auto& envelope : replies_[i]) post(i, std::move(envelope), round);
-          replies_[i].clear();
-        }
+        post_replies(n, round);
       }
       // Component-structure changes fire after churn: a crash-driven
       // relabel sees the post-epoch membership, and heal-time boundary
       // syncs are staged before any phase consumes the round's inbox.
-      const net::PartitionDelta& pdelta = config_.faults->partition_delta(round);
-      if (hooks.on_partition && !pdelta.empty()) {
+      if (partition) {
         StagingSink sink(&replies_);
         hooks.on_partition(round, pdelta, sink);
-        for (topology::NodeId i = 0; i < n; ++i) {
-          for (auto& envelope : replies_[i]) post(i, std::move(envelope), round);
-          replies_[i].clear();
-        }
+        post_replies(n, round);
       }
+      if (churn || partition) clock.lap(Phase::kEpochHooks);
     }
     const auto down = [&](topology::NodeId i) {
       return config_.faults != nullptr && config_.faults->node_down(round, i);
@@ -140,6 +157,7 @@ class SyncFabric : public RoundFabric<Payload> {
     prepare_round(round, hooks);
 
     if (hooks.begin_round) hooks.begin_round(round);
+    clock.lap(Phase::kPreamble);
 
     // Owner-computes: the model call runs only where the transport
     // computes the node; the exchange hands every process the rows it
@@ -170,13 +188,18 @@ class SyncFabric : public RoundFabric<Payload> {
         hooks.local_update(i);
       });
     }
+    clock.lap(Phase::kLocalUpdate);
 
-    // Filter/encode fans out into per-node staging slots ...
+    // Filter/encode fans out into per-node staging slots; on the pull
+    // path each sender also resolves its own frames' fault draws and
+    // charges there ...
+    const topology::Graph* pull_graph = pull_delivery_graph(hooks);
     if (hooks.collect) {
       if (hooks.parallel_collect) {
         pool_.parallel_for(0, n, [&](std::size_t i) {
           staged_[i] = down(i) ? std::vector<Envelope<Payload>>{}
                                : hooks.collect(i);
+          if (pull_graph != nullptr) stage_for_pull(i, round);
         });
       } else {
         for (std::size_t i = 0; i < n; ++i) {
@@ -185,15 +208,25 @@ class SyncFabric : public RoundFabric<Payload> {
         }
       }
     }
-    // ... and the posts + byte accounting replay serially in node order.
-    for (topology::NodeId i = 0; i < n; ++i) {
-      for (auto& envelope : staged_[i]) {
-        post(i, std::move(envelope), round);
+    clock.lap(Phase::kCollect);
+    // ... and otherwise the posts + byte accounting replay serially in
+    // node order.
+    if (pull_graph == nullptr) {
+      for (topology::NodeId i = 0; i < n; ++i) {
+        for (auto& envelope : staged_[i]) {
+          post(i, std::move(envelope), round);
+        }
+        staged_[i].clear();
       }
-      staged_[i].clear();
     }
+    clock.lap(Phase::kPost);
 
-    deliver_waves(hooks, n, round);
+    deliver_waves(hooks, n, round, pull_graph);
+    clock.lap(Phase::kDelivery);
+    if (pull_graph != nullptr) {
+      fold_pulled(n);
+      clock.lap(Phase::kPost, /*count=*/false);
+    }
   }
 
   core::TrainResult run(RoundHooks<Payload>& hooks) override {
@@ -222,6 +255,7 @@ class SyncFabric : public RoundFabric<Payload> {
       ++round;
       step_round(hooks, round);
 
+      PhaseClock clock(profile_);
       const RoundEval eval =
           hooks.evaluate(round, measures_accuracy(config_, round));
 
@@ -243,8 +277,10 @@ class SyncFabric : public RoundFabric<Payload> {
 
       detector.observe(eval.train_loss, eval.consensus_residual,
                        stats.evaluated ? stats.test_accuracy : -1.0);
+      clock.lap(Phase::kEvaluate);
       if (hooks.end_round) hooks.end_round(round);
       maybe_write_checkpoint(round, hooks, result, sim_seconds);
+      clock.lap(Phase::kEpochHooks);
     }
 
     result.converged = detector.converged();
@@ -255,6 +291,7 @@ class SyncFabric : public RoundFabric<Payload> {
       result.total_cost = cost_->total_cost();
     }
     result.total_sim_seconds = sim_seconds;
+    result.profile = profile_;
     return result;
   }
 
@@ -395,9 +432,13 @@ class SyncFabric : public RoundFabric<Payload> {
     if (staged_.size() != n) {
       staged_.assign(n, {});
       replies_.assign(n, {});
+      tallies_.assign(n, {});
+      corrupted_.assign(n, {});
+      pulled_.assign(n, 0);
       if (transport_ == nullptr) {
         transport_ = std::make_unique<net::SimTransport<Payload>>(n);
       }
+      sim_ = dynamic_cast<net::SimTransport<Payload>*>(transport_.get());
       SNAP_REQUIRE_MSG(transport_->node_count() == n,
                        "transport built for " << transport_->node_count()
                                               << " nodes, hooks declare "
@@ -438,34 +479,45 @@ class SyncFabric : public RoundFabric<Payload> {
                      envelope.wire_bytes, envelope.state_sync);
   }
 
+  /// Posts the staged mix/churn replies serially in sender order.
+  /// Returns whether there were any.
+  bool post_replies(std::size_t n, std::size_t round) {
+    bool any = false;
+    for (topology::NodeId i = 0; i < n; ++i) {
+      for (auto& envelope : replies_[i]) {
+        post(i, std::move(envelope), round);
+        any = true;
+      }
+      replies_[i].clear();
+    }
+    return any;
+  }
+
   /// Flips the mailbox and runs mix waves until no node replies. Wave 1
   /// is the round's main exchange; the parameter server's push-back
   /// lands in wave 2. Bounded to catch hooks that ping-pong forever.
+  /// With `pull_graph`, wave 1's receivers first pull their neighbors'
+  /// staged frames, and empty their inboxes once mixed.
   void deliver_waves(RoundHooks<Payload>& hooks, std::size_t n,
-                     std::size_t round) {
+                     std::size_t round, const topology::Graph* pull_graph) {
     if (!hooks.mix) return;
     constexpr std::size_t kMaxWaves = 8;
     StagingSink sink(&replies_);
     for (std::size_t wave = 0; wave < kMaxWaves; ++wave) {
       transport_->flip_round();
+      const bool pull = pull_graph != nullptr && wave == 0;
       // Receivers touch only their own state (and their own reply
       // slot), so the wave fans out; replies replay serially below.
       pool_.parallel_for(0, n, [&](std::size_t i) {
-        if (config_.faults != nullptr && config_.faults->node_down(round, i)) {
-          return;  // a down node processes nothing this round
+        if (pull) pull_into(i, *pull_graph);
+        // A down node processes nothing this round.
+        if (config_.faults == nullptr || !config_.faults->node_down(round, i)) {
+          const auto& inbox = transport_->inbox(i);
+          hooks.mix(i, std::span<const Delivery<Payload>>(inbox), sink);
         }
-        const auto& inbox = transport_->inbox(i);
-        hooks.mix(i, std::span<const Delivery<Payload>>(inbox), sink);
+        if (pull) sim_->clear_inbox(i);
       });
-      bool any_reply = false;
-      for (topology::NodeId i = 0; i < n; ++i) {
-        for (auto& envelope : replies_[i]) {
-          post(i, std::move(envelope), round);
-          any_reply = true;
-        }
-        replies_[i].clear();
-      }
-      if (!any_reply) {
+      if (!post_replies(n, round)) {
         // Drain the (empty) outgoing buffers so the next round's inbox
         // does not replay this wave's messages.
         transport_->flip_round();
@@ -476,17 +528,163 @@ class SyncFabric : public RoundFabric<Payload> {
                                 << kMaxWaves << " waves");
   }
 
+  /// The graph whose one-hop frames the receivers pull, or nullptr for
+  /// the serial post: pull needs the sim transport, a parallel collect
+  /// (the one-hop contract), a mix to pull into, and a topology.
+  const topology::Graph* pull_delivery_graph(
+      const RoundHooks<Payload>& hooks) const {
+    if (sim_ == nullptr || !hooks.collect || !hooks.parallel_collect ||
+        !hooks.mix || !cost_) {
+      return nullptr;
+    }
+    const topology::Graph& graph = config_.faults != nullptr
+                                       ? config_.faults->current_graph()
+                                       : *config_.graph;
+    SNAP_REQUIRE_MSG(graph.node_count() == hooks.node_count,
+                     "graph has " << graph.node_count()
+                                  << " nodes, hooks declare "
+                                  << hooks.node_count);
+    return &graph;
+  }
+
+  /// Sender half of pull delivery, in node i's collect task: applies
+  /// post()'s fault draws to i's staged frames and tallies their
+  /// charges. What stays staged is [deliverable | corrupted], each run
+  /// stably sorted by receiver so a receiver finds its frames by binary
+  /// search in their original order. Corrupted frames are charged but
+  /// never delivered; dropped ones leave. STATE_SYNC handoffs never come
+  /// through here: they ride the serial churn and partition hooks.
+  void stage_for_pull(topology::NodeId i, std::size_t round) {
+    std::vector<Envelope<Payload>>& out = staged_[i];
+    SenderTally& tally = tallies_[i];
+    tally = SenderTally{};
+    corrupted_[i].clear();
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      Envelope<Payload>& envelope = out[k];
+      SNAP_REQUIRE_MSG(!envelope.state_sync,
+                       "collect sent a STATE_SYNC frame; handoffs belong "
+                       "to on_churn / on_partition");
+      if (const net::FaultInjector* faults = config_.faults;
+          faults != nullptr) {
+        if (faults->link_down(round, i, envelope.to)) {
+          ++tally.dropped;
+          continue;
+        }
+        if (envelope.wire_bytes > 0 &&
+            faults->frame_corrupted(round, i, envelope.to, 0)) {
+          tally.bytes += envelope.wire_bytes;
+          ++tally.corrupted;
+          corrupted_[i].push_back({envelope.to, envelope.wire_bytes});
+          continue;
+        }
+      }
+      tally.bytes += envelope.wire_bytes;
+      if (kept != k) out[kept] = std::move(envelope);
+      ++kept;
+    }
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(kept), out.end());
+    tally.frames = kept + corrupted_[i].size();
+    sort_by_receiver(out);
+    sort_by_receiver(corrupted_[i]);
+  }
+
+  /// Stable insertion sort on `to`: allocation-free, and linear on the
+  /// usual neighbor-ordered collect output.
+  template <typename Item>
+  static void sort_by_receiver(std::vector<Item>& items) {
+    for (std::size_t k = 1; k < items.size(); ++k) {
+      for (std::size_t m = k; m > 0 && items[m].to < items[m - 1].to; --m) {
+        std::swap(items[m], items[m - 1]);
+      }
+    }
+  }
+
+  /// Receiver half of pull delivery, in node j's wave-1 mix task: moves
+  /// each neighbor's frames for j into j's inbox in ascending sender id
+  /// and charges j's inbound slot (corrupted frames included).
+  void pull_into(topology::NodeId j, const topology::Graph& graph) {
+    const auto to_j = [](const auto& item, topology::NodeId to) {
+      return item.to < to;
+    };
+    std::uint64_t bytes = 0;
+    std::size_t pulled = 0;
+    for (const topology::NodeId s : graph.neighbors(j)) {
+      std::vector<Envelope<Payload>>& out = staged_[s];
+      for (auto it = std::lower_bound(out.begin(), out.end(), j, to_j);
+           it != out.end() && it->to == j; ++it) {
+        bytes += it->wire_bytes;
+        sim_->deliver(s, j, std::move(it->payload));
+        ++pulled;
+      }
+      const std::vector<Charge>& charges = corrupted_[s];
+      for (auto it = std::lower_bound(charges.begin(), charges.end(), j, to_j);
+           it != charges.end() && it->to == j; ++it) {
+        bytes += it->wire_bytes;
+        ++pulled;
+      }
+    }
+    if (bytes > 0) cost_->record_received(j, bytes);
+    pulled_[j] = pulled;
+  }
+
+  /// Serial end of pull delivery: folds the sender tallies (order-free
+  /// uint64 sums) and checks that every staged frame was pulled exactly
+  /// once — a frame to a non-neighbor or to self never is. The pulled
+  /// envelopes stay behind, moved-from, until the next collect
+  /// overwrites their slot on the pool.
+  void fold_pulled(std::size_t n) {
+    std::size_t staged = 0;
+    std::size_t pulled = 0;
+    for (topology::NodeId i = 0; i < n; ++i) {
+      const SenderTally& tally = tallies_[i];
+      staged += tally.frames;
+      pulled += pulled_[i];
+      // Every pulled frame crossed exactly one hop.
+      if (tally.bytes > 0) cost_->record_sent(i, tally.bytes, tally.bytes);
+      round_frames_dropped_ += tally.dropped;
+      round_frames_corrupted_ += tally.corrupted;
+    }
+    SNAP_REQUIRE_MSG(pulled == staged,
+                     staged - pulled
+                         << " staged frame(s) went to a non-neighbor or to "
+                            "the sender itself (collect must address "
+                            "one-hop neighbors only; see "
+                            "RoundHooks::parallel_collect)");
+  }
+
+  /// One sender's charges for a round's pulled frames.
+  struct SenderTally {
+    std::size_t frames = 0;  ///< staged for delivery or corrupted
+    std::uint64_t bytes = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t corrupted = 0;
+  };
+  /// A corrupted frame: charged to its receiver, never delivered.
+  struct Charge {
+    topology::NodeId to = 0;
+    std::size_t wire_bytes = 0;
+  };
+
   FabricConfig config_;
   common::ThreadPool pool_;
   std::optional<net::CostTracker> cost_;
   std::unique_ptr<net::Transport<Payload>> transport_;
+  /// transport_ when it is the sim (the only pull-capable backend).
+  net::SimTransport<Payload>* sim_ = nullptr;
   std::vector<std::vector<Envelope<Payload>>> staged_;
   std::vector<std::vector<Envelope<Payload>>> replies_;
+  // Pull delivery's per-node slots: by sender (tallies, corrupted
+  // frames) and by receiver (frames pulled this round).
+  std::vector<SenderTally> tallies_;
+  std::vector<std::vector<Charge>> corrupted_;
+  std::vector<std::size_t> pulled_;
   /// The nodes whose gradient this process computes this round.
   std::vector<topology::NodeId> computed_;
   std::size_t current_round_ = 0;
   std::uint64_t round_frames_dropped_ = 0;
   std::uint64_t round_frames_corrupted_ = 0;
+  PhaseProfile profile_;
 };
 
 }  // namespace snap::runtime

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "net/cost_model.hpp"
@@ -86,6 +89,66 @@ TEST(CostTrackerTest, SelfFlowsDoNotTouchNicCounters) {
   tracker.record_flow(1, 1, 999);
   EXPECT_EQ(tracker.iteration_max_inbound(), 0u);
   EXPECT_EQ(tracker.iteration_max_outbound(), 0u);
+}
+
+// The pull-delivery fold: per-sender tallies through record_sent and
+// per-receiver bytes through record_received, folded in a shuffled
+// order, must land exactly where replaying every flow does.
+TEST(CostTrackerTest, BulkChargesMatchFlowReplayInAnyOrder) {
+  common::Rng rng(11);
+  const topology::Graph graph = topology::make_random_connected(12, 3.0, rng);
+  const std::size_t n = graph.node_count();
+  const HopMatrix hops(graph);
+  CostTracker replay{HopMatrix(graph)};
+  CostTracker bulk{HopMatrix(graph)};
+  for (int iteration = 0; iteration < 2; ++iteration) {
+    struct Flow {
+      topology::NodeId u, v;
+      std::size_t bytes;
+    };
+    std::vector<Flow> flows;
+    for (int k = 0; k < 60; ++k) {
+      const auto u = static_cast<topology::NodeId>(rng.uniform_u64(n));
+      auto v = static_cast<topology::NodeId>(rng.uniform_u64(n - 1));
+      if (v >= u) ++v;  // distinct endpoints, multi-hop pairs included
+      flows.push_back({u, v, 1 + rng.uniform_u64(500)});
+    }
+    std::vector<std::uint64_t> sent_bytes(n, 0), sent_cost(n, 0),
+        received(n, 0);
+    for (const Flow& f : flows) {
+      replay.record_flow(f.u, f.v, f.bytes);
+      sent_bytes[f.u] += f.bytes;
+      sent_cost[f.u] += f.bytes * hops.hops(f.u, f.v);
+      received[f.v] += f.bytes;
+    }
+    std::vector<topology::NodeId> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    for (std::size_t i = n - 1; i > 0; --i) {  // Fisher-Yates
+      std::swap(order[i], order[rng.uniform_u64(i + 1)]);
+    }
+    for (const topology::NodeId u : order) {
+      bulk.record_sent(u, sent_bytes[u], sent_cost[u]);
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      bulk.record_received(*it, received[*it]);
+    }
+    EXPECT_EQ(bulk.iteration_bytes(), replay.iteration_bytes());
+    EXPECT_EQ(bulk.iteration_cost(), replay.iteration_cost());
+    EXPECT_EQ(bulk.iteration_max_inbound(), replay.iteration_max_inbound());
+    EXPECT_EQ(bulk.iteration_max_outbound(),
+              replay.iteration_max_outbound());
+    replay.end_iteration();
+    bulk.end_iteration();
+  }
+  EXPECT_EQ(bulk.total_bytes(), replay.total_bytes());
+  EXPECT_EQ(bulk.total_cost(), replay.total_cost());
+  EXPECT_EQ(bulk.bytes_per_iteration(), replay.bytes_per_iteration());
+  EXPECT_EQ(bulk.cost_per_iteration(), replay.cost_per_iteration());
+  EXPECT_EQ(bulk.max_inbound_per_iteration(),
+            replay.max_inbound_per_iteration());
+  EXPECT_EQ(bulk.max_outbound_per_iteration(),
+            replay.max_outbound_per_iteration());
+  EXPECT_GT(replay.total_cost(), replay.total_bytes());  // some multi-hop
 }
 
 // ------------------------------------------------------ LinkFailureModel

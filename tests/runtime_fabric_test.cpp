@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "experiments/scenario.hpp"
 #include "runtime/async_fabric.hpp"
 #include "runtime/make_fabric.hpp"
@@ -119,6 +120,177 @@ TEST(SyncFabricTest, ReplyPingPongIsBounded) {
   EXPECT_THROW(fabric.run(hooks), common::ContractViolation);
 }
 
+// --------------------------------------------- pull vs serial delivery
+//
+// The same synthetic scheme through the sim transport twice: once with a
+// parallel collect (receivers pull their one-hop frames) and once with a
+// serial collect (frames posted and charged in node order). Every inbox
+// and every charged column must agree bit for bit, round by round, under
+// link bursts, crashes and corruption. A latent join's churn hook posts
+// a STATE_SYNC handoff: it takes the serial post on both paths, and on
+// the pull path the joiner's pulled frames must land after it.
+
+using Payload = std::uint64_t;
+
+struct Received {
+  std::size_t round;
+  topology::NodeId from;
+  Payload payload;
+  bool operator==(const Received&) const = default;
+};
+
+struct DeliveryTrace {
+  std::vector<std::vector<Received>> inboxes;  // by receiver
+  core::TrainResult result;
+};
+
+constexpr std::size_t kParityNodes = 14;
+constexpr topology::NodeId kJoiner = kParityNodes - 1;
+
+/// A connected graph on every node but the last, which stays isolated
+/// until its scheduled join attaches it.
+topology::Graph parity_graph() {
+  common::Rng rng(3);
+  const topology::Graph core =
+      topology::make_random_connected(kParityNodes - 1, 3.0, rng);
+  topology::Graph graph(kParityNodes);
+  for (const auto& [u, v] : core.edges()) graph.add_edge(u, v);
+  return graph;
+}
+
+net::FaultPlan parity_faults() {
+  net::FaultPlan plan;
+  plan.link_enter_burst = 0.15;
+  plan.link_exit_burst = 0.5;
+  plan.scheduled_crashes = {{2, 3, 6}, {7, 5, 0}};
+  plan.frame_corruption_probability = 0.1;
+  plan.latent_nodes = {kJoiner};
+  plan.scheduled_joins = {{kJoiner, 4}};
+  return plan;
+}
+
+/// What a misbehaving collect adds to node 0's frames every round.
+enum class Stray {
+  kNone,
+  kNonNeighbor,  ///< a frame to a node that is not a neighbor
+  kStateSync,    ///< a STATE_SYNC frame, which only epoch hooks send
+};
+
+DeliveryTrace run_delivery(bool parallel_collect, Stray stray = Stray::kNone) {
+  const topology::Graph graph = parity_graph();
+  net::FaultInjector faults(graph, parity_faults(), common::Rng(99));
+  FabricConfig config;
+  config.graph = &graph;
+  config.threads = 4;
+  config.faults = &faults;
+  config.convergence.max_iterations = 10;
+  config.convergence.min_iterations = 10;
+  config.convergence.loss_tolerance = 0.0;
+  SyncFabric<Payload> fabric(config);
+
+  DeliveryTrace trace;
+  trace.inboxes.resize(kParityNodes);
+  std::size_t current = 0;
+  RoundHooks<Payload> hooks;
+  hooks.node_count = kParityNodes;
+  hooks.parallel_collect = parallel_collect;
+  hooks.begin_round = [&](std::size_t round) { current = round; };
+  hooks.collect = [&](topology::NodeId i) {
+    // One frame per current neighbor, a second one to every third, and
+    // a free co-located hand-off now and then.
+    std::vector<Envelope<Payload>> out;
+    const auto& neighbors = faults.current_graph().neighbors(i);
+    for (std::size_t k = neighbors.size(); k-- > 0;) {
+      const topology::NodeId j = neighbors[k];
+      const Payload tag = current * 1'000'000 + i * 1000 + j * 10;
+      const std::size_t bytes = (i * 7 + j * 3 + current) % 40;
+      out.push_back({j, tag, bytes});
+      if ((i + j + current) % 3 == 0) out.push_back({j, tag + 1, 17});
+    }
+    if (i == 0 && stray == Stray::kNonNeighbor) {
+      for (topology::NodeId j = 1; j < kParityNodes; ++j) {
+        if (!faults.current_graph().has_edge(0, j)) {
+          out.push_back({j, 5, 9});
+          break;
+        }
+      }
+    }
+    if (i == 0 && stray == Stray::kStateSync && !neighbors.empty()) {
+      out.push_back({neighbors[0], 6, 9, /*state_sync=*/true});
+    }
+    return out;
+  };
+  hooks.mix = [&](topology::NodeId i, std::span<const Delivery<Payload>> in,
+                  MessageSink<Payload>&) {
+    for (const auto& m : in) {
+      trace.inboxes[i].push_back({current, m.from, m.payload});
+    }
+  };
+  hooks.on_churn = [&](std::size_t round, const net::ChurnDelta& delta,
+                       MessageSink<Payload>& sink) {
+    for (const topology::NodeId j : delta.joined) {
+      const topology::NodeId donor = faults.current_graph().neighbors(j)[0];
+      sink.send(donor, j, round * 7, 250, /*state_sync=*/true);
+    }
+  };
+  hooks.evaluate = [](std::size_t, bool) { return RoundEval{}; };
+  trace.result = fabric.run(hooks);
+  return trace;
+}
+
+TEST(SyncFabricTest, PullDeliveryMatchesSerialPostBitwise) {
+  const DeliveryTrace pull = run_delivery(/*parallel_collect=*/true);
+  const DeliveryTrace serial = run_delivery(/*parallel_collect=*/false);
+
+  for (topology::NodeId i = 0; i < kParityNodes; ++i) {
+    EXPECT_EQ(pull.inboxes[i], serial.inboxes[i]) << "node " << i;
+  }
+  const auto& a = pull.result.iterations;
+  const auto& b = serial.result.iterations;
+  ASSERT_EQ(a.size(), 10u);
+  ASSERT_EQ(a.size(), b.size());
+  std::uint64_t dropped = 0, corrupted = 0, state_sync = 0;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    EXPECT_EQ(a[r].bytes, b[r].bytes) << "round " << r + 1;
+    EXPECT_EQ(a[r].cost, b[r].cost) << "round " << r + 1;
+    EXPECT_EQ(a[r].max_node_inbound_bytes, b[r].max_node_inbound_bytes)
+        << "round " << r + 1;
+    EXPECT_EQ(a[r].max_node_outbound_bytes, b[r].max_node_outbound_bytes)
+        << "round " << r + 1;
+    EXPECT_EQ(a[r].frames_dropped, b[r].frames_dropped) << "round " << r + 1;
+    EXPECT_EQ(a[r].frames_corrupted, b[r].frames_corrupted)
+        << "round " << r + 1;
+    EXPECT_EQ(a[r].state_sync_bytes, b[r].state_sync_bytes)
+        << "round " << r + 1;
+    dropped += a[r].frames_dropped;
+    corrupted += a[r].frames_corrupted;
+    state_sync += a[r].state_sync_bytes;
+  }
+  EXPECT_EQ(pull.result.total_bytes, serial.result.total_bytes);
+  EXPECT_EQ(pull.result.total_cost, serial.result.total_cost);
+  // The plan must actually exercise every path it is meant to cover.
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_EQ(state_sync, 250u);
+  EXPECT_FALSE(pull.inboxes[kJoiner].empty());
+}
+
+TEST(SyncFabricTest, PullDeliveryRejectsFramesToNonNeighbors) {
+  // The serial post routes the stray frame over several hops; the pull
+  // path only ever delivers one-hop frames and must say so.
+  EXPECT_NO_THROW(
+      run_delivery(/*parallel_collect=*/false, Stray::kNonNeighbor));
+  EXPECT_THROW(run_delivery(/*parallel_collect=*/true, Stray::kNonNeighbor),
+               common::ContractViolation);
+}
+
+TEST(SyncFabricTest, PullDeliveryRejectsStateSyncFromCollect) {
+  // STATE_SYNC handoffs ride the serial epoch hooks; the pull path keeps
+  // no tally for them, so a collect that sends one must fail loudly.
+  EXPECT_THROW(run_delivery(/*parallel_collect=*/true, Stray::kStateSync),
+               common::ContractViolation);
+}
+
 experiments::ScenarioConfig small_scenario() {
   experiments::ScenarioConfig cfg;
   cfg.nodes = 5;
@@ -139,6 +311,35 @@ AsyncTimingConfig homogeneous_fast_links() {
   timing.link_latency_s = 0.0;
   timing.nic_bandwidth_bytes_per_s = 1e12;
   return timing;
+}
+
+// Both shared-clock fabrics time every phase once a round (epoch hooks
+// also once per churn or partition epoch).
+TEST(PhaseProfileTest, EveryPhaseIsTimedOnceARound) {
+  for (const FabricKind kind : {FabricKind::kSync, FabricKind::kGossip}) {
+    experiments::ScenarioConfig cfg = small_scenario();
+    cfg.nodes = 8;
+    cfg.fabric = kind;
+    cfg.faults.link_enter_burst = 0.1;
+    cfg.faults.link_exit_burst = 0.5;
+    cfg.faults.frame_corruption_probability = 0.05;
+    const core::TrainResult result =
+        experiments::Scenario(cfg).run(experiments::Scheme::kSnap);
+
+    const std::uint64_t rounds = result.iterations.size();
+    ASSERT_GT(rounds, 0u) << fabric_name(kind);
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      const auto phase = static_cast<Phase>(p);
+      if (phase == Phase::kEpochHooks) {
+        EXPECT_GE(result.profile.calls_of(phase), rounds)
+            << fabric_name(kind);
+      } else {
+        EXPECT_EQ(result.profile.calls_of(phase), rounds)
+            << fabric_name(kind) << ' ' << phase_name(phase);
+      }
+    }
+    EXPECT_GT(result.profile.ns_of(Phase::kDelivery), 0u) << fabric_name(kind);
+  }
 }
 
 TEST(AsyncFabricTest, HomogeneousSnapMatchesSyncTrajectory) {
