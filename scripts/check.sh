@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Repo-wide check: the src/-vs-tests/oracle boundary, the tier-1 build +
-# full ctest suite, then ASan, TSan, and UBSan builds of the runtime/net
-# surface (event queue, mailbox, fabric, thread pool, fault injector,
-# wire-decoder fuzz, membership) so the sanitizer wiring is exercised
-# routinely, not just when someone remembers.
+# Repo-wide check: the src/-vs-tests/oracle boundary, orphan src/
+# headers, the tier-1 build + full ctest suite, then ASan, TSan, and UBSan
+# builds of the runtime/net surface (event queue, sim transport, fabric,
+# thread pool, fault injector, wire-decoder fuzz, membership) so the
+# sanitizer wiring is exercised routinely, not just when someone
+# remembers.
 #
 # Usage: scripts/check.sh [--fast | --san <address|thread|undefined>]
 #   --fast       skip the sanitizer builds (tier-1 only)
@@ -48,6 +49,25 @@ if grep -rnw --include=CMakeLists.txt snap_oracle src; then
   echo "error: a src/ CMake target links snap_oracle" >&2
   exit 1
 fi
+
+echo "==> orphans: every src/ header has an includer outside tests/"
+# A header that only its own .cpp and the suites include is dead code or
+# test-only code living in src/. The allowlist waits on ROADMAP item 4(e).
+ORPHAN_ALLOWLIST=" consensus/neighbor_planning.hpp "
+ORPHANS=0
+while IFS= read -r header; do
+  rel="${header#src/}"
+  [[ "$ORPHAN_ALLOWLIST" == *" $rel "* ]] && continue
+  includers="$(grep -rlE --include='*.cpp' --include='*.hpp' \
+      --exclude-dir=tests --exclude-dir='build*' --exclude-dir=.git \
+      "^[[:space:]]*#[[:space:]]*include[[:space:]]*\"${rel//./\\.}\"" . |
+    grep -vxF "./src/${rel%.hpp}.cpp" || true)"
+  if [[ -z "$includers" ]]; then
+    echo "error: src/$rel has no includer outside tests/ but its own .cpp" >&2
+    ORPHANS=1
+  fi
+done < <(find src -name '*.hpp' | sort)
+[[ "$ORPHANS" == 0 ]] || exit 1
 
 echo "==> tier-1: configure + build + ctest (build/)"
 cmake -B build -S . >/dev/null

@@ -8,7 +8,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -117,13 +116,13 @@ AlignedRow split_row(const consensus::SparseWeightMatrix& w,
   return out;
 }
 
-/// Slot of j in a sorted neighbor list, or npos when absent.
+constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+
+/// Slot of j in a sorted neighbor list, or kNoSlot when absent.
 std::size_t slot_in(const std::vector<topology::NodeId>& neighbors,
                     topology::NodeId j) {
   const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), j);
-  if (it == neighbors.end() || *it != j) {
-    return std::numeric_limits<std::size_t>::max();
-  }
+  if (it == neighbors.end() || *it != j) return kNoSlot;
   return static_cast<std::size_t>(it - neighbors.begin());
 }
 
@@ -225,16 +224,16 @@ struct PacedQueues {
       pending;
 };
 
-// Cost-aware sparsification state. `keys` is the canonical pruned-link
-// set (FaultInjector::link_key encoding); `masks` is its per-node
-// slot-aligned projection, the O(1) gate collect checks per frame. The
-// schedule consumes no randomness — sparsify_topology is a pure function
-// of (graph, alive, labels, config) — so it replays bitwise on every
-// fabric, shard, and resume. The rest is the telemetry stamped onto
-// every recorded round.
+// Cost-aware sparsification state. `masks[i][s]` marks the link to
+// node i's slot-s neighbor as pruned: the one form the pruned set takes,
+// and the O(1) gate collect and on_activation check. A pruned link sits
+// in both endpoints' rows (a structural zero), so both carry its bit.
+// The schedule consumes no randomness — sparsify_topology is a pure
+// function of (graph, alive, labels, config) — so it replays bitwise on
+// every fabric, shard, and resume. The rest is the telemetry stamped
+// onto every recorded round.
 struct PrunedLinks {
   explicit PrunedLinks(std::size_t n) : masks(n) {}
-  std::unordered_set<std::uint64_t> keys;
   std::vector<std::vector<std::uint8_t>> masks;
   std::uint64_t links_pruned = 0;
   std::uint64_t effective_edges = 0;
@@ -302,9 +301,10 @@ class SnapScheme {
     // is replaced with the sparsifier's re-derived one. Pruned entries
     // are structural zeros, so every neighbor slot stays aligned with
     // the full topology.
+    std::vector<std::uint8_t> edge_kept;
     if (config_.sparsify.enabled) {
       pruned_.emplace(n_);
-      apply_sparsifier(graph_, {});
+      edge_kept = apply_sparsifier(graph_, {});
     }
     // Each node's weight row is one CSR row split around the diagonal,
     // already index-sorted and aligned.
@@ -315,7 +315,7 @@ class SnapScheme {
                           std::move(row.neighbors), std::move(row.weights),
                           row.self, config_.straggler_policy);
     }
-    rebuild_pruned_masks();
+    if (pruned_) mark_pruned(graph_, edge_kept);
     // Shared initial model (every edge server starts from the same copy
     // of the uniform model, §II-B).
     common::Rng init_rng = rng.fork("init");
@@ -435,39 +435,49 @@ class SnapScheme {
  private:
   common::ThreadPool& pool() { return fabric_->pool(); }
 
-  void apply_sparsifier(const topology::Graph& g,
-                        const std::vector<std::size_t>& labels) {
+  // Re-prunes g and takes the sparsifier's W. Returns the per-edge
+  // survival flags, which mark_pruned projects once the node rows built
+  // from that W are set.
+  std::vector<std::uint8_t> apply_sparsifier(
+      const topology::Graph& g, const std::vector<std::size_t>& labels) {
     consensus::SparsifierResult pruned =
         consensus::sparsify_topology(g, alive_, labels, config_.sparsify);
     w_ = std::move(pruned.w);
-    pruned_->keys.clear();
-    const auto& edges = g.edges();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (pruned.edge_kept[e]) continue;
-      pruned_->keys.insert(
-          net::FaultInjector::link_key(edges[e].first, edges[e].second));
-    }
-    if (injector_) injector_->set_pruned_links(pruned_->keys);
     pruned_->links_pruned = pruned.links_pruned;
     pruned_->effective_edges = pruned.effective_edges;
     pruned_->slem_after = pruned.slem_after;
+    return std::move(pruned.edge_kept);
   }
 
-  // Slot-aligned projection of the pruned set onto each node's current
-  // neighbor list; rebuilt whenever either side changes (sparsifier
-  // epochs, checkpoint restore).
-  void rebuild_pruned_masks() {
-    if (!pruned_) return;
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      const auto& my_neighbors = nodes_[i].neighbors();
-      pruned_->masks[i].assign(my_neighbors.size(), 0);
-      for (std::size_t s = 0; s < my_neighbors.size(); ++s) {
-        if (pruned_->keys.contains(
-                net::FaultInjector::link_key(i, my_neighbors[s]))) {
-          pruned_->masks[i][s] = 1;
-        }
-      }
+  // Rebuilds the masks from the sparsifier's cut of g. Only effective
+  // edges are ever pruned, and both their endpoints' rows were just set
+  // from the sparsifier's W, so each one has its two slots.
+  void mark_pruned(const topology::Graph& g,
+                   const std::vector<std::uint8_t>& edge_kept) {
+    clear_pruned();
+    const auto& edges = g.edges();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (edge_kept[e]) continue;
+      const bool linked = prune_link(edges[e].first, edges[e].second);
+      SNAP_ASSERT(linked);
     }
+  }
+
+  void clear_pruned() {
+    for (topology::NodeId i = 0; i < n_; ++i) {
+      pruned_->masks[i].assign(nodes_[i].neighbors().size(), 0);
+    }
+  }
+
+  // Marks {u, v} pruned at both endpoints; false (nothing marked) when
+  // either row lacks the other.
+  bool prune_link(topology::NodeId u, topology::NodeId v) {
+    const std::size_t su = slot_in(nodes_[u].neighbors(), v);
+    const std::size_t sv = slot_in(nodes_[v].neighbors(), u);
+    if (su == kNoSlot || sv == kNoSlot) return false;
+    pruned_->masks[u][su] = 1;
+    pruned_->masks[v][sv] = 1;
+    return true;
   }
 
   // Fires serially in the round preamble, after confirmed churn has been
@@ -475,24 +485,6 @@ class SnapScheme {
   // before any phase runs.
   void on_activation(std::size_t round,
                      std::span<const runtime::ActivatedLink> links) {
-    // Sparsified gossip duty-cycles the pruned links out of every
-    // activation *after* the scheduler drew it: the schedule itself is
-    // untouched (same draws for every surviving link, bitwise the
-    // unsparsified stream), the pruned links just never fire. The
-    // filtered set feeds both link_active (this round's sends) and
-    // prev_links (next round's rows), so a pruned link contributes
-    // neither frames nor mixing weight.
-    std::vector<runtime::ActivatedLink> filtered;
-    if (pruned_ && !pruned_->keys.empty()) {
-      filtered.reserve(links.size());
-      for (const auto& [u, v] : links) {
-        if (pruned_->keys.contains(net::FaultInjector::link_key(u, v))) {
-          continue;
-        }
-        filtered.push_back({u, v});
-      }
-      links = filtered;
-    }
     // Periodic synchronized restart (GossipConfig::restart_every):
     // round-varying activations excite the neutrally-stable modes of
     // EXTRA's memory recursion — without this, the compounded error
@@ -510,17 +502,23 @@ class SnapScheme {
     for (topology::NodeId i = 0; i < n_; ++i) {
       g.link_active[i].assign(nodes_[i].neighbors().size(), 0);
     }
-    for (const auto& [u, v] : links) {
+    // Sparsified gossip duty-cycles the pruned links out of every
+    // activation *after* the scheduler drew it: the schedule itself is
+    // untouched (same draws for every surviving link, bitwise the
+    // unsparsified stream), the pruned links just never fire. The
+    // surviving links feed both link_active (this round's sends) and
+    // prev_links (next round's rows), so a pruned link contributes
+    // neither frames nor mixing weight.
+    g.prev_links.clear();
+    for (const runtime::ActivatedLink& link : links) {
+      const auto [u, v] = link;
       const std::size_t su = slot_in(nodes_[u].neighbors(), v);
       const std::size_t sv = slot_in(nodes_[v].neighbors(), u);
-      if (su != std::numeric_limits<std::size_t>::max()) {
-        g.link_active[u][su] = 1;
-      }
-      if (sv != std::numeric_limits<std::size_t>::max()) {
-        g.link_active[v][sv] = 1;
-      }
+      if (pruned_ && su != kNoSlot && pruned_->masks[u][su]) continue;
+      if (su != kNoSlot) g.link_active[u][su] = 1;
+      if (sv != kNoSlot) g.link_active[v][sv] = 1;
+      g.prev_links.push_back(link);
     }
-    g.prev_links.assign(links.begin(), links.end());
   }
 
   // Rebuilds every member's row on the PREVIOUS activation: frames sent
@@ -557,8 +555,7 @@ class SnapScheme {
                                                     g.degree[v])));
       const std::size_t su = slot_in(nodes_[u].neighbors(), v);
       const std::size_t sv = slot_in(nodes_[v].neighbors(), u);
-      SNAP_REQUIRE_MSG(su != std::numeric_limits<std::size_t>::max() &&
-                           sv != std::numeric_limits<std::size_t>::max(),
+      SNAP_REQUIRE_MSG(su != kNoSlot && sv != kNoSlot,
                        "activated link (" << u << "," << v
                                           << ") is not a topology edge");
       g.row[u][su] += weight;
@@ -907,13 +904,14 @@ class SnapScheme {
     const topology::Graph& g = injector_->current_graph();
     const std::vector<std::size_t>& labels =
         injector_->component_labels(round);
+    std::vector<std::uint8_t> edge_kept;
     if (pruned_) {
       // Sparsifier epoch: re-prune the current effective subgraph and
       // take its re-derived W in place of the plain re-projection. The
       // labels restrict pruning within components, so the partition
-      // machinery's block structure is preserved exactly; the updated
-      // pruned set re-arms the injector filter and the collect masks.
-      apply_sparsifier(g, labels);
+      // machinery's block structure is preserved exactly; the new cut
+      // re-marks the masks once the rows below are set.
+      edge_kept = apply_sparsifier(g, labels);
     } else {
       // Empty labels (component tracking off: pure memoryless link
       // noise) re-project over the survivors alone.
@@ -928,16 +926,36 @@ class SnapScheme {
                              std::move(row.weights), row.self);
       nodes_[i].restart();
     }
-    rebuild_pruned_masks();
+    if (pruned_) mark_pruned(g, edge_kept);
   }
 
   // Sparsifier telemetry: stamped onto every recorded row just before the
   // fabric commits it, so the CSV/checkpoint carry the pruned state
-  // actually in force for that round.
+  // actually in force for that round. A pruned link carries no frames,
+  // so its burst outages are no outage anyone sees: they leave the
+  // injector's links_down count. (Its chain keeps drawing, so pruning
+  // never perturbs the surviving links' schedule.)
   void annotate_stats(IterationStats& stats) const {
     stats.links_pruned = pruned_->links_pruned;
     stats.effective_edges = pruned_->effective_edges;
     stats.slem_after_prune = pruned_->slem_after;
+    if (!injector_) return;
+    for_each_pruned([&](topology::NodeId u, topology::NodeId v) {
+      if (injector_->link_burst_down(global_round_, u, v)) --stats.links_down;
+    });
+  }
+
+  // Visits every pruned link once, as (lower id, higher id).
+  template <typename Visit>
+  void for_each_pruned(Visit&& visit) const {
+    for (topology::NodeId i = 0; i < n_; ++i) {
+      const auto& my_neighbors = nodes_[i].neighbors();
+      for (std::size_t s = 0; s < my_neighbors.size(); ++s) {
+        if (pruned_->masks[i][s] && i < my_neighbors[s]) {
+          visit(i, my_neighbors[s]);
+        }
+      }
+    }
   }
 
   // Checkpoint save/restore of the algorithm's complete mutable state:
@@ -985,9 +1003,12 @@ class SnapScheme {
       writer.write_u64(v);
     }
     if (pruned_) {
-      // Sorted so replicas write identical bytes.
-      std::vector<std::uint64_t> keys(pruned_->keys.begin(),
-                                      pruned_->keys.end());
+      // The pruned links as sorted FaultInjector::link_key values, so
+      // replicas write identical bytes.
+      std::vector<std::uint64_t> keys;
+      for_each_pruned([&](topology::NodeId u, topology::NodeId v) {
+        keys.push_back(net::FaultInjector::link_key(u, v));
+      });
       std::sort(keys.begin(), keys.end());
       writer.write_u64(keys.size());
       for (const std::uint64_t k : keys) writer.write_u64(k);
@@ -1059,18 +1080,22 @@ class SnapScheme {
           pruned_count > static_cast<std::uint64_t>(n_) * n_) {
         return false;
       }
-      pruned_->keys.clear();
+      // Each key is a canonical link_key, (higher id << 32) | lower
+      // id, naming a link the restored (sparsified) rows both hold.
+      clear_pruned();
       for (std::uint64_t k = 0; k < pruned_count; ++k) {
-        pruned_->keys.insert(reader.read_u64());
+        const std::uint64_t key = reader.read_u64();
+        const std::uint64_t hi = key >> 32;
+        const std::uint64_t lo = key & 0xffffffffULL;
+        if (!reader.ok() || hi >= n_ || lo >= hi ||
+            !prune_link(static_cast<topology::NodeId>(lo),
+                        static_cast<topology::NodeId>(hi))) {
+          return false;
+        }
       }
       pruned_->links_pruned = reader.read_u64();
       pruned_->effective_edges = reader.read_u64();
       pruned_->slem_after = reader.read_f64();
-      if (!reader.ok()) return false;
-      if (injector_) injector_->set_pruned_links(pruned_->keys);
-      // The node blobs restored above already carry the sparsified
-      // neighbor rows, so the masks project cleanly onto them.
-      rebuild_pruned_masks();
     }
     return reader.ok();
   }

@@ -30,13 +30,12 @@
 
 namespace snap::core {
 
-/// The shared run settings (convergence, threads, faults, recovery,
-/// fabric, async, timing, checkpoint) come from runtime::RunConfig. A
-/// crash freezes the node (pause-resume: its state survives, in-flight
-/// frames don't).
-struct SnapTrainerConfig : runtime::RunConfig {
-  double alpha = 0.05;                ///< EXTRA step size
-  FilterMode filter = FilterMode::kApe;
+/// The SNAP-specific run settings SnapTrainerConfig and
+/// experiments::ScenarioConfig share, declared once so Scenario forwards
+/// them (RunConfig base included) in a single slice assignment. The
+/// shared run settings (convergence, threads, faults, recovery, fabric,
+/// async, timing, checkpoint) come from runtime::RunConfig.
+struct SnapRunConfig : runtime::RunConfig {
   ApeConfig ape;                      ///< used when filter == kApe
   /// Iterations to run before arming the APE controllers. The budget is
   /// 10% of the mean |parameter| (§V) — anchored to the model *after*
@@ -45,7 +44,6 @@ struct SnapTrainerConfig : runtime::RunConfig {
   /// parameter (SNAP-0 behaviour), which is what the early iterations
   /// do anyway since every change dwarfs any reasonable threshold.
   std::size_t ape_warmup_iterations = 5;
-  EvalConfig eval;
   /// Self-healing on confirmed churn: re-project W onto the surviving
   /// topology (weight_reprojection) and restart the EXTRA recursion from
   /// the current iterates. Disable only for ablations — without it the
@@ -59,16 +57,12 @@ struct SnapTrainerConfig : runtime::RunConfig {
   /// arbitrary restart points). Disable to make joiners start cold
   /// from x⁰ — the ablation in bench/elastic_membership.
   bool warm_start_joins = true;
-  /// How nodes treat neighbors whose round update never arrived.
-  StragglerPolicy straggler_policy = StragglerPolicy::kReweight;
-  /// Seeds model initialization and failure sampling.
-  std::uint64_t seed = 1;
   /// Activation scheduler used when fabric == kGossip: each round only
   /// a sparse activated link subset (random matching or per-node
   /// fan-out) exchanges frames, the node rows are rebuilt as
   /// Metropolis–Hastings weights on the activated subgraph, and
   /// non-activated links accumulate backlog exactly like down links.
-  /// gossip.seed == 0 derives the schedule from `seed`.
+  /// gossip.seed == 0 derives the schedule from the run's seed.
   runtime::GossipConfig gossip;
   /// Async-only: let nodes free-run instead of pacing each round on a
   /// frame (or heartbeat) from every neighbor. EXTRA's corrected
@@ -81,7 +75,7 @@ struct SnapTrainerConfig : runtime::RunConfig {
   /// staleness experiments.
   bool async_free_run = false;
   /// Delivery backend. kSim (default) runs in-process on the
-  /// deterministic RoundMailbox oracle; kUds/kTcp runs this process as
+  /// deterministic SimTransport oracle; kUds/kTcp runs this process as
   /// shard `transport.shard_id` of `transport.shards`, carrying
   /// cross-shard frames over real sockets with the SNAP frame codec.
   /// The learning trajectory is bitwise identical across backends for
@@ -95,12 +89,24 @@ struct SnapTrainerConfig : runtime::RunConfig {
   /// provided W with the re-derived one on the survivors — and re-runs
   /// the sparsifier at every membership/partition epoch on the current
   /// alive subgraph. Pruned links carry no frames (their backlog
-  /// accumulates exactly like non-activated gossip links) and are
-  /// excluded from the fault injector's outage counters. The prune
+  /// accumulates exactly like non-activated gossip links), and their
+  /// burst outages stay out of IterationStats::links_down. The prune
   /// schedule is a pure function of (plan, seed, graph, epoch): it
   /// replays bitwise across thread counts, socket shards, and
   /// checkpoint resume.
   consensus::SparsifierConfig sparsify;
+};
+
+/// A crash freezes the node (pause-resume: its state survives, in-flight
+/// frames don't).
+struct SnapTrainerConfig : SnapRunConfig {
+  double alpha = 0.05;                ///< EXTRA step size
+  FilterMode filter = FilterMode::kApe;
+  EvalConfig eval;
+  /// How nodes treat neighbors whose round update never arrived.
+  StragglerPolicy straggler_policy = StragglerPolicy::kReweight;
+  /// Seeds model initialization and failure sampling.
+  std::uint64_t seed = 1;
 };
 
 /// Optional per-iteration observer: (iteration index starting at 1,

@@ -227,13 +227,11 @@ core::TrainResult Scenario::run_snap_variant(
     core::StragglerPolicy straggler_policy) const {
   const ScenarioConfig& cfg = impl_->config;
   core::SnapTrainerConfig c;
-  static_cast<runtime::RunConfig&>(c) = cfg;
+  static_cast<core::SnapRunConfig&>(c) = cfg;
   if (criteria) c.convergence = *criteria;
   c.straggler_policy = straggler_policy;
   c.alpha = cfg.alpha;
   c.filter = filter;
-  c.ape = cfg.ape;
-  c.ape_warmup_iterations = cfg.ape_warmup_iterations;
   // The legacy Fig. 9 straggler knob folds into the fault plan as a
   // memoryless link chain (same fork, same draw stream), unless the plan
   // already sets its own link bursts.
@@ -243,13 +241,7 @@ core::TrainResult Scenario::run_snap_variant(
     c.faults.link_enter_burst = legacy.link_enter_burst;
     c.faults.link_exit_burst = legacy.link_exit_burst;
   }
-  c.reproject_on_churn = cfg.reproject_on_churn;
-  c.warm_start_joins = cfg.warm_start_joins;
   c.seed = cfg.seed;
-  c.async_free_run = cfg.async_free_run;
-  c.gossip = cfg.gossip;
-  c.transport = cfg.transport;
-  c.sparsify = cfg.sparsify;
   core::SnapTrainer trainer =
       optimized_weights
           ? core::SnapTrainer(impl_->graph, impl_->w_optimized.w,

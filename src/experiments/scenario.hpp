@@ -15,8 +15,6 @@
 
 #include "core/snap_trainer.hpp"
 #include "core/training.hpp"
-#include "net/transport.hpp"
-#include "consensus/topology_sparsifier.hpp"
 #include "consensus/weight_optimizer.hpp"
 #include "runtime/fabric.hpp"
 #include "data/dataset.hpp"
@@ -46,8 +44,11 @@ enum class Workload {
 
 /// The shared run settings come from runtime::RunConfig; Scenario
 /// forwards them to the SNAP family and the PS baselines (the
-/// centralized reference takes only `convergence`).
-struct ScenarioConfig : runtime::RunConfig {
+/// centralized reference takes only `convergence`). The SNAP family's
+/// own knobs (APE, churn healing, gossip, transport, sparsification)
+/// come from core::SnapRunConfig; the centralized and PS schemes ignore
+/// them and refuse any transport but kSim.
+struct ScenarioConfig : core::SnapRunConfig {
   Workload workload = Workload::kCreditSvm;
   std::size_t nodes = 60;        ///< paper default
   double average_degree = 3.0;   ///< paper default
@@ -75,19 +76,11 @@ struct ScenarioConfig : runtime::RunConfig {
   std::size_t test_samples = 0;
 
   double alpha = 0.3;  ///< step size shared by all schemes
-  core::ApeConfig ape;
-  /// Iterations before the APE controllers are armed (the budget is
-  /// anchored to the mean |parameter| at this point; see
-  /// SnapTrainerConfig::ape_warmup_iterations).
-  std::size_t ape_warmup_iterations = 5;
   /// Per-round probability that a link drops both directions' frames
   /// (the Fig. 9 straggler knob). The SNAP family folds it into `faults`
   /// as a memoryless link plan when the plan sets no link bursts itself;
   /// the PS baselines see `faults` alone.
   double link_failure_probability = 0.0;
-  /// SNAP self-healing on confirmed churn (see
-  /// SnapTrainerConfig::reproject_on_churn).
-  bool reproject_on_churn = true;
   /// Elastic membership: latent joiners appended to the base topology as
   /// isolated extra nodes. They hold data shards from round 1 but stay
   /// outside the membership until a scheduled or random join attaches
@@ -96,32 +89,8 @@ struct ScenarioConfig : runtime::RunConfig {
   /// initial mixing matrices are built by re-projection onto the initial
   /// member set (identity rows for the latent slots).
   std::size_t latent_joiners = 0;
-  /// Warm-start joiners over a STATE_SYNC handoff (see
-  /// SnapTrainerConfig::warm_start_joins). The cold ablation knob.
-  bool warm_start_joins = true;
   consensus::WeightOptimizerConfig weight_optimizer;
   std::uint64_t seed = 2020;  ///< venue year — printed by every bench
-
-  /// Activation scheduler (matching / push-pull, fan-out, seed) used by
-  /// the SNAP family when fabric == kGossip. The PS baselines ignore it
-  /// — a star topology degenerates to the sync exchange.
-  runtime::GossipConfig gossip;
-  /// Async decentralized schemes: drop the neighborhood-local pacing
-  /// gate and let every node free-run (staleness experiments; EXTRA
-  /// diverges under persistent view skew, so default off).
-  bool async_free_run = false;
-  /// Delivery backend for the SNAP family (see
-  /// SnapTrainerConfig::transport): kSim is the in-process oracle;
-  /// kUds/kTcp runs this process as one shard of a multi-process run.
-  /// The centralized reference and the PS baselines are sim-only —
-  /// running them under a socket transport is a contract violation.
-  net::TransportConfig transport;
-  /// Cost-aware topology sparsification for the SNAP family (see
-  /// SnapTrainerConfig::sparsify): prune the mixing topology under a
-  /// SLEM/cost budget before round 1 and at every membership/partition
-  /// epoch. The centralized/PS schemes ignore it (a star has no
-  /// redundant links to prune).
-  consensus::SparsifierConfig sparsify;
 };
 
 class Scenario {

@@ -91,27 +91,19 @@ void CostTracker::record_received(topology::NodeId v, std::uint64_t bytes) {
   iter_inbound_[v] += bytes;
 }
 
-std::uint64_t CostTracker::iteration_max_inbound() const noexcept {
-  std::uint64_t worst = 0;
-  for (const std::uint64_t b : iter_inbound_) worst = std::max(worst, b);
-  return worst;
-}
-
-std::uint64_t CostTracker::iteration_max_outbound() const noexcept {
-  std::uint64_t worst = 0;
-  for (const std::uint64_t b : iter_outbound_) worst = std::max(worst, b);
-  return worst;
-}
-
-void CostTracker::end_iteration() {
-  bytes_series_.push_back(iter_bytes_);
-  cost_series_.push_back(iter_cost_);
-  max_inbound_series_.push_back(iteration_max_inbound());
-  max_outbound_series_.push_back(iteration_max_outbound());
+IterationTraffic CostTracker::end_iteration() {
+  IterationTraffic ended{iter_bytes_, iter_cost_, 0, 0};
+  for (const std::uint64_t b : iter_inbound_) {
+    ended.max_inbound = std::max(ended.max_inbound, b);
+  }
+  for (const std::uint64_t b : iter_outbound_) {
+    ended.max_outbound = std::max(ended.max_outbound, b);
+  }
   iter_bytes_ = 0;
   iter_cost_ = 0;
   iter_inbound_.assign(iter_inbound_.size(), 0);
   iter_outbound_.assign(iter_outbound_.size(), 0);
+  return ended;
 }
 
 }  // namespace snap::net

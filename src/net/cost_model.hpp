@@ -64,6 +64,17 @@ class HopMatrix {
   mutable std::vector<std::vector<std::size_t>> rows_;
 };
 
+/// One ended iteration's traffic, as end_iteration() reports it.
+struct IterationTraffic {
+  std::uint64_t bytes = 0;  ///< raw bytes (hop count ignored)
+  std::uint64_t cost = 0;   ///< hop-weighted cost: Σ flow_bytes × hops
+  /// Largest per-node inbound byte count — the quantity that saturates a
+  /// NIC under incast (paper §I: "when an edge server is selected as a
+  /// parameter server ... the incast problem may occur").
+  std::uint64_t max_inbound = 0;
+  std::uint64_t max_outbound = 0;  ///< largest per-node outbound count
+};
+
 /// Accumulates the bytes and hop-weighted cost of every recorded flow.
 class CostTracker {
  public:
@@ -88,8 +99,9 @@ class CostTracker {
                    std::uint64_t cost);
   void record_received(topology::NodeId v, std::uint64_t bytes);
 
-  /// Marks the end of an iteration: snapshots the per-iteration series.
-  void end_iteration();
+  /// Ends the current iteration: returns its traffic and resets the
+  /// per-iteration counters.
+  IterationTraffic end_iteration();
 
   /// Raw bytes written since construction (hop count ignored).
   std::uint64_t total_bytes() const noexcept { return total_bytes_; }
@@ -97,54 +109,17 @@ class CostTracker {
   /// Hop-weighted cost: Σ flow_bytes × hops.
   std::uint64_t total_cost() const noexcept { return total_cost_; }
 
-  /// Bytes recorded in the current (not yet ended) iteration.
-  std::uint64_t iteration_bytes() const noexcept { return iter_bytes_; }
-
-  /// Hop-weighted cost recorded in the current iteration.
-  std::uint64_t iteration_cost() const noexcept { return iter_cost_; }
-
-  /// Per-iteration byte series, one entry per end_iteration() call.
-  const std::vector<std::uint64_t>& bytes_per_iteration() const noexcept {
-    return bytes_series_;
-  }
-
-  /// Per-iteration hop-weighted cost series.
-  const std::vector<std::uint64_t>& cost_per_iteration() const noexcept {
-    return cost_series_;
-  }
-
-  /// Largest per-node inbound byte count in the current iteration — the
-  /// quantity that saturates a NIC under incast (paper §I: "when an
-  /// edge server is selected as a parameter server ... the incast
-  /// problem may occur").
-  std::uint64_t iteration_max_inbound() const noexcept;
-
-  /// Largest per-node outbound byte count in the current iteration.
-  std::uint64_t iteration_max_outbound() const noexcept;
-
-  /// Per-iteration series of the two maxima above.
-  const std::vector<std::uint64_t>& max_inbound_per_iteration()
-      const noexcept {
-    return max_inbound_series_;
-  }
-  const std::vector<std::uint64_t>& max_outbound_per_iteration()
-      const noexcept {
-    return max_outbound_series_;
-  }
-
   const HopMatrix& hop_matrix() const noexcept { return hops_; }
 
   /// Replaces the routing table — used at membership epochs, when joins
   /// grow the topology and new flows need routes. Accumulated totals
-  /// and series are untouched.
+  /// are untouched.
   void set_hop_matrix(HopMatrix hop_matrix);
 
   /// Checkpoint restore: re-seeds the running totals on a fresh tracker
-  /// so post-resume rounds accumulate on top of the pre-crash traffic.
-  /// The per-iteration series stay empty — the resumed run only ever
-  /// reads the series entries its own end_iteration() calls append, and
-  /// the pre-crash entries are already frozen in the checkpoint's
-  /// IterationStats prefix.
+  /// so post-resume rounds accumulate on top of the pre-crash traffic
+  /// (the pre-crash rounds' traffic is already frozen in the
+  /// checkpoint's IterationStats prefix).
   void restore_totals(std::uint64_t total_bytes,
                       std::uint64_t total_cost) noexcept {
     total_bytes_ = total_bytes;
@@ -159,10 +134,6 @@ class CostTracker {
   std::uint64_t iter_cost_ = 0;
   std::vector<std::uint64_t> iter_inbound_;   // per node, current iteration
   std::vector<std::uint64_t> iter_outbound_;  // per node, current iteration
-  std::vector<std::uint64_t> bytes_series_;
-  std::vector<std::uint64_t> cost_series_;
-  std::vector<std::uint64_t> max_inbound_series_;
-  std::vector<std::uint64_t> max_outbound_series_;
 };
 
 }  // namespace snap::net

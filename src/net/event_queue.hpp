@@ -1,6 +1,6 @@
 // Discrete-event scheduler.
 //
-// The synchronous-round fabric (RoundMailbox) models the paper's
+// The synchronous-round fabric (SyncFabric) models the paper's
 // shared-clock exchange; this scheduler is the substrate for anything
 // finer-grained — heterogeneous compute times, per-link latencies,
 // timer-driven exchange (§IV-D: "define a timer to exchange the

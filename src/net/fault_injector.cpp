@@ -166,11 +166,6 @@ std::uint64_t FaultInjector::link_key(topology::NodeId u,
   return (hi << 32) | lo;
 }
 
-void FaultInjector::set_pruned_links(
-    std::unordered_set<std::uint64_t> pruned) {
-  pruned_links_ = std::move(pruned);
-}
-
 void FaultInjector::ensure_round(std::size_t round) {
   while (rounds_.size() < round) materialize_next();
 }
@@ -568,11 +563,7 @@ bool FaultInjector::same_component(std::size_t round, topology::NodeId u,
 
 bool FaultInjector::link_burst_down(std::size_t round, topology::NodeId u,
                                     topology::NodeId v) const {
-  const std::uint64_t k = link_key(u, v);
-  // A pruned link carries no frames: its chain keeps drawing (the
-  // stream is never perturbed) but the outage is unobservable.
-  if (!pruned_links_.empty() && pruned_links_.contains(k)) return false;
-  return state(round).burst_down.contains(k);
+  return state(round).burst_down.contains(link_key(u, v));
 }
 
 bool FaultInjector::node_down(std::size_t round, topology::NodeId i) const {
@@ -624,13 +615,7 @@ bool FaultInjector::frame_corrupted(std::size_t round, topology::NodeId from,
 }
 
 std::size_t FaultInjector::down_link_count(std::size_t round) const {
-  const RoundState& s = state(round);
-  if (pruned_links_.empty()) return s.burst_down.size();
-  std::size_t count = 0;
-  for (const std::uint64_t k : s.burst_down) {
-    if (!pruned_links_.contains(k)) ++count;
-  }
-  return count;
+  return state(round).burst_down.size();
 }
 
 std::size_t FaultInjector::down_node_count(std::size_t round) const {

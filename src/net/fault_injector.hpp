@@ -291,26 +291,14 @@ class FaultInjector {
   bool frame_corrupted(std::size_t round, topology::NodeId from,
                        topology::NodeId to, std::size_t attempt) const;
 
-  /// Burst-down links in `round` (endpoint crashes and pruned links
-  /// not counted).
+  /// Burst-down links in `round` (endpoint crashes not counted).
   std::size_t down_link_count(std::size_t round) const;
   /// Crashed nodes in `round`.
   std::size_t down_node_count(std::size_t round) const;
 
-  /// Canonical unordered-pair key for a link, (max << 32) | min — the
-  /// encoding set_pruned_links consumes.
+  /// Canonical unordered-pair key for a link, (max << 32) | min.
   static std::uint64_t link_key(topology::NodeId u,
                                 topology::NodeId v) noexcept;
-
-  /// Topology-sparsifier seam: links currently pruned from the mixing
-  /// topology (link_key-encoded). A pruned link carries no frames, so
-  /// its burst outages are invisible — link_burst_down reports false
-  /// and down_link_count skips it, keeping the links_down CSV column
-  /// meaningful. Filtering happens at query time ONLY: the seeded
-  /// chain streams keep drawing for every edge unchanged, so pruning
-  /// never perturbs the surviving links' schedule. Partition cuts stay
-  /// physical-layer and are not filtered.
-  void set_pruned_links(std::unordered_set<std::uint64_t> pruned);
 
   const FaultPlan& plan() const noexcept { return plan_; }
 
@@ -374,9 +362,6 @@ class FaultInjector {
   std::size_t random_cut_until_ = 0;  // first round the random cut heals
   std::vector<std::size_t> prev_component_;  // last round's labeling
   std::size_t partition_epoch_ = 0;
-
-  /// Query-time outage filter for sparsifier-pruned links.
-  std::unordered_set<std::uint64_t> pruned_links_;
 
   std::vector<RoundState> rounds_;  // rounds_[r - 1] is round r
 };

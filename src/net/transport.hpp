@@ -1,8 +1,7 @@
 // The transport seam: how frames move between nodes.
 //
-// Every round fabric used to write straight into a RoundMailbox — an
-// in-memory copy masquerading as a network. Transport<Payload> makes
-// that delivery path a pluggable backend with one contract:
+// The round fabrics deliver frames through one pluggable backend
+// contract:
 //
 //   post(from, to, payload, wire_bytes, state_sync)   [charge + queue]
 //   flip_round()                                      [delivery barrier]
@@ -10,9 +9,10 @@
 //
 // Two backends implement it:
 //
-//   - SimTransport — the deterministic oracle. A RoundMailbox behind
-//     the seam, bitwise identical to the pre-seam fabrics: same inbox
-//     order (global post order), same byte accounting, same everything.
+//   - SimTransport — the deterministic oracle: in-process double
+//     buffers per node, reliable and in global post order. Lost frames
+//     are the fabric's doing (it consults the FaultInjector before
+//     posting), never the transport's.
 //
 //   - SocketTransport (socket_transport.hpp) — one OS process per
 //     shard of nodes, frames crossing shard boundaries encoded with the
@@ -41,15 +41,15 @@
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "common/check.hpp"
 #include "net/cost_model.hpp"
-#include "net/mailbox.hpp"
 #include "topology/graph.hpp"
 
 namespace snap::net {
 
 /// Which delivery backend carries the frames.
 enum class TransportKind {
-  kSim,  ///< in-process RoundMailbox (the deterministic oracle; default)
+  kSim,  ///< in-process SimTransport (the deterministic oracle; default)
   kUds,  ///< multi-process, Unix-domain sockets
   kTcp,  ///< multi-process, TCP loopback sockets
 };
@@ -130,12 +130,15 @@ using RowOf = std::function<std::span<double>(topology::NodeId node)>;
 
 /// The seam the fabrics deliver through. Round-structured: frames
 /// posted since the last flip become readable at the next flip, per
-/// destination, in global post order (the determinism contract the
-/// pre-seam mailbox gave the fabrics).
+/// destination, in global post order (the determinism contract every
+/// fabric relies on).
 template <typename Payload>
 class Transport {
  public:
-  using Message = typename RoundMailbox<Payload>::Message;
+  struct Message {
+    topology::NodeId from = 0;
+    Payload payload;
+  };
 
   virtual ~Transport() = default;
 
@@ -222,41 +225,65 @@ class Transport {
   std::size_t round_ = 0;
 };
 
-/// The deterministic oracle: the pre-seam RoundMailbox, verbatim.
+/// The deterministic oracle: posts land in the receiver's outgoing
+/// buffer and the flip makes them readable. Sending to self is
+/// rejected — almost always a bug in a consensus algorithm.
 template <typename Payload>
 class SimTransport final : public Transport<Payload> {
  public:
   using Message = typename Transport<Payload>::Message;
 
-  explicit SimTransport(std::size_t node_count) : mailbox_(node_count) {}
+  explicit SimTransport(std::size_t node_count)
+      : outgoing_(node_count), incoming_(node_count) {}
 
   TransportKind kind() const noexcept override {
     return TransportKind::kSim;
   }
   std::size_t node_count() const noexcept override {
-    return mailbox_.node_count();
+    return incoming_.size();
   }
   void post(topology::NodeId from, topology::NodeId to, Payload payload,
             std::size_t wire_bytes, bool state_sync) override {
+    require_link(from, to);
     this->charge(from, to, wire_bytes, state_sync);
-    mailbox_.post(from, to, std::move(payload));
+    outgoing_[to].push_back(Message{from, std::move(payload)});
   }
-  void flip_round() override { mailbox_.flip_round(); }
+  /// The buffers trade places instead of being moved from, so both keep
+  /// their capacity and a steady-state round allocates nothing here.
+  void flip_round() override {
+    for (std::size_t node = 0; node < incoming_.size(); ++node) {
+      incoming_[node].swap(outgoing_[node]);
+      outgoing_[node].clear();
+    }
+  }
   const std::vector<Message>& inbox(
       topology::NodeId node) const override {
-    return mailbox_.inbox(node);
+    SNAP_REQUIRE(node < incoming_.size());
+    return incoming_[node];
   }
 
-  /// Pull-based delivery (RoundMailbox::deliver): the shared-clock
-  /// fabrics' receivers append their one-hop frames after the flip,
-  /// charging them themselves. Parallel-safe for distinct `to`.
+  /// Pull-based delivery: the shared-clock fabrics' receivers append
+  /// their one-hop frames to their own inbox after the flip, charging
+  /// them themselves. Touches only `to`'s inbox, so receivers may pull
+  /// in parallel for distinct `to`.
   void deliver(topology::NodeId from, topology::NodeId to, Payload payload) {
-    mailbox_.deliver(from, to, std::move(payload));
+    require_link(from, to);
+    incoming_[to].push_back(Message{from, std::move(payload)});
   }
-  void clear_inbox(topology::NodeId node) { mailbox_.clear_inbox(node); }
+  /// Empties `node`'s inbox (keeping its capacity) once it has been read.
+  void clear_inbox(topology::NodeId node) {
+    SNAP_REQUIRE(node < incoming_.size());
+    incoming_[node].clear();
+  }
 
  private:
-  RoundMailbox<Payload> mailbox_;
+  void require_link(topology::NodeId from, topology::NodeId to) const {
+    SNAP_REQUIRE(from < incoming_.size() && to < incoming_.size());
+    SNAP_REQUIRE_MSG(from != to, "node " << from << " messaging itself");
+  }
+
+  std::vector<std::vector<Message>> outgoing_;
+  std::vector<std::vector<Message>> incoming_;
 };
 
 }  // namespace snap::net

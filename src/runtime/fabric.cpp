@@ -53,12 +53,11 @@ core::IterationStats shared_round_stats(const RoundEval& eval,
     stats.evaluated = true;
   }
   if (cost != nullptr) {
-    cost->end_iteration();
-    stats.bytes = cost->bytes_per_iteration().back();
-    stats.cost = cost->cost_per_iteration().back();
-    stats.max_node_inbound_bytes = cost->max_inbound_per_iteration().back();
-    stats.max_node_outbound_bytes =
-        cost->max_outbound_per_iteration().back();
+    const net::IterationTraffic traffic = cost->end_iteration();
+    stats.bytes = traffic.bytes;
+    stats.cost = traffic.cost;
+    stats.max_node_inbound_bytes = traffic.max_inbound;
+    stats.max_node_outbound_bytes = traffic.max_outbound;
   }
   if (faults == nullptr) {
     stats.alive_nodes = node_count;

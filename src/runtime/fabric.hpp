@@ -22,7 +22,7 @@
 //     time is native and staleness is tracked per directed edge.
 //
 // The hooks are deliberately scheme-agnostic: a hook never touches a
-// mailbox, a cost tracker, or a clock — it only transforms node state
+// transport, a cost tracker, or a clock — it only transforms node state
 // and emits typed envelopes. That is what makes the two fabrics
 // interchangeable underneath an unchanged algorithm.
 #pragma once
@@ -40,7 +40,7 @@
 #include "core/training.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_injector.hpp"
-#include "net/mailbox.hpp"
+#include "net/transport.hpp"
 #include "runtime/gossip.hpp"
 #include "runtime/run_checkpoint.hpp"
 #include "runtime/timing.hpp"
@@ -63,10 +63,10 @@ struct Envelope {
   bool state_sync = false;
 };
 
-/// What a node receives: the fabric delivers the mailbox's own message
-/// type, so sync delivery is literally the RoundMailbox inbox.
+/// What a node receives: the fabric delivers the transport's own
+/// message type, so sync delivery is literally the transport's inbox.
 template <typename Payload>
-using Delivery = typename net::RoundMailbox<Payload>::Message;
+using Delivery = typename net::Transport<Payload>::Message;
 
 /// What the evaluate phase reports back to the fabric each round.
 struct RoundEval {
@@ -78,7 +78,7 @@ struct RoundEval {
 
 /// Lets the mix phase reply with follow-up messages in the same round
 /// (the parameter server's push-back). Sync fabrics deliver these in an
-/// extra mailbox wave; async fabrics put them on the wire immediately.
+/// extra delivery wave; async fabrics put them on the wire immediately.
 template <typename Payload>
 class MessageSink {
  public:
@@ -338,7 +338,7 @@ struct RunConfig {
   /// Threads for the per-node phases of each round (0 = one per
   /// hardware thread, 1 = fully serial). Results are bitwise identical
   /// for every value: parallel regions write only per-node slots, and
-  /// every reduction (byte accounting, mailbox delivery, loss/mean/
+  /// every reduction (byte accounting, transport delivery, loss/mean/
   /// residual folds) runs serially in fixed node order afterwards.
   std::size_t threads = 1;
   /// Generalized fault process: bursty link outages, scheduled/random

@@ -493,7 +493,7 @@ class SyncFabric : public RoundFabric<Payload> {
     return any;
   }
 
-  /// Flips the mailbox and runs mix waves until no node replies. Wave 1
+  /// Flips the transport and runs mix waves until no node replies. Wave 1
   /// is the round's main exchange; the parameter server's push-back
   /// lands in wave 2. Bounded to catch hooks that ping-pong forever.
   /// With `pull_graph`, wave 1's receivers first pull their neighbors'

@@ -4,7 +4,6 @@
 
 #include "common/binary_io.hpp"
 #include "common/check.hpp"
-#include "common/logging.hpp"
 #include "common/stopwatch.hpp"
 #include "common/strings.hpp"
 
@@ -160,30 +159,6 @@ TEST(StringsTest, Trim) {
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim("   "), "");
   EXPECT_EQ(trim("x"), "x");
-}
-
-// -------------------------------------------------------------- logging
-
-TEST(LoggingTest, LevelRoundTrip) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(before);
-}
-
-TEST(LoggingTest, LevelNames) {
-  EXPECT_EQ(log_level_name(LogLevel::kDebug), "DEBUG");
-  EXPECT_EQ(log_level_name(LogLevel::kInfo), "INFO");
-  EXPECT_EQ(log_level_name(LogLevel::kWarn), "WARN");
-  EXPECT_EQ(log_level_name(LogLevel::kError), "ERROR");
-}
-
-TEST(LoggingTest, SuppressedMessagesDoNotCrash) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  SNAP_LOG(Debug) << "below threshold " << 1;
-  SNAP_LOG(Info) << "also below " << 2.5;
-  set_log_level(before);
 }
 
 // ------------------------------------------------------------ stopwatch

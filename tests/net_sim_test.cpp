@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "net/cost_model.hpp"
-#include "net/mailbox.hpp"
 #include "oracle/link_failure.hpp"
 #include "topology/generators.hpp"
 
@@ -50,19 +49,20 @@ TEST(CostTrackerTest, SelfFlowIsFree) {
 }
 
 TEST(CostTrackerTest, IterationSeriesSnapshots) {
-  CostTracker tracker{HopMatrix(topology::make_complete(3))};
+  CostTracker tracker{HopMatrix(topology::make_line(3))};  // 0-1-2
   tracker.record_flow(0, 1, 10);
-  tracker.end_iteration();
-  tracker.record_flow(0, 2, 20);
+  const IterationTraffic first = tracker.end_iteration();
+  tracker.record_flow(0, 2, 20);  // 2 hops
   tracker.record_flow(1, 2, 5);
-  tracker.end_iteration();
-  tracker.end_iteration();  // empty iteration
-  ASSERT_EQ(tracker.bytes_per_iteration().size(), 3u);
-  EXPECT_EQ(tracker.bytes_per_iteration()[0], 10u);
-  EXPECT_EQ(tracker.bytes_per_iteration()[1], 25u);
-  EXPECT_EQ(tracker.bytes_per_iteration()[2], 0u);
-  EXPECT_EQ(tracker.iteration_bytes(), 0u);
+  const IterationTraffic second = tracker.end_iteration();
+  const IterationTraffic empty = tracker.end_iteration();
+  EXPECT_EQ(first.bytes, 10u);
+  EXPECT_EQ(second.bytes, 25u);
+  EXPECT_EQ(second.cost, 45u);
+  EXPECT_EQ(empty.bytes, 0u);
+  EXPECT_EQ(empty.cost, 0u);
   EXPECT_EQ(tracker.total_bytes(), 35u);
+  EXPECT_EQ(tracker.total_cost(), 55u);
 }
 
 TEST(CostTrackerTest, PerNodeInboundOutboundMaxima) {
@@ -71,24 +71,22 @@ TEST(CostTrackerTest, PerNodeInboundOutboundMaxima) {
   tracker.record_flow(1, 3, 200);
   tracker.record_flow(2, 3, 50);  // node 3 is the incast hotspot: 350 in
   tracker.record_flow(3, 0, 40);
-  EXPECT_EQ(tracker.iteration_max_inbound(), 350u);   // node 3
-  EXPECT_EQ(tracker.iteration_max_outbound(), 200u);  // node 1
-  tracker.end_iteration();
-  ASSERT_EQ(tracker.max_inbound_per_iteration().size(), 1u);
-  EXPECT_EQ(tracker.max_inbound_per_iteration()[0], 350u);
-  EXPECT_EQ(tracker.max_outbound_per_iteration()[0], 200u);
+  const IterationTraffic incast = tracker.end_iteration();
+  EXPECT_EQ(incast.max_inbound, 350u);   // node 3
+  EXPECT_EQ(incast.max_outbound, 200u);  // node 1
   // Counters reset per iteration.
-  EXPECT_EQ(tracker.iteration_max_inbound(), 0u);
   tracker.record_flow(0, 1, 10);
-  tracker.end_iteration();
-  EXPECT_EQ(tracker.max_inbound_per_iteration()[1], 10u);
+  const IterationTraffic next = tracker.end_iteration();
+  EXPECT_EQ(next.max_inbound, 10u);
+  EXPECT_EQ(next.max_outbound, 10u);
 }
 
 TEST(CostTrackerTest, SelfFlowsDoNotTouchNicCounters) {
   CostTracker tracker{HopMatrix(topology::make_complete(3))};
   tracker.record_flow(1, 1, 999);
-  EXPECT_EQ(tracker.iteration_max_inbound(), 0u);
-  EXPECT_EQ(tracker.iteration_max_outbound(), 0u);
+  const IterationTraffic traffic = tracker.end_iteration();
+  EXPECT_EQ(traffic.max_inbound, 0u);
+  EXPECT_EQ(traffic.max_outbound, 0u);
 }
 
 // The pull-delivery fold: per-sender tallies through record_sent and
@@ -132,22 +130,15 @@ TEST(CostTrackerTest, BulkChargesMatchFlowReplayInAnyOrder) {
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       bulk.record_received(*it, received[*it]);
     }
-    EXPECT_EQ(bulk.iteration_bytes(), replay.iteration_bytes());
-    EXPECT_EQ(bulk.iteration_cost(), replay.iteration_cost());
-    EXPECT_EQ(bulk.iteration_max_inbound(), replay.iteration_max_inbound());
-    EXPECT_EQ(bulk.iteration_max_outbound(),
-              replay.iteration_max_outbound());
-    replay.end_iteration();
-    bulk.end_iteration();
+    const IterationTraffic want = replay.end_iteration();
+    const IterationTraffic got = bulk.end_iteration();
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(got.max_inbound, want.max_inbound);
+    EXPECT_EQ(got.max_outbound, want.max_outbound);
   }
   EXPECT_EQ(bulk.total_bytes(), replay.total_bytes());
   EXPECT_EQ(bulk.total_cost(), replay.total_cost());
-  EXPECT_EQ(bulk.bytes_per_iteration(), replay.bytes_per_iteration());
-  EXPECT_EQ(bulk.cost_per_iteration(), replay.cost_per_iteration());
-  EXPECT_EQ(bulk.max_inbound_per_iteration(),
-            replay.max_inbound_per_iteration());
-  EXPECT_EQ(bulk.max_outbound_per_iteration(),
-            replay.max_outbound_per_iteration());
   EXPECT_GT(replay.total_cost(), replay.total_bytes());  // some multi-hop
 }
 
@@ -198,49 +189,6 @@ TEST(LinkFailureTest, ProbabilityIsClamped) {
   EXPECT_DOUBLE_EQ(a.failure_probability(), 0.0);
   LinkFailureModel b(g, 2.0, common::Rng(5));
   EXPECT_DOUBLE_EQ(b.failure_probability(), 1.0);
-}
-
-// ----------------------------------------------------------- RoundMailbox
-
-TEST(MailboxTest, DeliversAfterFlip) {
-  RoundMailbox<int> mailbox(3);
-  mailbox.post(0, 1, 42);
-  EXPECT_TRUE(mailbox.inbox(1).empty());  // not yet flipped
-  mailbox.flip_round();
-  ASSERT_EQ(mailbox.inbox(1).size(), 1u);
-  EXPECT_EQ(mailbox.inbox(1)[0].from, 0u);
-  EXPECT_EQ(mailbox.inbox(1)[0].payload, 42);
-}
-
-TEST(MailboxTest, FlipClearsPreviousRound) {
-  RoundMailbox<int> mailbox(2);
-  mailbox.post(0, 1, 1);
-  mailbox.flip_round();
-  mailbox.flip_round();
-  EXPECT_TRUE(mailbox.inbox(1).empty());
-}
-
-TEST(MailboxTest, MultipleSendersPreserved) {
-  RoundMailbox<int> mailbox(3);
-  mailbox.post(0, 2, 10);
-  mailbox.post(1, 2, 20);
-  mailbox.flip_round();
-  ASSERT_EQ(mailbox.inbox(2).size(), 2u);
-}
-
-TEST(MailboxTest, RejectsSelfSendAndBadIds) {
-  RoundMailbox<int> mailbox(2);
-  EXPECT_THROW(mailbox.post(0, 0, 1), common::ContractViolation);
-  EXPECT_THROW(mailbox.post(0, 2, 1), common::ContractViolation);
-  EXPECT_THROW(mailbox.inbox(5), common::ContractViolation);
-}
-
-TEST(MailboxTest, MovesPayloads) {
-  RoundMailbox<std::vector<int>> mailbox(2);
-  std::vector<int> payload{1, 2, 3};
-  mailbox.post(0, 1, std::move(payload));
-  mailbox.flip_round();
-  EXPECT_EQ(mailbox.inbox(1)[0].payload.size(), 3u);
 }
 
 }  // namespace

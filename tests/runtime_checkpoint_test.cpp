@@ -475,6 +475,71 @@ TEST(RuntimeCheckpointTest, SnapLoadRejectsOutOfRangeIds) {
   fs::remove(path);
 }
 
+// A pruned-link key in a sparsified blob must name a link both restored
+// neighbor rows hold: an endpoint >= n, a self-link, or a pair that is
+// no topology link refuses the resume, like any out-of-range id.
+TEST(RuntimeCheckpointTest, SnapLoadRejectsForeignPrunedLink) {
+  const ScenarioConfig cfg = sparsified_config(runtime::FabricKind::kSync);
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("snap-ckpt-pruned-" + std::to_string(::getpid()) + ".ckpt");
+  fs::remove(path);
+  ScenarioConfig first = cfg;
+  first.convergence.min_iterations = 6;
+  first.convergence.max_iterations = 6;
+  first.checkpoint.path = path.string();
+  first.checkpoint.every = 3;
+  Scenario(first).run(Scheme::kSnap);
+  const std::optional<runtime::RunCheckpoint> saved =
+      runtime::load_run_checkpoint(path.string());
+  ASSERT_TRUE(saved.has_value());
+
+  // The sparsified blob ends with the u64 key count, the sorted u64
+  // keys, links_pruned u64, effective_edges u64 and slem_after f64.
+  const std::vector<std::byte>& blob = saved->algorithm_state;
+  const std::uint64_t pruned = u64_at(blob, blob.size() - 24);
+  ASSERT_GT(pruned, 0u) << "premise: the sparsifier must prune links";
+  const std::size_t first_key = blob.size() - 24 - 8 * pruned;
+  ASSERT_EQ(u64_at(blob, first_key - 8), pruned);
+
+  ScenarioConfig resume = cfg;
+  resume.checkpoint.path = path.string();
+  resume.checkpoint.every = 3;
+  resume.checkpoint.resume = true;
+  const Scenario scenario(resume);
+  EXPECT_NO_THROW(scenario.run(Scheme::kSnap));
+
+  const auto refused = [&](std::uint64_t hi, std::uint64_t lo) {
+    runtime::RunCheckpoint patched = *saved;
+    const std::uint64_t key = (hi << 32) | lo;
+    std::memcpy(patched.algorithm_state.data() + first_key, &key, 8);
+    // Re-sealed through encode_run_checkpoint: the checksum holds, only
+    // the key lies.
+    EXPECT_TRUE(runtime::save_run_checkpoint(path.string(), patched));
+    try {
+      scenario.run(Scheme::kSnap);
+    } catch (const common::ContractViolation& e) {
+      return std::string(e.what()).find("algorithm blob") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  const std::uint64_t n = scenario.graph().node_count();
+  EXPECT_TRUE(refused(n, 0)) << "pruned-link endpoint >= n accepted";
+  EXPECT_TRUE(refused(1, 1)) << "pruned self-link accepted";
+  topology::NodeId u = 1;
+  topology::NodeId v = 0;
+  while (scenario.graph().has_edge(u, v)) {
+    if (++v == u) {
+      ++u;
+      v = 0;
+    }
+  }
+  ASSERT_LT(u, n) << "premise: the topology must miss some link";
+  EXPECT_TRUE(refused(u, v)) << "pruned link outside the rows accepted";
+  fs::remove(path);
+}
+
 TEST(RuntimeCheckpointTest, BoundedBackoffSaturatesAtCap) {
   runtime::FaultRecoveryConfig recovery;
   recovery.retry_backoff_s = 0.1;

@@ -152,6 +152,24 @@ TEST(TrajectoryFingerprintTest, SyncSparsified) {
   EXPECT_EQ(fingerprint(result), 0x65575b672c032fceULL);
 }
 
+TEST(TrajectoryFingerprintTest, SyncSparsifiedWithLinkBursts) {
+  // Bursts on pruned links stay out of links_down; bursts on kept links
+  // still merge into their backlogs.
+  ScenarioConfig cfg = sync_bursts();
+  cfg.average_degree = 4.0;
+  cfg.sparsify.enabled = true;
+  cfg.sparsify.slem_bound = 1.0;
+  cfg.sparsify.cost_budget = 0.75;
+  const Scenario scenario(cfg);
+  const core::TrainResult result = scenario.run(Scheme::kSnap);
+  ASSERT_GT(result.iterations.back().links_pruned, 0u)
+      << "premise: the sparsifier must prune links";
+  ASSERT_GT(sum_links_down(result), 0u) << "premise: bursts must cut links";
+  EXPECT_EQ(fingerprint(result), 0xcb69c024b8f3e511ULL);
+  // links_down is not in the fingerprint; pin the pruned-link exclusion.
+  EXPECT_EQ(sum_links_down(result), 165u);
+}
+
 TEST(TrajectoryFingerprintTest, PacedAsyncWithLinkFailures) {
   ScenarioConfig cfg = base(runtime::FabricKind::kAsync, 30);
   cfg.link_failure_probability = 0.15;
