@@ -1,7 +1,10 @@
-// Fuzz entry point for everything that parses bytes off the network:
-// the update-frame codec (formats A and B), the checksummed STATE_SYNC
-// codec, the transport's record codecs (frame header, control records,
-// SHARE rows), and the stream reassembler.
+// Fuzz entry point for everything that parses bytes off the network or
+// back from disk: the update-frame codec (formats A and B), the
+// checksummed STATE_SYNC codec, the transport's record codecs (frame
+// header, control records, SHARE rows), the stream reassembler, and the
+// two checkpoint decoders (run and model). Each checkpoint decoder also
+// sees the input re-sealed (its FNV-1a trailer recomputed), so
+// arbitrary bytes reach the field decoders behind the checksum.
 // Arbitrary input must never crash, hang, or yield a structurally
 // invalid frame — decode rejects or returns a valid object, whole or
 // not at all.
@@ -23,10 +26,13 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "common/rng.hpp"
+#include "ml/checkpoint.hpp"
 #include "net/frame.hpp"
 #include "net/reassembly.hpp"
 #include "net/socket_transport.hpp"
+#include "runtime/run_checkpoint.hpp"
 
 namespace {
 
@@ -47,6 +53,29 @@ void check_update_frame(const snap::net::UpdateFrame& frame) {
   if (frame.updates.size() > frame.total_params) std::abort();
 }
 
+/// Recomputes the trailing FNV-1a checksum of a sealed blob.
+void reseal(std::vector<std::byte>& blob) {
+  if (blob.size() < 8) return;
+  const std::uint64_t sum = snap::common::fnv1a(
+      std::span<const std::byte>(blob).first(blob.size() - 8));
+  std::memcpy(blob.data() + blob.size() - 8, &sum, sizeof sum);
+}
+
+/// A decoded checkpoint must re-encode to the input's length: every
+/// field read whole, nothing left over or invented.
+void check_checkpoints(std::span<const std::byte> blob) {
+  if (const auto run = snap::runtime::decode_run_checkpoint(blob)) {
+    if (snap::runtime::encode_run_checkpoint(*run).size() != blob.size()) {
+      std::abort();
+    }
+  }
+  if (const auto model = snap::ml::decode_checkpoint(blob)) {
+    if (snap::ml::encode_checkpoint(*model).size() != blob.size()) {
+      std::abort();
+    }
+  }
+}
+
 void fuzz_one(const std::uint8_t* data, std::size_t size) {
   const auto* bytes = reinterpret_cast<const std::byte*>(data);
   const std::span<const std::byte> input(bytes, size);
@@ -64,6 +93,11 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
     // claim more values than the input carried bytes for.
     if (share->values.size() * sizeof(double) > size) std::abort();
   }
+
+  check_checkpoints(input);
+  std::vector<std::byte> resealed(input.begin(), input.end());
+  reseal(resealed);
+  check_checkpoints(resealed);
 
   // Stream reassembly: feed the input twice with a mid-buffer split so
   // partial-prefix and partial-record paths both run. Poisoning (an
@@ -105,9 +139,10 @@ void write_corpus_file(const std::filesystem::path& dir,
 }
 
 /// Seeds the corpus with the same families of inputs the in-tree gtest
-/// fuzz suite generates: valid sparse frames across densities (format A
+/// fuzz suites generate: valid sparse frames across densities (format A
 /// and B territory), STATE_SYNC frames, transport wire records, SHARE
-/// rows, framed streams, and bit-flipped mutants of each.
+/// rows, framed streams, run and model checkpoints, and bit-flipped
+/// mutants of each.
 void emit_corpus(const std::filesystem::path& dir) {
   namespace net = snap::net;
   std::filesystem::create_directories(dir);
@@ -182,6 +217,24 @@ void emit_corpus(const std::filesystem::path& dir) {
   emit(FrameReassembler::frame(net::encode_share_record(share)));
   share.values.resize(1);
   emit(net::encode_share_record(share));
+
+  // Checkpoints: a run checkpoint with a short stats series and opaque
+  // wire/algorithm blobs, and a model checkpoint. Their bit-flip mutants
+  // fail the checksum as given; fuzz_one re-seals them.
+  snap::runtime::RunCheckpoint run;
+  run.round = 3;
+  run.sim_seconds = 0.75;
+  run.membership_epoch = 1;
+  run.alive = {1, 1, 0, 1};
+  run.iterations.resize(3);
+  for (auto& it : run.iterations) it.train_loss = rng.uniform();
+  run.wire_state.assign(16, std::byte{0x11});
+  run.algorithm_state.assign(40, std::byte{0x22});
+  emit(snap::runtime::encode_run_checkpoint(run));
+  snap::ml::Checkpoint model;
+  model.model_name = "linear-svm-24";
+  model.params = snap::linalg::Vector(25, 0.5);
+  emit(snap::ml::encode_checkpoint(model));
 
   std::cout << "wrote " << serial << " corpus files to " << dir.string()
             << '\n';

@@ -293,46 +293,22 @@ core::TrainResult train_parameter_server(
   // mid-wait under faults), push/step counters, the down mask, and the
   // minibatch RNG stream position. The PS selection and fault schedule
   // are seed-derived, so the resumed process reconstructs them before
-  // load_state runs.
-  const auto write_vec = [p](common::ByteWriter& writer,
-                             const linalg::Vector& v) {
-    SNAP_ASSERT(v.size() == p);
-    for (std::size_t d = 0; d < p; ++d) writer.write_f64(v[d]);
-  };
-  const auto read_vec = [p](common::ByteReader& reader, linalg::Vector& v) {
-    v = linalg::Vector(p);
-    for (std::size_t d = 0; d < p; ++d) v[d] = reader.read_f64();
-  };
-  hooks.save_state = [&](common::ByteWriter& writer) {
-    writer.write_u64(steps);
-    batch_rng.save(writer);
-    write_vec(writer, server_params);
+  // load_state runs. The model-sized vectors are fixed runs of p
+  // doubles: their length is the model's, not the blob's.
+  const auto transfer = [&](auto& io) {
+    const auto blank = [p] { return linalg::Vector(p); };
+    fields(io, steps, batch_rng, common::fixed(server_params));
     for (std::size_t worker = 0; worker < n; ++worker) {
-      write_vec(writer, worker_params[worker]);
-      writer.write_u8(pending[worker].has_value() ? 1 : 0);
-      if (pending[worker].has_value()) write_vec(writer, *pending[worker]);
-      writer.write_u64(pushes_received[worker]);
-      writer.write_u8(worker_down[worker] ? 1 : 0);
-    }
-  };
-  hooks.load_state = [&](common::ByteReader& reader) -> bool {
-    steps = reader.read_u64();
-    if (!batch_rng.load(reader)) return false;
-    read_vec(reader, server_params);
-    for (std::size_t worker = 0; worker < n; ++worker) {
-      read_vec(reader, worker_params[worker]);
-      const std::uint8_t has_pending = reader.read_u8();
-      if (has_pending > 1) return false;
-      if (has_pending == 1) {
-        linalg::Vector upload;
-        read_vec(reader, upload);
-        pending[worker] = std::move(upload);
-      } else {
-        pending[worker].reset();
+      field(io, common::fixed(worker_params[worker]));
+      if (common::present(io, pending[worker], blank)) {
+        field(io, common::fixed(*pending[worker]));
       }
-      pushes_received[worker] = reader.read_u64();
-      worker_down[worker] = reader.read_u8() != 0;
+      fields(io, pushes_received[worker], worker_down[worker]);
     }
+  };
+  hooks.save_state = [&](common::ByteWriter& writer) { transfer(writer); };
+  hooks.load_state = [&](common::ByteReader& reader) {
+    transfer(reader);
     return reader.ok();
   };
 

@@ -1,19 +1,45 @@
-// Byte-level serialization used by the SNAP wire protocol (src/net).
+// Byte-level serialization used by the SNAP wire protocol (src/net) and
+// by every checkpoint.
 //
 // ByteWriter appends little-endian primitives to a growable buffer;
 // ByteReader consumes them back. The reader reports truncation through
 // ok()/error() rather than throwing, because malformed frames are an
 // expected runtime condition for a network component.
+//
+// Persisted state goes through the field codec at the bottom: a struct
+// lists its fields once, in
+//   template <class Self, class Io> static void transfer(Self&, Io&)
+// calling field(io, member) for each; save walks it with a ByteWriter
+// (Self const), load with a ByteReader. Reads never throw or
+// over-allocate: a short blob or an impossible count fails the reader,
+// so a loader checks ok() once after the walk, then runs its validate().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace snap::common {
+
+/// FNV-1a 64-bit hash: the checksum of STATE_SYNC frames and of the
+/// sealed checkpoint envelope. Each step is injective in both
+/// arguments, so any single changed byte changes the digest.
+inline std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const std::byte b : bytes) {
+    hash ^= static_cast<std::uint64_t>(b);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
 
 /// Append-only little-endian byte buffer.
 class ByteWriter {
@@ -93,8 +119,12 @@ class ByteReader {
     return out;
   }
 
-  /// True while no read has run past the end of the buffer.
+  /// True while no read has run past the end of the buffer (and no
+  /// field decoder refused what it read).
   bool ok() const noexcept { return !failed_; }
+
+  /// Marks the input malformed: ok() turns false, later reads are no-ops.
+  void fail() noexcept { failed_ = true; }
 
   /// Bytes not yet consumed.
   std::size_t remaining() const noexcept { return bytes_.size() - offset_; }
@@ -121,5 +151,163 @@ class ByteReader {
   std::size_t offset_ = 0;
   bool failed_ = false;
 };
+
+// Field codec: one overload pair per on-disk shape.
+//   u64 (std::size_t), f64, u8; bool as one u8 (non-zero reads true)
+//   a sequence (std::vector, linalg::Vector): u64 count, then each
+//     element; the reader refuses a count above remaining() / width
+//     before it allocates, and reads records one by one
+//   a string: u32 length, then its bytes; a pair: first, then second
+//   fixed(container): the elements with no count (the reader's
+//     container already has the right length)
+//   present(io, optional, make): a u8 flag (0 or 1), then the value
+//   a map: u64 count, then key and value per entry in key order
+//   a record with a public static transfer, or a class with save and
+//     bool load (a false load fails the reader)
+// fields(io, a, b, ...) is field() over each argument in order.
+
+inline void field(ByteWriter& w, std::uint64_t v) { w.write_u64(v); }
+inline void field(ByteReader& r, std::uint64_t& v) { v = r.read_u64(); }
+inline void field(ByteWriter& w, double v) { w.write_f64(v); }
+inline void field(ByteReader& r, double& v) { v = r.read_f64(); }
+inline void field(ByteWriter& w, std::uint8_t v) { w.write_u8(v); }
+inline void field(ByteReader& r, std::uint8_t& v) { v = r.read_u8(); }
+inline void field(ByteWriter& w, bool v) { w.write_u8(v ? 1 : 0); }
+inline void field(ByteReader& r, bool& v) { v = r.read_u8() != 0; }
+inline void field(ByteReader& r, std::vector<bool>::reference v) {
+  v = r.read_u8() != 0;
+}
+
+inline void field(ByteWriter& w, const std::string& s) {
+  w.write_u32(static_cast<std::uint32_t>(s.size()));
+  w.write_bytes(std::as_bytes(std::span(s)));
+}
+inline void field(ByteReader& r, std::string& s) {
+  const std::uint32_t length = r.read_u32();
+  if (length > r.remaining()) return r.fail();
+  s.resize(length);
+  for (char& c : s) c = static_cast<char>(r.read_u8());
+}
+
+template <typename A, typename B>
+void field(ByteWriter& w, const std::pair<A, B>& pair) {
+  field(w, pair.first);
+  field(w, pair.second);
+}
+template <typename A, typename B>
+void field(ByteReader& r, std::pair<A, B>& pair) {
+  field(r, pair.first);
+  field(r, pair.second);
+}
+
+template <typename T>
+  requires requires(const T& t, ByteWriter& w) { T::transfer(t, w); }
+void field(ByteWriter& w, const T& record) {
+  T::transfer(record, w);
+}
+template <typename T>
+  requires requires(T& t, ByteReader& r) { T::transfer(t, r); }
+void field(ByteReader& r, T& record) {
+  T::transfer(record, r);
+}
+
+template <typename T>
+  requires requires(const T& t, ByteWriter& w) { t.save(w); }
+void field(ByteWriter& w, const T& object) {
+  object.save(w);
+}
+template <typename T>
+  requires requires(T& t, ByteReader& r) { t.load(r); }
+void field(ByteReader& r, T& object) {
+  if (!object.load(r)) r.fail();
+}
+
+template <typename C>
+concept Sequence = std::ranges::sized_range<C> &&
+                   requires(C& c, std::size_t n) { c.resize(n); };
+
+template <Sequence C>
+void field(ByteWriter& w, const C& items) {
+  w.write_u64(std::ranges::size(items));
+  if constexpr (std::is_same_v<C, std::vector<std::byte>>) {
+    w.write_bytes(items);
+  } else {
+    for (const auto& item : items) field(w, item);
+  }
+}
+template <Sequence C>
+void field(ByteReader& r, C& items) {
+  using T = std::ranges::range_value_t<C>;
+  constexpr bool kScalar = std::is_arithmetic_v<T>;
+  const std::uint64_t count = r.read_u64();
+  if (count > r.remaining() / (kScalar ? sizeof(T) : 1)) return r.fail();
+  if constexpr (std::is_same_v<C, std::vector<std::byte>>) {
+    items = r.read_bytes(count);
+  } else if constexpr (kScalar) {
+    items.resize(count);
+    for (auto&& item : items) field(r, item);
+  } else {
+    items.clear();
+    for (std::uint64_t k = 0; k < count && r.ok(); ++k) {
+      field(r, items.emplace_back());
+    }
+  }
+}
+
+template <typename C>
+struct FixedRun {
+  C& items;
+};
+template <typename C>
+FixedRun<C> fixed(C& items) {
+  return {items};
+}
+template <typename C>
+void field(ByteWriter& w, FixedRun<C> run) {
+  for (const auto& item : run.items) field(w, item);
+}
+template <typename C>
+void field(ByteReader& r, FixedRun<C> run) {
+  for (auto&& item : run.items) field(r, item);
+}
+
+/// True when the optional's value follows. The reader re-creates a
+/// present value from make() and resets an absent one.
+template <typename T, typename Make>
+bool present(ByteWriter& w, const std::optional<T>& value, Make&&) {
+  w.write_u8(value.has_value() ? 1 : 0);
+  return value.has_value();
+}
+template <typename T, typename Make>
+bool present(ByteReader& r, std::optional<T>& value, Make&& make) {
+  const std::uint8_t flag = r.read_u8();
+  if (flag > 1) r.fail();
+  value.reset();
+  if (flag == 1 && r.ok()) value.emplace(make());
+  return value.has_value();
+}
+
+template <typename K, typename V>
+void field(ByteWriter& w, const std::map<K, V>& map) {
+  w.write_u64(map.size());
+  for (const auto& entry : map) field(w, entry);
+}
+template <typename K, typename V>
+void field(ByteReader& r, std::map<K, V>& map) {
+  const std::uint64_t count = r.read_u64();
+  map.clear();
+  if (count > r.remaining()) return r.fail();
+  for (std::uint64_t k = 0; k < count && r.ok(); ++k) {
+    std::pair<K, V> entry;
+    field(r, entry);
+    if (r.ok()) map.emplace(std::move(entry));
+  }
+}
+
+/// field() over each argument in order: a struct's field table.
+template <typename Io, typename... Fields>
+void fields(Io& io, Fields&&... each) {
+  (field(io, std::forward<Fields>(each)), ...);
+}
 
 }  // namespace snap::common

@@ -18,8 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/binary_io.hpp"
-
 namespace snap::common {
 
 /// SplitMix64 — Steele, Lea & Flood's 64-bit mixing generator.
@@ -58,15 +56,12 @@ class Pcg32 {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return 0xFFFFFFFFu; }
 
-  /// Raw engine position, for checkpointing a stream mid-consumption.
-  std::uint64_t state() const noexcept { return state_; }
-  std::uint64_t stream_inc() const noexcept { return inc_; }
-
-  /// Restores a position captured by state()/stream_inc(): the engine
-  /// continues the exact draw sequence it was checkpointed at.
-  void set_state(std::uint64_t state, std::uint64_t inc) noexcept {
-    state_ = state;
-    inc_ = inc;
+  /// Checkpoint codec (common::field) of the engine position: state,
+  /// then stream selector. A restored engine continues the exact draw
+  /// sequence it was saved at.
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    fields(io, self.state_, self.inc_);
   }
 
  private:
@@ -133,25 +128,13 @@ class Rng {
   /// The seed this generator was constructed from (for reporting).
   std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Checkpoint save/restore of the full stream position: engine state,
-  /// stream selector, and the Box–Muller normal cache. A restored Rng
+  /// Checkpoint codec (common::field) of the full stream position:
+  /// seed, engine, and the Box–Muller normal cache. A restored Rng
   /// continues the exact draw sequence it was saved at.
-  void save(ByteWriter& writer) const {
-    writer.write_u64(seed_);
-    writer.write_u64(engine_.state());
-    writer.write_u64(engine_.stream_inc());
-    writer.write_u8(has_cached_normal_ ? 1 : 0);
-    writer.write_f64(cached_normal_);
-  }
-  bool load(ByteReader& reader) {
-    seed_ = reader.read_u64();
-    const std::uint64_t state = reader.read_u64();
-    const std::uint64_t inc = reader.read_u64();
-    has_cached_normal_ = reader.read_u8() != 0;
-    cached_normal_ = reader.read_f64();
-    if (!reader.ok()) return false;
-    engine_.set_state(state, inc);
-    return true;
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    fields(io, self.seed_, self.engine_, self.has_cached_normal_,
+           self.cached_normal_);
   }
 
  private:

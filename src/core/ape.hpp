@@ -18,8 +18,6 @@
 
 #include <cstddef>
 
-#include "common/binary_io.hpp"
-
 namespace snap::core {
 
 struct ApeConfig {
@@ -78,25 +76,13 @@ class ApeController {
 
   const ApeConfig& config() const noexcept { return config_; }
 
-  /// Checkpoint save/restore of the controller's mutable state. The
-  /// config is reconstruction-time (the trainer re-supplies it); load
-  /// overwrites everything the constructor derived from it.
-  void save(common::ByteWriter& writer) const {
-    writer.write_f64(budget_);
-    writer.write_f64(threshold_);
-    writer.write_f64(accumulated_);
-    writer.write_u64(stage_);
-    writer.write_u64(iterations_in_stage_);
-    writer.write_u8(active_ ? 1 : 0);
-  }
-  bool load(common::ByteReader& reader) {
-    budget_ = reader.read_f64();
-    threshold_ = reader.read_f64();
-    accumulated_ = reader.read_f64();
-    stage_ = static_cast<std::size_t>(reader.read_u64());
-    iterations_in_stage_ = static_cast<std::size_t>(reader.read_u64());
-    active_ = reader.read_u8() != 0;
-    return reader.ok();
+  /// Checkpoint codec (common::field) of the controller's mutable state.
+  /// The config is reconstruction-time (the trainer re-supplies it); a
+  /// load overwrites everything the constructor derived from it.
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    fields(io, self.budget_, self.threshold_, self.accumulated_,
+           self.stage_, self.iterations_in_stage_, self.active_);
   }
 
  private:

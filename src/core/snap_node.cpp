@@ -368,146 +368,20 @@ std::span<const double> SnapNode::view_of(topology::NodeId j) const {
   return {parked->second.current.data(), parked->second.current.size()};
 }
 
-namespace {
-
-void write_node_ids(common::ByteWriter& writer,
-                    const std::vector<topology::NodeId>& ids) {
-  writer.write_u64(ids.size());
-  for (const auto id : ids) writer.write_u64(id);
-}
-
-bool read_node_ids(common::ByteReader& reader,
-                   std::vector<topology::NodeId>& ids) {
-  const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count > reader.remaining() / 8) return false;
-  ids.clear();
-  ids.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ids.push_back(static_cast<topology::NodeId>(reader.read_u64()));
-  }
-  return reader.ok();
-}
-
-void write_doubles(common::ByteWriter& writer,
-                   std::span<const double> values) {
-  writer.write_u64(values.size());
-  for (const double v : values) writer.write_f64(v);
-}
-
-bool read_doubles(common::ByteReader& reader, std::vector<double>& values) {
-  const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count > reader.remaining() / 8) return false;
-  values.clear();
-  values.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    values.push_back(reader.read_f64());
-  }
-  return reader.ok();
-}
-
-void write_vector(common::ByteWriter& writer, const linalg::Vector& v) {
-  writer.write_u64(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) writer.write_f64(v[i]);
-}
-
-bool read_vector(common::ByteReader& reader, linalg::Vector& v) {
-  const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count > reader.remaining() / 8) return false;
-  v = linalg::Vector(count);
-  for (std::uint64_t i = 0; i < count; ++i) v[i] = reader.read_f64();
-  return reader.ok();
-}
-
-void write_flags(common::ByteWriter& writer,
-                 const std::vector<std::uint8_t>& flags) {
-  writer.write_u64(flags.size());
-  for (const std::uint8_t f : flags) writer.write_u8(f);
-}
-
-bool read_flags(common::ByteReader& reader,
-                std::vector<std::uint8_t>& flags) {
-  const std::uint64_t count = reader.read_u64();
-  if (!reader.ok() || count > reader.remaining()) return false;
-  flags.clear();
-  flags.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) flags.push_back(reader.read_u8());
-  return reader.ok();
-}
-
-}  // namespace
-
 void SnapNode::save(common::ByteWriter& writer) const {
-  write_node_ids(writer, neighbors_);
-  write_doubles(writer, w_neighbors_);
-  writer.write_f64(w_self_);
-  write_node_ids(writer, neighbors_prev_);
-  write_doubles(writer, w_neighbors_prev_);
-  writer.write_f64(w_self_prev_);
-  writer.write_u8(w_row_dirty_ ? 1 : 0);
-  write_vector(writer, x_previous_);
-  write_vector(writer, x_current_);
-  write_vector(writer, grad_previous_);
-  write_vector(writer, advertised_);
-  writer.write_u64(dim_);
-  write_doubles(writer, view_current_slab_);
-  write_doubles(writer, view_previous_slab_);
-  write_flags(writer, fresh_);
-  write_flags(writer, fresh_previous_);
-  // Parked views in key order so the blob is independent of hash-map
-  // iteration order (bitwise-identical checkpoints across replicas).
-  std::vector<topology::NodeId> parked_keys;
-  parked_keys.reserve(parked_views_.size());
-  for (const auto& [key, view] : parked_views_) parked_keys.push_back(key);
-  std::sort(parked_keys.begin(), parked_keys.end());
-  writer.write_u64(parked_keys.size());
-  for (const auto key : parked_keys) {
-    const ParkedView& view = parked_views_.at(key);
-    writer.write_u64(key);
-    write_doubles(writer, view.current);
-    write_doubles(writer, view.previous);
-    writer.write_u8(view.fresh ? 1 : 0);
-    writer.write_u8(view.fresh_previous ? 1 : 0);
-  }
-  writer.write_u64(iteration_);
-  writer.write_f64(mean_abs_initial_);
+  transfer(*this, writer);
 }
 
 bool SnapNode::load(common::ByteReader& reader) {
-  if (!read_node_ids(reader, neighbors_)) return false;
-  if (!read_doubles(reader, w_neighbors_)) return false;
-  w_self_ = reader.read_f64();
-  if (!read_node_ids(reader, neighbors_prev_)) return false;
-  if (!read_doubles(reader, w_neighbors_prev_)) return false;
-  w_self_prev_ = reader.read_f64();
-  w_row_dirty_ = reader.read_u8() != 0;
-  if (!read_vector(reader, x_previous_)) return false;
-  if (!read_vector(reader, x_current_)) return false;
-  if (!read_vector(reader, grad_previous_)) return false;
-  if (!read_vector(reader, advertised_)) return false;
-  dim_ = static_cast<std::size_t>(reader.read_u64());
-  if (!read_doubles(reader, view_current_slab_)) return false;
-  if (!read_doubles(reader, view_previous_slab_)) return false;
-  if (!read_flags(reader, fresh_)) return false;
-  if (!read_flags(reader, fresh_previous_)) return false;
-  const std::uint64_t parked_count = reader.read_u64();
-  if (!reader.ok()) return false;
-  parked_views_.clear();
-  for (std::uint64_t i = 0; i < parked_count; ++i) {
-    const auto key = static_cast<topology::NodeId>(reader.read_u64());
-    ParkedView view;
-    if (!read_doubles(reader, view.current)) return false;
-    if (!read_doubles(reader, view.previous)) return false;
-    view.fresh = reader.read_u8() != 0;
-    view.fresh_previous = reader.read_u8() != 0;
-    parked_views_.emplace(key, std::move(view));
-  }
-  iteration_ = static_cast<std::size_t>(reader.read_u64());
-  mean_abs_initial_ = reader.read_f64();
-  if (!reader.ok()) return false;
-  // Shape consistency: everything slot-indexed must agree with the
-  // neighbor list (strictly ascending, never the node itself), and
-  // every per-parameter vector with dim_ — collect_updates and
-  // reindex_views index them up to dim_ unchecked.
+  transfer(*this, reader);
+  return reader.ok() && validate();
+}
+
+// Shape consistency: everything slot-indexed must agree with the
+// neighbor list (strictly ascending, never the node itself), and every
+// per-parameter vector with dim_ — collect_updates and reindex_views
+// index them up to dim_ unchecked.
+bool SnapNode::validate() const {
   const std::size_t deg = neighbors_.size();
   for (std::size_t s = 0; s < deg; ++s) {
     const bool ascending = s == 0 || neighbors_[s - 1] < neighbors_[s];

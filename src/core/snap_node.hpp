@@ -26,8 +26,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/binary_io.hpp"
@@ -206,7 +206,7 @@ class SnapNode {
   /// counter. The id/model/shard/straggler policy are reconstruction-
   /// time — the trainer rebuilds the node, then load() overwrites the
   /// rest. load returns false on a truncated or shape-inconsistent
-  /// blob, never half-applies.
+  /// blob; the node is then unusable (the caller abandons the resume).
   void save(common::ByteWriter& writer) const;
   bool load(common::ByteReader& reader);
 
@@ -218,7 +218,27 @@ class SnapNode {
     std::vector<double> previous;
     bool fresh = false;
     bool fresh_previous = false;
+
+    template <class Self, class Io>
+    static void transfer(Self& self, Io& io) {
+      fields(io, self.current, self.previous, self.fresh,
+             self.fresh_previous);
+    }
   };
+
+  /// The checkpoint field list save and load both walk.
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    fields(io, self.neighbors_, self.w_neighbors_, self.w_self_,
+           self.neighbors_prev_, self.w_neighbors_prev_, self.w_self_prev_,
+           self.w_row_dirty_, self.x_previous_, self.x_current_,
+           self.grad_previous_, self.advertised_, self.dim_,
+           self.view_current_slab_, self.view_previous_slab_, self.fresh_,
+           self.fresh_previous_, self.parked_views_, self.iteration_,
+           self.mean_abs_initial_);
+  }
+  /// The shape checks load applies after the transfer.
+  bool validate() const;
 
   void validate_weight_row() const;
   /// Slot of neighbor j in the sorted neighbor list, or npos.
@@ -277,8 +297,9 @@ class SnapNode {
   std::vector<double> view_previous_slab_;
   std::vector<std::uint8_t> fresh_;
   std::vector<std::uint8_t> fresh_previous_;
-  /// Views of detached former neighbors, keyed for re-attach.
-  std::unordered_map<topology::NodeId, ParkedView> parked_views_;
+  /// Views of detached former neighbors, keyed for re-attach (ordered,
+  /// so a checkpoint writes them in one order on every replica).
+  std::map<topology::NodeId, ParkedView> parked_views_;
   std::size_t iteration_ = 0;
   double mean_abs_initial_ = 0.0;
 };

@@ -961,8 +961,7 @@ class SnapScheme {
   // Checkpoint save/restore of the algorithm's complete mutable state:
   // node iterates/views/mixing rows (SnapNode::save), APE controllers,
   // the confirmed-membership mask, the non-empty per-link transmit
-  // backlogs (kept sorted by destination, so replicas write identical
-  // bytes), per-node round counters, the one-shot recursion-restart
+  // backlogs, per-node round counters, the one-shot recursion-restart
   // flag, the previous gossip activation (the rows the next
   // on_activation rebuilds) and the pruned-link state. w_ is
   // deliberately absent: re-projections recompute it from the
@@ -970,134 +969,116 @@ class SnapScheme {
   // are already in the node blobs. The fabric restores its own side
   // (series, cost totals, injector round, wire positions) around these.
   void save_state(common::ByteWriter& writer) const {
-    for (const SnapNode& node : nodes_) node.save(writer);
-    for (const auto& controller : ape_) {
-      writer.write_u8(controller.has_value() ? 1 : 0);
-      if (controller.has_value()) controller->save(writer);
-    }
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      writer.write_u8(alive_[i] ? 1 : 0);
-    }
-    for (const NodeBacklogs& links : backlog_) {
-      // Only pending entries matter: an empty backlog and no backlog
-      // behave identically.
-      const auto pending_links = std::count_if(
-          links.begin(), links.end(),
-          [](const auto& entry) { return !entry.second.empty(); });
-      writer.write_u64(static_cast<std::uint64_t>(pending_links));
-      for (const auto& [j, queued] : links) {
-        if (queued.empty()) continue;
-        writer.write_u64(j);
-        queued.save(writer);
-      }
-    }
-    for (const std::size_t r : rounds_) {
-      writer.write_u64(static_cast<std::uint64_t>(r));
-    }
-    writer.write_u8(restarted_ ? 1 : 0);
-    const auto no_links = std::vector<runtime::ActivatedLink>{};
-    const auto& prev_links = gossip_ ? gossip_->prev_links : no_links;
-    writer.write_u64(prev_links.size());
-    for (const auto& [u, v] : prev_links) {
-      writer.write_u64(u);
-      writer.write_u64(v);
-    }
+    Derived derived;
+    if (gossip_) derived.prev_links = gossip_->prev_links;
     if (pruned_) {
-      // The pruned links as sorted FaultInjector::link_key values, so
-      // replicas write identical bytes.
-      std::vector<std::uint64_t> keys;
       for_each_pruned([&](topology::NodeId u, topology::NodeId v) {
-        keys.push_back(net::FaultInjector::link_key(u, v));
+        derived.pruned_keys.push_back(net::FaultInjector::link_key(u, v));
       });
-      std::sort(keys.begin(), keys.end());
-      writer.write_u64(keys.size());
-      for (const std::uint64_t k : keys) writer.write_u64(k);
-      writer.write_u64(pruned_->links_pruned);
-      writer.write_u64(pruned_->effective_edges);
-      writer.write_f64(pruned_->slem_after);
+      std::sort(derived.pruned_keys.begin(), derived.pruned_keys.end());
+    }
+    transfer(*this, derived, writer);
+  }
+
+  bool load_state(common::ByteReader& reader) {
+    Derived derived;
+    transfer(*this, derived, reader);
+    return reader.ok() && validate(derived);
+  }
+
+  // What the blob carries in another form than the scheme holds it: the
+  // previous gossip activation (empty outside gossip) and the pruned
+  // links as sorted FaultInjector::link_key values, so replicas write
+  // identical bytes.
+  struct Derived {
+    std::vector<runtime::ActivatedLink> prev_links;
+    std::vector<std::uint64_t> pruned_keys;
+  };
+
+  // The checkpoint field list save_state and load_state both walk.
+  template <class Self, class D, class Io>
+  static void transfer(Self& self, D& derived, Io& io) {
+    for (auto& node : self.nodes_) field(io, node);
+    // A loaded controller re-derives nothing: any anchor will do, the
+    // transfer overwrites every derived field.
+    const auto armed = [&] { return ApeController(self.config_.ape, 0.0); };
+    for (auto& controller : self.ape_) {
+      if (present(io, controller, armed)) field(io, *controller);
+    }
+    field(io, common::fixed(self.alive_));
+    self.transfer_backlogs(io);
+    fields(io, common::fixed(self.rounds_), self.restarted_,
+           derived.prev_links);
+    if (self.pruned_) {
+      fields(io, derived.pruned_keys, self.pruned_->links_pruned,
+             self.pruned_->effective_edges, self.pruned_->slem_after);
     }
   }
 
-  // Ids and indices come from bytes on disk: an out-of-range destination,
-  // parameter index or link endpoint refuses the resume rather than
-  // addressing past the per-node tables.
-  bool load_state(common::ByteReader& reader) {
-    for (SnapNode& node : nodes_) {
-      if (!node.load(reader)) return false;
-      // Ascending (checked by load), so the last id bounds them all.
-      if (!node.neighbors().empty() && node.neighbors().back() >= n_) {
+  // LinkBacklog keeps a dedicated pair (its sparse image is not its
+  // dense layout). Per node: the count of pending links (an empty
+  // backlog and no backlog behave identically), then each one's
+  // destination and image, in destination order.
+  void transfer_backlogs(common::ByteWriter& writer) const {
+    for (const NodeBacklogs& links : backlog_) {
+      writer.write_u64(static_cast<std::uint64_t>(std::count_if(
+          links.begin(), links.end(),
+          [](const auto& entry) { return !entry.second.empty(); })));
+      for (const auto& [j, queued] : links) {
+        if (queued.empty()) continue;
+        writer.write_u64(j);
+        field(writer, queued);
+      }
+    }
+  }
+  // At most n links a node: each one allocates a dense backlog.
+  void transfer_backlogs(common::ByteReader& reader) {
+    for (NodeBacklogs& links : backlog_) {
+      links.clear();
+      const std::uint64_t count = reader.read_u64();
+      if (count > n_) return reader.fail();
+      for (std::uint64_t k = 0; k < count && reader.ok(); ++k) {
+        const auto j = static_cast<topology::NodeId>(reader.read_u64());
+        field(reader, backlog_for(links, j, total_params_));
+      }
+    }
+  }
+
+  // The id and range checks of a loaded blob, then the install of its
+  // derived parts. Ids come from bytes on disk: an out-of-range
+  // destination, neighbor or link endpoint refuses the resume rather
+  // than addressing past the per-node tables (SnapNode::load and
+  // LinkBacklog::load have checked shapes and parameter indices).
+  bool validate(Derived& derived) {
+    for (topology::NodeId i = 0; i < n_; ++i) {
+      // Ascending (checked by SnapNode::load): the last id bounds all.
+      const auto& neighbors = nodes_[i].neighbors();
+      if (!neighbors.empty() && neighbors.back() >= n_) return false;
+      for (const auto& [j, queued] : backlog_[i]) {
+        if (j >= n_ || j == i) return false;
+      }
+    }
+    const std::uint64_t max_links = static_cast<std::uint64_t>(n_) * n_;
+    if (derived.prev_links.size() > max_links) return false;
+    for (const auto& [u, v] : derived.prev_links) {
+      if (u >= n_ || v >= n_) return false;
+    }
+    if (gossip_) gossip_->prev_links = std::move(derived.prev_links);
+    if (!pruned_) return true;
+    if (derived.pruned_keys.size() > max_links) return false;
+    // Each key is a canonical link_key, (higher id << 32) | lower id,
+    // naming a link the restored (sparsified) rows both hold.
+    clear_pruned();
+    for (const std::uint64_t key : derived.pruned_keys) {
+      const std::uint64_t hi = key >> 32;
+      const std::uint64_t lo = key & 0xffffffffULL;
+      if (hi >= n_ || lo >= hi ||
+          !prune_link(static_cast<topology::NodeId>(lo),
+                      static_cast<topology::NodeId>(hi))) {
         return false;
       }
     }
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      const bool armed = reader.read_u8() != 0;
-      if (!reader.ok()) return false;
-      if (!armed) {
-        ape_[i].reset();
-        continue;
-      }
-      // The controller re-derives nothing at load: emplace with any
-      // anchor, then load() overwrites every derived field.
-      ape_[i].emplace(config_.ape, 0.0);
-      if (!ape_[i]->load(reader)) return false;
-    }
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      alive_[i] = reader.read_u8() != 0;
-    }
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      backlog_[i].clear();
-      const std::uint64_t link_count = reader.read_u64();
-      if (!reader.ok() || link_count > n_) return false;
-      for (std::uint64_t k = 0; k < link_count; ++k) {
-        const std::uint64_t j = reader.read_u64();
-        if (!reader.ok() || j >= n_ || j == i) return false;
-        LinkBacklog& queued = backlog_for(
-            backlog_[i], static_cast<topology::NodeId>(j), total_params_);
-        if (!queued.load(reader)) return false;
-      }
-    }
-    for (std::size_t& r : rounds_) {
-      r = static_cast<std::size_t>(reader.read_u64());
-    }
-    restarted_ = reader.read_u8() != 0;
-    const std::uint64_t link_count = reader.read_u64();
-    if (!reader.ok() || link_count > static_cast<std::uint64_t>(n_) * n_) {
-      return false;
-    }
-    std::vector<runtime::ActivatedLink> prev_links;
-    prev_links.reserve(link_count);
-    for (std::uint64_t k = 0; k < link_count; ++k) {
-      const std::uint64_t u = reader.read_u64();
-      const std::uint64_t v = reader.read_u64();
-      if (!reader.ok() || u >= n_ || v >= n_) return false;
-      prev_links.push_back({static_cast<topology::NodeId>(u),
-                            static_cast<topology::NodeId>(v)});
-    }
-    if (gossip_) gossip_->prev_links = std::move(prev_links);
-    if (pruned_) {
-      const std::uint64_t pruned_count = reader.read_u64();
-      if (!reader.ok() ||
-          pruned_count > static_cast<std::uint64_t>(n_) * n_) {
-        return false;
-      }
-      // Each key is a canonical link_key, (higher id << 32) | lower
-      // id, naming a link the restored (sparsified) rows both hold.
-      clear_pruned();
-      for (std::uint64_t k = 0; k < pruned_count; ++k) {
-        const std::uint64_t key = reader.read_u64();
-        const std::uint64_t hi = key >> 32;
-        const std::uint64_t lo = key & 0xffffffffULL;
-        if (!reader.ok() || hi >= n_ || lo >= hi ||
-            !prune_link(static_cast<topology::NodeId>(lo),
-                        static_cast<topology::NodeId>(hi))) {
-          return false;
-        }
-      }
-      pruned_->links_pruned = reader.read_u64();
-      pruned_->effective_edges = reader.read_u64();
-      pruned_->slem_after = reader.read_f64();
-    }
-    return reader.ok();
+    return true;
   }
 
   const topology::Graph& graph_;

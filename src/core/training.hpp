@@ -74,6 +74,11 @@ struct IterationStats {
   std::uint64_t links_pruned = 0;
   std::uint64_t effective_edges = 0;
   double slem_after_prune = 0.0;
+
+  /// Checkpoint codec (common::field): every kIterationStatsColumns
+  /// entry in table order, at its natural width.
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 };
 
 /// One IterationStats column: its name (the CSV header, test
@@ -130,6 +135,12 @@ template <typename F>
 constexpr void for_each_stat_column(F&& f) {
   std::apply([&](const auto&... column) { (f(column), ...); },
              kIterationStatsColumns);
+}
+
+template <class Self, class Io>
+void IterationStats::transfer(Self& self, Io& io) {
+  for_each_stat_column(
+      [&](const auto& column) { field(io, self.*column.member); });
 }
 
 namespace detail {

@@ -171,18 +171,6 @@ namespace {
 
 constexpr std::size_t kChecksumBytes = 8;
 
-/// FNV-1a over a byte span. Each step is injective in both arguments,
-/// so any single corrupted byte — a fortiori a single flipped bit —
-/// changes the digest.
-std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const std::byte b : bytes) {
-    hash ^= static_cast<std::uint64_t>(b);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
 }  // namespace
 
 std::size_t state_sync_frame_bytes(std::size_t total_params) {
@@ -199,7 +187,7 @@ std::vector<std::byte> encode_state_sync_frame(
   common::ByteWriter writer(state_sync_frame_bytes(params.size()));
   writer.write_u8(kStateSyncTag);
   writer.write_u32(static_cast<std::uint32_t>(params.size()));
-  writer.write_u64(fnv1a(payload.bytes()));
+  writer.write_u64(common::fnv1a(payload.bytes()));
   writer.write_bytes(payload.bytes());
   return writer.take();
 }
@@ -216,7 +204,7 @@ std::optional<std::vector<double>> decode_state_sync_frame(
   const std::uint64_t expected =
       kValueBytes * static_cast<std::uint64_t>(total_params);
   if (reader.remaining() != expected) return std::nullopt;
-  if (fnv1a(bytes.subspan(kFrameHeaderBytes + kChecksumBytes)) != checksum) {
+  if (common::fnv1a(bytes.subspan(kFrameHeaderBytes + kChecksumBytes)) != checksum) {
     return std::nullopt;
   }
 

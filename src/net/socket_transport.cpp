@@ -601,14 +601,9 @@ struct SocketHub::Impl {
     return -1;
   }
 
-  /// Dials `peer_shard` with the FaultRecoveryConfig-shaped schedule:
-  /// first retry after retry_backoff_s, doubling each attempt but never
-  /// past max_backoff_s, at most max_retries retries after the initial
-  /// attempt.
+  /// Dials `peer_shard` on the bounded_backoff schedule, at most
+  /// max_retries retries after the initial attempt.
   void connect_with_backoff(std::size_t peer_shard) {
-    const double cap = config.max_backoff_s > 0.0 ? config.max_backoff_s
-                                                  : config.retry_backoff_s;
-    double backoff = std::min(config.retry_backoff_s, cap);
     for (std::size_t attempt = 0;; ++attempt) {
       const int fd = try_connect(peer_shard);
       if (fd >= 0) {
@@ -630,8 +625,7 @@ struct SocketHub::Impl {
                                 << peer_shard << " after "
                                 << config.max_retries << " retries");
       ++stats.reconnects;
-      sleep_seconds(backoff);
-      backoff = std::min(backoff * 2.0, cap);
+      sleep_seconds(bounded_backoff(config, attempt));
     }
   }
 
@@ -1009,17 +1003,13 @@ struct SocketHub::Impl {
   /// An unreachable peer (rendezvous artifacts gone) finished the run
   /// while we were dead — it is written off to full-local fallback.
   void resume_rendezvous() {
-    const double cap = config.max_backoff_s > 0.0 ? config.max_backoff_s
-                                                  : config.retry_backoff_s;
     for (std::size_t s = 0; s < config.shards; ++s) {
       if (s == config.shard_id) continue;
       int fd = -1;
-      double backoff = std::min(config.retry_backoff_s, cap);
       for (std::size_t attempt = 0;; ++attempt) {
         fd = try_connect(s);
         if (fd >= 0 || attempt >= config.max_retries) break;
-        sleep_seconds(backoff);
-        backoff = std::min(backoff * 2.0, cap);
+        sleep_seconds(bounded_backoff(config, attempt));
       }
       if (fd < 0) {
         live_from[s] = std::numeric_limits<std::uint64_t>::max();

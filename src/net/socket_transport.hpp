@@ -446,22 +446,22 @@ class SocketTransport final : public Transport<Payload> {
   /// so every frame it posts after the restore carries exactly the seq
   /// its peers' expected-seq maps predict.
   void save_wire_state(common::ByteWriter& writer) const override {
-    writer.write_u64(next_seq_);
-    writer.write_u64(flip_index_);
+    transfer(*this, writer);
   }
   bool restore_wire_state(common::ByteReader& reader) override {
-    const std::uint64_t seq = reader.read_u64();
-    const std::uint64_t flip = reader.read_u64();
-    if (!reader.ok()) return false;
     SNAP_REQUIRE_MSG(crossing_.empty() && expected_.empty() &&
                          next_seq_ == 0 && flip_index_ == 0,
                      "wire state must be restored before any post");
-    next_seq_ = seq;
-    flip_index_ = flip;
-    return true;
+    transfer(*this, reader);
+    return reader.ok();
   }
 
  private:
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    fields(io, self.next_seq_, self.flip_index_);
+  }
+
   /// A cross-shard frame posted since the last flip.
   struct Crossing {
     std::uint64_t seq = 0;

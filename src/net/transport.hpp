@@ -61,6 +61,28 @@ std::string_view transport_name(TransportKind kind) noexcept;
 std::optional<TransportKind> parse_transport_kind(
     std::string_view name) noexcept;
 
+/// The backoff before retry `attempt` (0-based) under `schedule`'s
+/// retry_backoff_s and max_backoff_s (a runtime::FaultRecoveryConfig or
+/// a TransportConfig): retry_backoff_s · 2^attempt, saturated at
+/// max_backoff_s (5 s when that is not positive). Overflow-safe for any
+/// attempt count — the exponent is clamped before the multiply, so the
+/// result never becomes inf even at attempt ≫ 1024.
+template <typename Schedule>
+double bounded_backoff(const Schedule& schedule,
+                       std::size_t attempt) noexcept {
+  const double cap =
+      schedule.max_backoff_s > 0.0 ? schedule.max_backoff_s : 5.0;
+  if (schedule.retry_backoff_s <= 0.0) return 0.0;
+  if (schedule.retry_backoff_s >= cap) return cap;
+  // 2^63 · any positive backoff already exceeds every sane cap; clamping
+  // the exponent keeps the shift defined and the double finite.
+  const std::size_t exponent = attempt < 63 ? attempt : 63;
+  const double scaled =
+      schedule.retry_backoff_s *
+      static_cast<double>(std::uint64_t{1} << exponent);
+  return scaled < cap ? scaled : cap;
+}
+
 /// Everything the socket backend needs to find its peers. Unused when
 /// kind == kSim.
 struct TransportConfig {
@@ -76,7 +98,7 @@ struct TransportConfig {
   /// Reconnect-with-backoff knobs, same semantics as the fault layer's
   /// FaultRecoveryConfig: the first retry waits retry_backoff_s and
   /// each further attempt doubles it (saturating at max_backoff_s —
-  /// runtime::bounded_backoff), bounded by max_retries. The defaults
+  /// bounded_backoff), bounded by max_retries. The defaults
   /// tolerate ~20 s of shard start-up skew at the rendezvous.
   double retry_backoff_s = 0.02;
   std::size_t max_retries = 10;

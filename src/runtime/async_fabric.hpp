@@ -443,7 +443,7 @@ class AsyncFabric final : public RoundFabric<Payload> {
       return;
     }
     ++frames_retried_;
-    const double backoff = bounded_backoff(config_.recovery, attempt);
+    const double backoff = net::bounded_backoff(config_.recovery, attempt);
     auto resend = std::make_shared<Envelope<Payload>>(std::move(envelope));
     queue_.schedule_in(std::max(backoff, 1e-9),
                        [this, from, resend, sender_round, attempt] {

@@ -308,28 +308,9 @@ struct FaultRecoveryConfig {
   /// retry_backoff_s · 2^attempt overflows a double's exponent range
   /// after ~1024 attempts; every consumer of these semantics (async
   /// retransmission, the socket transport's dial and reconnect loops)
-  /// must go through bounded_backoff, which caps at this value.
+  /// must go through net::bounded_backoff, which caps at this value.
   double max_backoff_s = 5.0;
 };
-
-/// The backoff before retry `attempt` (0-based) under `recovery`:
-/// retry_backoff_s · 2^attempt, saturated at max_backoff_s. Overflow-
-/// safe for any attempt count — the exponent is clamped before the
-/// multiply, so the result never becomes inf even at attempt ≫ 1024.
-inline double bounded_backoff(const FaultRecoveryConfig& recovery,
-                              std::size_t attempt) noexcept {
-  const double cap =
-      recovery.max_backoff_s > 0.0 ? recovery.max_backoff_s : 5.0;
-  if (recovery.retry_backoff_s <= 0.0) return 0.0;
-  if (recovery.retry_backoff_s >= cap) return cap;
-  // 2^63 · any positive backoff already exceeds every sane cap; clamping
-  // the exponent keeps the shift defined and the double finite.
-  const std::size_t exponent = attempt < 63 ? attempt : 63;
-  const double scaled =
-      recovery.retry_backoff_s *
-      static_cast<double>(std::uint64_t{1} << exponent);
-  return scaled < cap ? scaled : cap;
-}
 
 /// The run settings every trainer takes (SNAP, the parameter server,
 /// and the Scenario harness that forwards them to either).

@@ -3,7 +3,7 @@
 // uninterrupted execution.
 //
 // A RunCheckpoint extends the model checkpoint format (src/ml/
-// checkpoint.*, same FNV-1a trailer discipline) from "a parameter
+// checkpoint.*, the same sealed envelope and file I/O) from "a parameter
 // vector" to "a whole run": the round counter, the full per-iteration
 // stats series observed so far, the cost-tracker totals, the fault
 // injector's membership epoch and alive mask (restored by deterministic
@@ -16,15 +16,10 @@
 // never leave a torn checkpoint for the respawned process to trip on —
 // the previous round's file survives intact.
 //
-// Layout (little-endian):
-//   magic "SNAPRUN1" | version u32 | round u64 | sim_seconds f64 |
-//   membership_epoch u64 | alive count u64 | alive u8 × count |
-//   iteration count u64 | one record per iteration: every
-//   core::kIterationStatsColumns entry in table order (f64, u64, or a
-//   u8 for a bool) |
-//   total_bytes u64 | total_cost u64 |
-//   wire length u64 | wire bytes | algo length u64 | algo bytes |
-//   checksum u64 (FNV-1a over everything before it)
+// Layout: the ml::seal envelope (magic "SNAPRUN1", version 2) around
+// RunCheckpoint::transfer's fields in their common::field shapes; an
+// iteration record is every core::kIterationStatsColumns entry in table
+// order (f64, u64, or a u8 for a bool).
 #pragma once
 
 #include <cstddef>
@@ -71,6 +66,13 @@ struct RunCheckpoint {
   std::vector<std::byte> wire_state;
   /// Opaque algorithm blob via RoundHooks::save_state.
   std::vector<std::byte> algorithm_state;
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    fields(io, self.round, self.sim_seconds, self.membership_epoch,
+           self.alive, self.iterations, self.total_bytes, self.total_cost,
+           self.wire_state, self.algorithm_state);
+  }
 };
 
 /// Serializes a checkpoint to bytes (checksummed, self-describing).

@@ -247,7 +247,7 @@ TEST(SparsifierPropertyTest, LanczosAgreesWithDenseOracleAboveCutoff) {
   static_assert(kNodes > kDenseSpectralCutoff);
   topology::Graph g = topology::make_star(kNodes);
   // Five disjoint triangles plus two sharing the spoke to node 12.
-  for (const auto [u, v] :
+  for (const auto& [u, v] :
        {std::pair<topology::NodeId, topology::NodeId>{1, 2},
         {3, 4},
         {5, 6},

@@ -9,6 +9,7 @@
 #include "common/binary_io.hpp"
 #include "common/rng.hpp"
 #include "ml/mlp.hpp"
+#include "runtime/run_checkpoint.hpp"
 
 namespace snap::ml {
 namespace {
@@ -100,6 +101,14 @@ TEST(CheckpointFileTest, SaveLoadRoundTrip) {
 
 TEST(CheckpointFileTest, MissingFileReturnsNullopt) {
   EXPECT_FALSE(load_checkpoint("/nonexistent/dir/x.ckpt").has_value());
+}
+
+// A directory opens as an ifstream and reports a tellg() of 2^63 − 1;
+// a loader must not size its buffer from that (std::bad_alloc).
+TEST(CheckpointFileTest, DirectoryPathReturnsNullopt) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  EXPECT_FALSE(load_checkpoint(dir).has_value());
+  EXPECT_FALSE(runtime::load_run_checkpoint(dir).has_value());
 }
 
 TEST(CheckpointFileTest, UnwritablePathReturnsFalse) {

@@ -546,27 +546,27 @@ TEST(RuntimeCheckpointTest, BoundedBackoffSaturatesAtCap) {
   recovery.max_backoff_s = 5.0;
 
   // Plain doubling below the cap.
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 0), 0.1);
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 1), 0.2);
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 5), 3.2);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 0), 0.1);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 1), 0.2);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 5), 3.2);
   // At and past the crossover the cap wins.
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 6), 5.0);
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 63), 5.0);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 6), 5.0);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 63), 5.0);
   // Attempts beyond the 2^63 shift guard must stay finite and capped —
   // this is the overflow the satellite fixes (1 << attempt is UB at 64).
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 64), 5.0);
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 100000), 5.0);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 64), 5.0);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 100000), 5.0);
 
   // Degenerate knobs: non-positive base never waits; a base already at
   // or above the cap pins to the cap; a non-positive cap falls back to
   // the 5 s default.
   recovery.retry_backoff_s = 0.0;
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 10), 0.0);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 10), 0.0);
   recovery.retry_backoff_s = 9.0;
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 0), 5.0);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 0), 5.0);
   recovery.retry_backoff_s = 0.1;
   recovery.max_backoff_s = 0.0;
-  EXPECT_DOUBLE_EQ(runtime::bounded_backoff(recovery, 63), 5.0);
+  EXPECT_DOUBLE_EQ(net::bounded_backoff(recovery, 63), 5.0);
 }
 
 }  // namespace
