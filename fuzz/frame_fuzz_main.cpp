@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/binary_io.hpp"
+#include "common/file_io.hpp"
 #include "common/rng.hpp"
 #include "ml/checkpoint.hpp"
 #include "net/frame.hpp"
@@ -240,12 +241,6 @@ void emit_corpus(const std::filesystem::path& dir) {
             << '\n';
 }
 
-std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,8 +267,13 @@ int main(int argc, char** argv) {
       files.push_back(path);
     }
     for (const auto& file : files) {
-      const auto data = read_file(file);
-      fuzz_one(data.data(), data.size());
+      const auto data = snap::common::read_file(file.string());
+      if (!data) {
+        std::cerr << "cannot read " << file.string() << '\n';
+        return 1;
+      }
+      fuzz_one(reinterpret_cast<const std::uint8_t*>(data->data()),
+               data->size());
       ++cases;
     }
   }

@@ -257,17 +257,15 @@ bool is_feasible_weight_matrix(const SparseWeightMatrix& w,
   if (!w.is_symmetric(tol)) return false;
   if (!w.is_doubly_stochastic(tol)) return false;
   // Support check: every stored column must be the diagonal or a graph
-  // neighbor. Builders guarantee this structurally; from_dense of an
+  // neighbor, whatever its value. A stored zero off the graph would
+  // become a neighbor slot the graph never has, and a trainer's rows
+  // (hence its nodes' neighbor lists) must stay inside the graph so a
+  // re-projection onto it can only add neighbors. from_dense of an
   // infeasible matrix cannot smuggle mass outside the pattern (it is
   // dropped), so the stochasticity checks above catch it.
   for (topology::NodeId i = 0; i < n; ++i) {
-    const auto row = w.row(i);
-    for (std::size_t k = 0; k < row.cols.size(); ++k) {
-      const topology::NodeId j = row.cols[k];
-      if (j == i) continue;
-      if (!graph.has_edge(i, j) && std::abs(row.values[k]) > tol) {
-        return false;
-      }
+    for (const topology::NodeId j : w.row(i).cols) {
+      if (j != i && !graph.has_edge(i, j)) return false;
     }
   }
   return true;

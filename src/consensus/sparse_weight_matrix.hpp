@@ -116,7 +116,9 @@ class SparseWeightMatrix {
 };
 
 /// Sparse twin of is_feasible_weight_matrix: right shape, symmetric,
-/// doubly stochastic, and supported on {self} ∪ neighbors. O(|E|).
+/// doubly stochastic, and supported on {self} ∪ neighbors — a stored
+/// off-diagonal column that is not a graph edge fails even when its
+/// value is zero. O(|E|).
 bool is_feasible_weight_matrix(const SparseWeightMatrix& w,
                                const topology::Graph& graph,
                                double tol = 1e-8);

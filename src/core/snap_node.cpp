@@ -61,6 +61,9 @@ void SnapNode::set_topology(std::vector<topology::NodeId> neighbors,
   SNAP_REQUIRE_MSG(std::is_sorted(neighbors.begin(), neighbors.end()),
                    "set_topology requires a sorted neighbor list");
   SNAP_REQUIRE(neighbor_weights.size() == neighbors.size());
+  SNAP_REQUIRE_MSG(std::includes(neighbors.begin(), neighbors.end(),
+                                 neighbors_.begin(), neighbors_.end()),
+                   "set_topology would drop a neighbor of node " << id_);
   std::vector<topology::NodeId> old_neighbors = std::move(neighbors_);
   neighbors_ = std::move(neighbors);
   w_neighbors_ = std::move(neighbor_weights);
@@ -85,31 +88,18 @@ void SnapNode::reindex_views(
   fresh_.assign(deg, 0);
   fresh_previous_.assign(deg, 0);
 
+  // Both lists are sorted and the old one is a subset of the new, so
+  // one merge walk pairs every old slot with its new one.
+  std::size_t os = 0;
   for (std::size_t s = 0; s < deg; ++s) {
-    const topology::NodeId j = neighbors_[s];
-    const auto old_it =
-        std::lower_bound(old_neighbors.begin(), old_neighbors.end(), j);
-    if (old_it != old_neighbors.end() && *old_it == j) {
-      const std::size_t os =
-          static_cast<std::size_t>(old_it - old_neighbors.begin());
+    if (os < old_neighbors.size() && old_neighbors[os] == neighbors_[s]) {
       std::copy_n(old_current.data() + os * dim_, dim_,
                   view_current_slab_.data() + s * dim_);
       std::copy_n(old_previous.data() + os * dim_, dim_,
                   view_previous_slab_.data() + s * dim_);
       fresh_[s] = old_fresh[os];
       fresh_previous_[s] = old_fresh_previous[os];
-      continue;
-    }
-    if (const auto parked = parked_views_.find(j);
-        parked != parked_views_.end()) {
-      // Re-attach: resume the view exactly where the detach left off.
-      std::copy_n(parked->second.current.data(), dim_,
-                  view_current_slab_.data() + s * dim_);
-      std::copy_n(parked->second.previous.data(), dim_,
-                  view_previous_slab_.data() + s * dim_);
-      fresh_[s] = parked->second.fresh ? 1 : 0;
-      fresh_previous_[s] = parked->second.fresh_previous ? 1 : 0;
-      parked_views_.erase(parked);
+      ++os;
       continue;
     }
     // A brand-new neighbor: no frame has ever arrived, so the view is a
@@ -118,21 +108,6 @@ void SnapNode::reindex_views(
     std::copy_n(x_current_.data(), dim_, view_current_slab_.data() + s * dim_);
     std::copy_n(x_current_.data(), dim_,
                 view_previous_slab_.data() + s * dim_);
-  }
-
-  // Park detached neighbors' views for a possible re-attach.
-  for (std::size_t os = 0; os < old_neighbors.size(); ++os) {
-    const topology::NodeId j = old_neighbors[os];
-    const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), j);
-    if (it != neighbors_.end() && *it == j) continue;
-    ParkedView parked;
-    parked.current.assign(old_current.data() + os * dim_,
-                          old_current.data() + (os + 1) * dim_);
-    parked.previous.assign(old_previous.data() + os * dim_,
-                           old_previous.data() + (os + 1) * dim_);
-    parked.fresh = old_fresh[os] != 0;
-    parked.fresh_previous = old_fresh_previous[os] != 0;
-    parked_views_.insert_or_assign(j, std::move(parked));
   }
 }
 
@@ -176,9 +151,7 @@ void SnapNode::set_initial(const linalg::Vector& x0) {
   }
   fresh_.assign(deg, 1);  // identical x⁰ everywhere: views are exact
   fresh_previous_.assign(deg, 1);
-  parked_views_.clear();
   iteration_ = 0;
-  mean_abs_initial_ = x0.empty() ? 0.0 : x0.norm1() / double(x0.size());
 }
 
 std::span<double> SnapNode::gradient_row() {
@@ -331,19 +304,7 @@ void SnapNode::advance_views() {
 void SnapNode::apply_update(topology::NodeId from,
                             std::span<const net::ParamUpdate> updates) {
   const std::size_t s = slot_of(from);
-  if (s == kNoSlot) {
-    // In-flight frame from a detached former neighbor: fold it into the
-    // parked view so a re-attach sees it, exactly as the live view would.
-    const auto parked = parked_views_.find(from);
-    SNAP_REQUIRE_MSG(parked != parked_views_.end(),
-                     "update from non-neighbor " << from);
-    for (const net::ParamUpdate& u : updates) {
-      SNAP_REQUIRE(u.index < parked->second.current.size());
-      parked->second.current[u.index] = u.value;
-    }
-    parked->second.fresh = true;
-    return;
-  }
+  SNAP_REQUIRE_MSG(s != kNoSlot, "update from non-neighbor " << from);
   const std::span<double> view = view_current(s);
   for (const net::ParamUpdate& u : updates) {
     SNAP_REQUIRE(u.index < view.size());
@@ -354,18 +315,14 @@ void SnapNode::apply_update(topology::NodeId from,
 
 bool SnapNode::is_fresh(topology::NodeId j) const {
   const std::size_t s = slot_of(j);
-  if (s != kNoSlot) return fresh_[s] != 0;
-  const auto parked = parked_views_.find(j);
-  SNAP_REQUIRE_MSG(parked != parked_views_.end(), "no neighbor " << j);
-  return parked->second.fresh;
+  SNAP_REQUIRE_MSG(s != kNoSlot, "no neighbor " << j);
+  return fresh_[s] != 0;
 }
 
 std::span<const double> SnapNode::view_of(topology::NodeId j) const {
   const std::size_t s = slot_of(j);
-  if (s != kNoSlot) return view_current(s);
-  const auto parked = parked_views_.find(j);
-  SNAP_REQUIRE_MSG(parked != parked_views_.end(), "no view of node " << j);
-  return {parked->second.current.data(), parked->second.current.size()};
+  SNAP_REQUIRE_MSG(s != kNoSlot, "no view of node " << j);
+  return view_current(s);
 }
 
 void SnapNode::save(common::ByteWriter& writer) const {
@@ -386,11 +343,6 @@ bool SnapNode::validate() const {
   for (std::size_t s = 0; s < deg; ++s) {
     const bool ascending = s == 0 || neighbors_[s - 1] < neighbors_[s];
     if (!ascending || neighbors_[s] == id_) return false;
-  }
-  for (const auto& [key, view] : parked_views_) {
-    if (view.current.size() != dim_ || view.previous.size() != dim_) {
-      return false;
-    }
   }
   return w_neighbors_.size() == deg && fresh_.size() == deg &&
          fresh_previous_.size() == deg &&

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -93,12 +92,14 @@ class SnapNode {
 
   /// Replaces the neighbor set *and* the mixing row together — the
   /// membership-epoch form of set_weight_row, used when a join attaches
-  /// new edges. `neighbors` must be sorted and `neighbor_weights`
-  /// aligned with it. Existing neighbor views (and their freshness)
-  /// survive — including across a detach/re-attach cycle; a brand-new
-  /// neighbor's view is primed to this node's own iterate and marked
-  /// stale, so under kReweight it contributes nothing until its first
-  /// real frame lands. Pair with restart().
+  /// new edges. `neighbors` must be sorted, `neighbor_weights` aligned
+  /// with it, and it must contain every current neighbor: a neighbor
+  /// list only grows (every W the trainer builds keeps dead, pruned and
+  /// cross-component neighbors as structural zeros). Existing views
+  /// (and their freshness) survive; a brand-new neighbor's view is
+  /// primed to this node's own iterate and marked stale, so under
+  /// kReweight it contributes nothing until its first real frame lands.
+  /// Pair with restart().
   void set_topology(std::vector<topology::NodeId> neighbors,
                     std::vector<double> neighbor_weights,
                     double self_weight);
@@ -172,8 +173,7 @@ class SnapNode {
   /// Applies a received frame from neighbor `from` onto the current view
   /// and marks that neighbor fresh for the next update. An empty frame
   /// is a heartbeat: no values change, but the neighbor counts as heard
-  /// from. A frame from a *detached* former neighbor (in flight when an
-  /// epoch changed) updates the parked view it would reattach with.
+  /// from. A frame from a non-neighbor is a contract violation.
   void apply_update(topology::NodeId from,
                     std::span<const net::ParamUpdate> updates);
 
@@ -193,39 +193,20 @@ class SnapNode {
     return model_->loss(at, shard_);
   }
 
-  /// Node-local mean |x⁰_p| (used to size the initial APE budget).
-  double mean_abs_initial() const noexcept { return mean_abs_initial_; }
-
   /// The view this node currently holds of neighbor `j` (for tests).
   std::span<const double> view_of(topology::NodeId j) const;
 
   /// Checkpoint save/restore of the complete mutable node state: mixing
   /// rows (current + the prev-row the memory term pairs with), iterate
-  /// history, advertised baseline, view slabs + freshness, parked views
-  /// (serialized in key order for determinism), and the EXTRA iteration
-  /// counter. The id/model/shard/straggler policy are reconstruction-
-  /// time — the trainer rebuilds the node, then load() overwrites the
-  /// rest. load returns false on a truncated or shape-inconsistent
+  /// history, advertised baseline, view slabs + freshness, and the
+  /// EXTRA iteration counter. The id/model/shard/straggler policy are
+  /// reconstruction-time — the trainer rebuilds the node, then load()
+  /// overwrites the rest. load returns false on a truncated or shape-inconsistent
   /// blob; the node is then unusable (the caller abandons the resume).
   void save(common::ByteWriter& writer) const;
   bool load(common::ByteReader& reader);
 
  private:
-  /// A detached neighbor's view state, parked across membership epochs
-  /// so a re-attach resumes exactly where the detach left off.
-  struct ParkedView {
-    std::vector<double> current;
-    std::vector<double> previous;
-    bool fresh = false;
-    bool fresh_previous = false;
-
-    template <class Self, class Io>
-    static void transfer(Self& self, Io& io) {
-      fields(io, self.current, self.previous, self.fresh,
-             self.fresh_previous);
-    }
-  };
-
   /// The checkpoint field list save and load both walk.
   template <class Self, class Io>
   static void transfer(Self& self, Io& io) {
@@ -234,8 +215,7 @@ class SnapNode {
            self.w_row_dirty_, self.x_previous_, self.x_current_,
            self.grad_previous_, self.advertised_, self.dim_,
            self.view_current_slab_, self.view_previous_slab_, self.fresh_,
-           self.fresh_previous_, self.parked_views_, self.iteration_,
-           self.mean_abs_initial_);
+           self.fresh_previous_, self.iteration_);
   }
   /// The shape checks load applies after the transfer.
   bool validate() const;
@@ -243,8 +223,8 @@ class SnapNode {
   void validate_weight_row() const;
   /// Slot of neighbor j in the sorted neighbor list, or npos.
   std::size_t slot_of(topology::NodeId j) const noexcept;
-  /// Rebuilds the view slabs for a changed neighbor list, carrying
-  /// surviving views over, restoring parked ones, priming new ones.
+  /// Rebuilds the view slabs for a grown neighbor list, carrying the
+  /// old views over and priming the new neighbors'.
   void reindex_views(const std::vector<topology::NodeId>& old_neighbors);
 
   std::span<const double> view_current(std::size_t slot) const noexcept {
@@ -297,11 +277,7 @@ class SnapNode {
   std::vector<double> view_previous_slab_;
   std::vector<std::uint8_t> fresh_;
   std::vector<std::uint8_t> fresh_previous_;
-  /// Views of detached former neighbors, keyed for re-attach (ordered,
-  /// so a checkpoint writes them in one order on every replica).
-  std::map<topology::NodeId, ParkedView> parked_views_;
   std::size_t iteration_ = 0;
-  double mean_abs_initial_ = 0.0;
 };
 
 }  // namespace snap::core

@@ -508,15 +508,18 @@ class SnapScheme {
     // unsparsified stream), the pruned links just never fire. The
     // surviving links feed both link_active (this round's sends) and
     // prev_links (next round's rows), so a pruned link contributes
-    // neither frames nor mixing weight.
+    // neither frames nor mixing weight. A link missing from either
+    // endpoint's row (a joiner's edge when churn does not re-project)
+    // is treated the same way.
     g.prev_links.clear();
     for (const runtime::ActivatedLink& link : links) {
       const auto [u, v] = link;
       const std::size_t su = slot_in(nodes_[u].neighbors(), v);
       const std::size_t sv = slot_in(nodes_[v].neighbors(), u);
-      if (pruned_ && su != kNoSlot && pruned_->masks[u][su]) continue;
-      if (su != kNoSlot) g.link_active[u][su] = 1;
-      if (sv != kNoSlot) g.link_active[v][sv] = 1;
+      if (su == kNoSlot || sv == kNoSlot) continue;
+      if (pruned_ && pruned_->masks[u][su]) continue;
+      g.link_active[u][su] = 1;
+      g.link_active[v][sv] = 1;
       g.prev_links.push_back(link);
     }
   }

@@ -128,7 +128,10 @@ class SnapTrainer {
               const ml::Model& model, std::vector<data::Dataset> shards,
               SnapTrainerConfig config);
   /// Sparse-native form: `w` is validated with the O(|E|) sparse
-  /// feasibility check; no dense matrix is ever materialized.
+  /// feasibility check, which also refuses a stored entry (even a zero)
+  /// off the graph — every node's neighbor list starts inside `graph`,
+  /// so re-projections onto the grown graph only ever add neighbors. No
+  /// dense matrix is ever materialized.
   SnapTrainer(const topology::Graph& graph,
               const consensus::SparseWeightMatrix& w, const ml::Model& model,
               std::vector<data::Dataset> shards, SnapTrainerConfig config);

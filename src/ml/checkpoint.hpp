@@ -6,7 +6,8 @@
 // the sealed-file envelope declared here:
 //   magic (8 bytes) | version u32 | body | checksum u64 (FNV-1a over
 //   everything before it)
-// and one whole-file reader and atomic (tmp + rename) writer.
+// and common/file_io's whole-file reader and atomic (tmp + rename)
+// writer.
 //
 // Model checkpoint body (little-endian, common::field shapes):
 //   model name (u32 length + bytes) | param count u64 | params f64 × count
@@ -61,16 +62,6 @@ std::optional<T> unseal(std::span<const std::byte> blob,
   if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
   return value;
 }
-
-/// The whole file at `path`; nullopt on any failure (missing, not a
-/// regular file, short read).
-std::optional<std::vector<std::byte>> read_file(const std::string& path);
-
-/// Writes `bytes` to `path` atomically: into `path.tmp`, then rename(2),
-/// so a reader sees the old complete file or the new one, never a torn
-/// write. Returns false on I/O failure.
-bool write_file_atomic(const std::string& path,
-                       std::span<const std::byte> bytes);
 
 struct Checkpoint {
   std::string model_name;  ///< e.g. "mlp-784-30-10" — matched on load

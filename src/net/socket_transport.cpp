@@ -13,7 +13,6 @@
 #include <bit>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -24,6 +23,7 @@
 #include <thread>
 
 #include "common/binary_io.hpp"
+#include "common/file_io.hpp"
 #include "net/reassembly.hpp"
 
 namespace snap::net {
@@ -500,15 +500,13 @@ struct SocketHub::Impl {
     ::unlink(pid_file.c_str());
   }
 
-  void publish_pid() {
-    pid_path = artifact("pid");
-    const std::string tmp = pid_path + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      SNAP_REQUIRE_MSG(out.good(), "cannot write " << tmp);
-      out << ::getpid() << '\n';
-    }
-    SNAP_REQUIRE(std::rename(tmp.c_str(), pid_path.c_str()) == 0);
+  /// Publishes a one-line rendezvous stamp atomically: a peer must
+  /// never read a half-written pid or port.
+  static void publish(const std::string& path, long value) {
+    const std::string line = std::to_string(value) + '\n';
+    SNAP_REQUIRE_MSG(
+        common::write_file_atomic(path, std::as_bytes(std::span(line))),
+        "cannot write " << path);
   }
 
   void bind_and_publish() {
@@ -548,19 +546,13 @@ struct SocketHub::Impl {
                                  reinterpret_cast<sockaddr*>(&addr),
                                  &len) == 0);
       port_path = artifact("port");
-      // Publish atomically: a peer must never read a half-written port.
-      const std::string tmp = port_path + ".tmp";
-      {
-        std::ofstream out(tmp, std::ios::trunc);
-        SNAP_REQUIRE_MSG(out.good(), "cannot write " << tmp);
-        out << ntohs(addr.sin_port) << '\n';
-      }
-      SNAP_REQUIRE(std::rename(tmp.c_str(), port_path.c_str()) == 0);
+      publish(port_path, ntohs(addr.sin_port));
     }
     SNAP_REQUIRE_MSG(
         ::listen(listen_fd, static_cast<int>(config.shards) + 1) == 0,
         "listen: " << std::strerror(errno));
-    publish_pid();
+    pid_path = artifact("pid");
+    publish(pid_path, ::getpid());
   }
 
   int try_connect(std::size_t peer_shard) {

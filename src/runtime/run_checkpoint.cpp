@@ -1,5 +1,6 @@
 #include "runtime/run_checkpoint.hpp"
 
+#include "common/file_io.hpp"
 #include "ml/checkpoint.hpp"
 
 namespace snap::runtime {
@@ -9,10 +10,12 @@ namespace {
 constexpr std::string_view kMagic = "SNAPRUN1";
 // v2: per-iteration partition telemetry (components,
 // largest_component_frac, partition_epoch) and sparsifier telemetry
-// (links_pruned, effective_edges, slem_after_prune). v1 blobs are
-// rejected — the loader treats that as "no checkpoint" and cold-replays
-// from round 0, which determinism makes bitwise-equivalent.
-constexpr std::uint32_t kVersion = 2;
+// (links_pruned, effective_edges, slem_after_prune). v3: SnapNode's
+// record drops the parked views and the initial mean |x⁰|. Older blobs
+// are rejected — the loader treats that as "no checkpoint" and
+// cold-replays from round 0, which determinism makes
+// bitwise-equivalent.
+constexpr std::uint32_t kVersion = 3;
 
 }  // namespace
 
@@ -27,11 +30,11 @@ std::optional<RunCheckpoint> decode_run_checkpoint(
 
 bool save_run_checkpoint(const std::string& path,
                          const RunCheckpoint& ckpt) {
-  return ml::write_file_atomic(path, encode_run_checkpoint(ckpt));
+  return common::write_file_atomic(path, encode_run_checkpoint(ckpt));
 }
 
 std::optional<RunCheckpoint> load_run_checkpoint(const std::string& path) {
-  const auto bytes = ml::read_file(path);
+  const auto bytes = common::read_file(path);
   if (!bytes) return std::nullopt;
   return decode_run_checkpoint(*bytes);
 }

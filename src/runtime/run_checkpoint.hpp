@@ -16,7 +16,7 @@
 // never leave a torn checkpoint for the respawned process to trip on —
 // the previous round's file survives intact.
 //
-// Layout: the ml::seal envelope (magic "SNAPRUN1", version 2) around
+// Layout: the ml::seal envelope (magic "SNAPRUN1", version 3) around
 // RunCheckpoint::transfer's fields in their common::field shapes; an
 // iteration record is every core::kIterationStatsColumns entry in table
 // order (f64, u64, or a u8 for a bool).

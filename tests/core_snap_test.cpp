@@ -8,6 +8,7 @@
 #include "common/binary_io.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "consensus/sparse_weight_matrix.hpp"
 #include "consensus/weight_matrix.hpp"
 #include "core/extra.hpp"
 #include "core/snap_node.hpp"
@@ -220,6 +221,27 @@ TEST(SnapNodeTest, ApplyFromNonNeighborThrows) {
   EXPECT_THROW(node.apply_update(2, updates), common::ContractViolation);
 }
 
+TEST(SnapNodeTest, SetTopologyOnlyGrowsTheNeighborList) {
+  QuadraticModel model(1);
+  SnapNode node(0, model, point_shard(linalg::Vector{0.0}), {1, 2},
+                {0.25, 0.25}, 0.5);
+  node.set_initial(linalg::Vector{1.0});
+  node.advance_views();
+  const std::vector<net::ParamUpdate> updates{{0, 7.0}};
+  node.apply_update(2, updates);
+  EXPECT_THROW(node.set_topology({2, 3}, {0.25, 0.25}, 0.5),
+               common::ContractViolation);
+  // Growing keeps every old view and its freshness; the new neighbor's
+  // view is this node's iterate, stale until its first frame.
+  node.set_topology({1, 2, 3}, {0.25, 0.25, 0.0}, 0.5);
+  EXPECT_EQ(node.neighbors(), (std::vector<topology::NodeId>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(node.view_of(2)[0], 7.0);
+  EXPECT_TRUE(node.is_fresh(2));
+  EXPECT_FALSE(node.is_fresh(1));
+  EXPECT_DOUBLE_EQ(node.view_of(3)[0], 1.0);
+  EXPECT_FALSE(node.is_fresh(3));
+}
+
 // ------------------------------------- SnapTrainer ≡ matrix-form EXTRA
 
 TEST(SnapTrainerTest, SendAllMatchesMatrixFormExactly) {
@@ -391,6 +413,32 @@ TEST(SnapTrainerTest, RejectsInfeasibleWeightMatrix) {
   SnapTrainerConfig cfg;
   EXPECT_THROW(SnapTrainer(g, w, model, point_shards(centers), cfg),
                common::ContractViolation);
+}
+
+TEST(SnapTrainerTest, RejectsStoredZeroOffTheGraph) {
+  // Metropolis on a ring with edge {0, 3} masked out keeps that edge as
+  // a stored zero. On the line (the ring minus that edge) the slot is
+  // no graph edge: a node row holding it would list a neighbor the
+  // graph does not have, so the trainer refuses the matrix.
+  const auto ring = topology::make_ring(4);
+  const auto line = topology::make_line(4);
+  std::vector<std::uint8_t> kept(ring.edges().size(), 1);
+  for (std::size_t e = 0; e < kept.size(); ++e) {
+    const auto [u, v] = ring.edges()[e];
+    if (u == 0 && v == 3) kept[e] = 0;
+  }
+  const auto masked = consensus::SparseWeightMatrix::metropolis_on_survivors(
+      ring, {}, {}, kept);
+  EXPECT_FALSE(consensus::is_feasible_weight_matrix(masked, line));
+  QuadraticModel model(2);
+  const auto centers = random_centers(4, 2, 16);
+  SnapTrainerConfig cfg;
+  EXPECT_THROW(SnapTrainer(line, masked, model, point_shards(centers), cfg),
+               common::ContractViolation);
+  const auto on_line =
+      consensus::SparseWeightMatrix::metropolis_on_survivors(line);
+  EXPECT_NO_THROW(
+      SnapTrainer(line, on_line, model, point_shards(centers), cfg));
 }
 
 TEST(SnapTrainerTest, RejectsShardCountMismatch) {

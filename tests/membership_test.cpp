@@ -170,6 +170,25 @@ TEST(MembershipTest, CombinedChurnSweepConvergesOnBothFabrics) {
   }
 }
 
+TEST(MembershipTest, GossipWithoutReprojectionRunsThroughAJoin) {
+  // Without re-projection a joiner's edges never enter the node rows,
+  // yet the gossip scheduler draws them from the grown graph. Such a
+  // link has no slot to carry frames or mixing weight, so it must stay
+  // silent (as a pruned link does) instead of reaching the row rebuild.
+  auto cfg = membership_base();
+  cfg.latent_joiners = 1;
+  cfg.faults.scheduled_joins.push_back({10, 20});
+  cfg.reproject_on_churn = false;
+  cfg.fabric = runtime::FabricKind::kGossip;
+  cfg.convergence.max_iterations = 80;
+  const Scenario scenario(cfg);
+  core::TrainResult result;
+  ASSERT_NO_THROW(result = scenario.run(Scheme::kSnap));
+  ASSERT_EQ(result.iterations.size(), 80u);
+  EXPECT_EQ(result.iterations.back().alive_nodes, 11u);
+  EXPECT_TRUE(std::isfinite(result.final_train_loss));
+}
+
 TEST(MembershipTest, ParameterServerHandlesJoinsAndLeaves) {
   // The PS baseline's grow path: joined workers get the current server
   // model re-pushed over a STATE_SYNC frame before their next upload.

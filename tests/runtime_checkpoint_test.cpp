@@ -237,7 +237,7 @@ TEST(RuntimeCheckpointTest, DecoderRejectsWrappingIterationCount) {
   for (const char c : std::string_view("SNAPRUN1")) {
     writer.write_u8(static_cast<std::uint8_t>(c));
   }
-  writer.write_u32(2);                     // version
+  writer.write_u32(3);                     // version
   writer.write_u64(0);                     // round
   writer.write_f64(0.0);                   // sim_seconds
   writer.write_u64(0);                     // membership_epoch
