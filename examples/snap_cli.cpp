@@ -175,11 +175,15 @@ std::optional<std::map<std::string, std::string>> parse_args(
     }
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
-    if (eq == std::string_view::npos) {
-      args.emplace(std::string(arg), "1");  // boolean flag
-    } else {
-      args.emplace(std::string(arg.substr(0, eq)),
-                   std::string(arg.substr(eq + 1)));
+    const std::string name(arg.substr(0, eq));
+    // A second value would silently lose to the first.
+    const bool fresh =
+        eq == std::string_view::npos
+            ? args.emplace(name, "1").second  // boolean flag
+            : args.emplace(name, std::string(arg.substr(eq + 1))).second;
+    if (!fresh) {
+      std::cerr << "repeated option --" << name << "\n";
+      return std::nullopt;
     }
   }
   return args;
@@ -541,15 +545,22 @@ int main(int argc, char** argv) {
       ::dup2(fd, 2);
       ::close(fd);
     }
+    // The launcher's own argv, with each worker option set once: one
+    // the launcher already carries is replaced, never repeated.
     std::vector<std::string> child_args(argv, argv + argc);
-    child_args.push_back("--shard-worker=" + std::to_string(s));
-    if (!args.contains("rendezvous")) {
-      child_args.push_back("--rendezvous=" + cfg.transport.rendezvous_dir);
-    }
+    const auto set_option = [&child_args](const std::string& name,
+                                          const std::string& value) {
+      std::erase_if(child_args, [&name](const std::string& a) {
+        return a == "--" + name || a.starts_with("--" + name + "=");
+      });
+      child_args.push_back(value.empty() ? "--" + name
+                                         : "--" + name + "=" + value);
+    };
+    set_option("shard-worker", std::to_string(s));
+    set_option("rendezvous", cfg.transport.rendezvous_dir);
     if (incarnation > 0) {
-      child_args.push_back("--resume");
-      child_args.push_back("--resume-incarnation=" +
-                           std::to_string(incarnation));
+      set_option("resume", "");
+      set_option("resume-incarnation", std::to_string(incarnation));
     }
     std::vector<char*> child_argv;
     child_argv.reserve(child_args.size() + 1);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check: the src/-vs-tests/oracle boundary, orphan src/
-# headers, the tier-1 build + full ctest suite, then ASan, TSan, and UBSan
+# headers, the tier-1 build + full ctest suite, the sim-versus-socket
+# smokes (UDS, chaos, gossip churn, sparsify), then ASan, TSan, and UBSan
 # builds of the runtime/net surface (event queue, sim transport, fabric,
 # thread pool, fault injector, wire-decoder fuzz, membership) so the
 # sanitizer wiring is exercised routinely, not just when someone
@@ -116,6 +117,31 @@ if ! cmp -s "$SMOKE_DIR/chaos-sim.csv" "$SMOKE_DIR/chaos-uds.csv"; then
   exit 1
 fi
 echo "    chaos run (shard kills + checkpoint resume) matches bitwise"
+
+echo "==> gossip churn smoke: joins, crashes, bursts and splits vs sim oracle"
+# The gossip tick builds each node's row and activation gate in the
+# node's own task: the 2-shard UDS run must still match the simulator.
+GOSSIP_ARGS=(--fabric=gossip --nodes=12 --seed=7 --iterations=60 --train=600
+             --test=100 --joiners=3 --crash-rate=0.02 --restart-rate=0.3
+             --link-burst=0.05:0.5 --partition=random:0.05:6
+             --partition-confirm=1)
+build/examples/snap_cli "${GOSSIP_ARGS[@]}" \
+  --csv="$SMOKE_DIR/gossip-sim.csv" >/dev/null
+build/examples/snap_cli "${GOSSIP_ARGS[@]}" --transport=uds --shards=2 \
+  --rendezvous="$SMOKE_DIR/gossip" --csv="$SMOKE_DIR/gossip-uds.csv" >/dev/null
+if ! cmp -s "$SMOKE_DIR/gossip-sim.csv" "$SMOKE_DIR/gossip-uds.csv"; then
+  echo "error: gossip churn UDS run diverged from the sim oracle" >&2
+  diff "$SMOKE_DIR/gossip-sim.csv" "$SMOKE_DIR/gossip-uds.csv" | head -20 >&2
+  exit 1
+fi
+# No join means the churn paths never ran and the smoke proves little.
+JOINED_COL="$(scripts/csv_column.sh nodes_joined "$SMOKE_DIR/gossip-sim.csv")"
+if ! awk -F, -v c="$JOINED_COL" 'NR > 1 && $c > 0 { found = 1 }
+    END { exit !found }' "$SMOKE_DIR/gossip-sim.csv"; then
+  echo "error: gossip churn smoke saw no join (nodes_joined all zero)" >&2
+  exit 1
+fi
+echo "    gossip churn run matches bitwise on 2-shard UDS"
 
 echo "==> sparsify smoke: cost-pruned run is deterministic and prunes"
 SPARSIFY_ARGS=(--nodes=16 --degree=4 --seed=7 --iterations=20 --train=400

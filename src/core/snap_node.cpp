@@ -46,11 +46,17 @@ SnapNode::SnapNode(topology::NodeId id, const ml::Model& model,
   validate_weight_row();
 }
 
-void SnapNode::set_weight_row(std::vector<double> neighbor_weights,
-                              double self_weight) {
-  SNAP_REQUIRE(neighbor_weights.size() == neighbors_.size());
-  w_neighbors_ = std::move(neighbor_weights);
-  w_self_ = self_weight;
+void SnapNode::set_weight_row(std::span<const RowEntry> entries) {
+  w_neighbors_.assign(neighbors_.size(), 0.0);
+  w_self_ = 1.0;
+  for (const RowEntry& entry : entries) {
+    const std::size_t slot = slot_of(entry.neighbor);
+    SNAP_REQUIRE_MSG(slot != kNoSlot, "weight row of node "
+                                          << id_ << " names " << entry.neighbor
+                                          << ", which is not a neighbor");
+    w_neighbors_[slot] += entry.weight;
+    w_self_ -= entry.weight;
+  }
   validate_weight_row();
   w_row_dirty_ = true;
 }

@@ -80,19 +80,23 @@ class SnapNode {
   /// so initial views are exact without a broadcast round.
   void set_initial(const linalg::Vector& x0);
 
-  /// Replaces this node's mixing-matrix row mid-run (weight re-projection
-  /// on confirmed churn): `neighbor_weights[s]` pairs with the s-th entry
-  /// of the current (sorted) neighbor list, and the row must still sum
-  /// to 1 — a re-projected matrix zeroes dead neighbors' weights rather
-  /// than removing the entries. Views, iterate history, and advertised
-  /// values are untouched; pair with restart() so the next update is a
-  /// fresh first EXTRA step under the new W.
-  void set_weight_row(std::vector<double> neighbor_weights,
-                      double self_weight);
+  /// One entry of a sparse mixing row: a neighbor and its weight.
+  struct RowEntry {
+    topology::NodeId neighbor = 0;
+    double weight = 0.0;
+  };
+
+  /// Replaces this node's mixing-matrix row mid-run with a sparse one
+  /// (a gossip tick's Metropolis row), written into the node's own
+  /// storage: every neighbor weight is zero but the entries', each added
+  /// in order, and the self weight is 1 minus the entries' weights,
+  /// subtracted in order. Each entry must name a current neighbor.
+  /// Views, iterate history, and advertised values are untouched.
+  void set_weight_row(std::span<const RowEntry> entries);
 
   /// Replaces the neighbor set *and* the mixing row together — the
-  /// membership-epoch form of set_weight_row, used when a join attaches
-  /// new edges. `neighbors` must be sorted, `neighbor_weights` aligned
+  /// membership-epoch re-projection, also used when a join attaches new
+  /// edges. `neighbors` must be sorted, `neighbor_weights` aligned
   /// with it, and it must contain every current neighbor: a neighbor
   /// list only grows (every W the trainer builds keeps dead, pruned and
   /// cross-component neighbors as structural zeros). Existing views

@@ -189,22 +189,70 @@ std::unique_ptr<net::SocketTransport<SnapWire>> socket_transport(
       n, transport_config, std::move(codec));
 }
 
-// Gossip activation state. `link_active[i][s]` (s = the neighbor's slot
-// in node i's sorted neighbor list — O(deg) per node, not O(n)) gates
-// collect for the round being sent; `prev_links` is the previous round's
-// activation — the links whose frames populated the views the *current*
-// round's update mixes, hence the support of the effective rows. The
-// rest is scratch for those rows (activated degree, aligned neighbor
-// weights, diagonal), reused across rounds.
+// Gossip activation state, laid out so the serial preamble stays
+// O(n + links) and the per-node work runs in each node's own task.
+// `links` is this round's activation and `link_ends` buckets it by
+// endpoint (node i's links are link_ends[link_start[i], link_start[i +
+// 1]): each the partner and the link's index, in activation order). From those each node sets its own
+// `link_active[i][s]` (s = the neighbor's slot in node i's sorted
+// neighbor list), which gates collect for the round being sent, and
+// `kept[k]` records whether link k survived the filter of
+// on_activation. `prev_links` is the previous round's surviving
+// activation — the links whose frames populated the views the
+// *current* round's update mixes, hence the support of the effective
+// rows; node i's row entries are row_entries[row_start[i], row_start[i
+// + 1]). `built_round` is the round a node's row was last built for.
 struct GossipRows {
   explicit GossipRows(std::size_t n)
-      : link_active(n), degree(n, 0), row(n), self(n, 0.0) {}
+      : link_active(n), degree(n, 0), link_start(n + 1, 0),
+        row_start(n + 1, 0), built_round(n, 0) {}
   std::vector<std::vector<std::uint8_t>> link_active;
-  std::vector<runtime::ActivatedLink> prev_links;
+  std::vector<runtime::ActivatedLink> links;
+  std::vector<std::uint8_t> kept;
   std::vector<std::size_t> degree;
-  std::vector<std::vector<double>> row;
-  std::vector<double> self;
+  std::vector<std::size_t> link_start;
+  std::vector<std::pair<topology::NodeId, std::size_t>> link_ends;
+  std::vector<runtime::ActivatedLink> prev_links;
+  std::vector<std::size_t> row_start;
+  std::vector<SnapNode::RowEntry> row_entries;
+  std::vector<std::size_t> built_round;
+  /// The round the rows are built for, and whether it restarts EXTRA.
+  std::size_t round = 0;
+  bool restart = false;
 };
+
+/// `kept` before either endpoint's task has judged the link.
+constexpr std::uint8_t kUnjudged = 2;
+
+/// Buckets the links for which `use(u, v)` holds by endpoint, CSR-style,
+/// in link order: node i's entries land in [start[i], start[i + 1]) of
+/// `entries`, written by `emit(entries, at_u, at_v, u, v, k)`. `count`
+/// is O(n) scratch, left holding each node's bucket size.
+template <typename Use, typename Entry, typename Emit>
+void bucket_by_node(std::span<const runtime::ActivatedLink> links,
+                    std::vector<std::size_t>& count,
+                    std::vector<std::size_t>& start,
+                    std::vector<Entry>& entries, Use&& use, Emit&& emit) {
+  std::fill(count.begin(), count.end(), 0);
+  for (const auto& [u, v] : links) {
+    if (!use(u, v)) continue;
+    ++count[u];
+    ++count[v];
+  }
+  // start[i + 1] begins as node i's first slot and is advanced past
+  // each entry written, ending as node i + 1's first.
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < count.size(); ++i) {
+    start[i + 1] = total;
+    total += count[i];
+  }
+  entries.resize(total);
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    const auto [u, v] = links[k];
+    if (!use(u, v)) continue;
+    emit(entries, start[u + 1]++, start[v + 1]++, u, v, k);
+  }
+}
 
 // Round-aligned async (the default): EXTRA's corrected recursion
 // telescopes only if node i's round-k update consumes each neighbor's
@@ -482,92 +530,129 @@ class SnapScheme {
 
   // Fires serially in the round preamble, after confirmed churn has been
   // surfaced (so `alive_` and the node topologies are current) and
-  // before any phase runs.
+  // before any phase runs. O(n + links): it only buckets the previous
+  // and the new activation by node; each node builds its row and marks
+  // its links in its own task (prepare_gossip_node).
   void on_activation(std::size_t round,
                      std::span<const runtime::ActivatedLink> links) {
+    GossipRows& g = *gossip_;
     // Periodic synchronized restart (GossipConfig::restart_every):
     // round-varying activations excite the neutrally-stable modes of
     // EXTRA's memory recursion — without this, the compounded error
     // surfaces as a slow exponential after a few hundred ticks. Keyed on
     // the round number alone, so every node (and every replay) restarts
     // on the same tick.
-    if (config_.gossip.restart_every > 0 && round > 1 &&
-        (round - 1) % config_.gossip.restart_every == 0) {
-      for (topology::NodeId i = 0; i < n_; ++i) {
-        if (alive_[i]) nodes_[i].restart();
-      }
-    }
-    rebuild_gossip_rows();
+    g.round = round;
+    g.restart = config_.gossip.restart_every > 0 && round > 1 &&
+                (round - 1) % config_.gossip.restart_every == 0;
+    // The rows this round's updates mix with are Metropolis–Hastings on
+    // the PREVIOUS activation: frames sent over A_{t-1} are what this
+    // round's compute_update mixes. A link between alive nodes weighs
+    // 1 / (1 + max(deg u, deg v)) at both ends, and each node's entries
+    // keep the activation order, so its self weight subtracts them in
+    // the order the dense reference in tests/oracle/ does.
+    const auto both_alive = [&](topology::NodeId u, topology::NodeId v) {
+      return alive_[u] && alive_[v];
+    };
+    bucket_by_node(std::span<const runtime::ActivatedLink>(g.prev_links),
+                   g.degree, g.row_start, g.row_entries, both_alive,
+                   [&](auto& entries, std::size_t at_u, std::size_t at_v,
+                       topology::NodeId u, topology::NodeId v, std::size_t) {
+                     const double weight =
+                         1.0 / (1.0 + static_cast<double>(std::max(
+                                          g.degree[u], g.degree[v])));
+                     entries[at_u] = {v, weight};
+                     entries[at_v] = {u, weight};
+                   });
+    g.links.assign(links.begin(), links.end());
+    g.kept.assign(links.size(), kUnjudged);
+    bucket_by_node(links, g.degree, g.link_start, g.link_ends,
+                   [](topology::NodeId, topology::NodeId) { return true; },
+                   [](auto& entries, std::size_t at_u, std::size_t at_v,
+                      topology::NodeId u, topology::NodeId v, std::size_t k) {
+                     entries[at_u] = {v, k};
+                     entries[at_v] = {u, k};
+                   });
+  }
+
+  // Node i's share of the activation, in its own task: its row for the
+  // round (alive nodes) and the gate on its links.
+  void prepare_gossip_node(topology::NodeId i) {
+    if (alive_[i]) build_gossip_row(i);
+    mark_gossip_links(i);
+  }
+
+  // Installs alive node i's row for the round from its bucket (and the
+  // round's restart). Round 1 (empty prev_links) gives identity rows —
+  // every view still equals the shared x⁰, so W·x̂ = x⁰ for any doubly
+  // stochastic W and the tick is bitwise a plain gradient step. The
+  // same row serves both recursion terms: W_t and W̃_t are
+  // row-stochastic, so the (W_t − W_{t-1})/2 mismatch on the memory
+  // term annihilates consensus vectors and the filtered EXTRA fixed
+  // points survive (see DESIGN.md, "Gossip fabric").
+  void build_gossip_row(topology::NodeId i) {
     GossipRows& g = *gossip_;
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      g.link_active[i].assign(nodes_[i].neighbors().size(), 0);
-    }
-    // Sparsified gossip duty-cycles the pruned links out of every
-    // activation *after* the scheduler drew it: the schedule itself is
-    // untouched (same draws for every surviving link, bitwise the
-    // unsparsified stream), the pruned links just never fire. The
-    // surviving links feed both link_active (this round's sends) and
-    // prev_links (next round's rows), so a pruned link contributes
-    // neither frames nor mixing weight. A link missing from either
-    // endpoint's row (a joiner's edge when churn does not re-project)
-    // is treated the same way.
-    g.prev_links.clear();
-    for (const runtime::ActivatedLink& link : links) {
-      const auto [u, v] = link;
-      const std::size_t su = slot_in(nodes_[u].neighbors(), v);
-      const std::size_t sv = slot_in(nodes_[v].neighbors(), u);
-      if (su == kNoSlot || sv == kNoSlot) continue;
-      if (pruned_ && pruned_->masks[u][su]) continue;
-      g.link_active[u][su] = 1;
-      g.link_active[v][sv] = 1;
-      g.prev_links.push_back(link);
+    if (g.restart) nodes_[i].restart();
+    nodes_[i].set_weight_row(std::span<const SnapNode::RowEntry>(
+        g.row_entries.data() + g.row_start[i],
+        g.row_start[i + 1] - g.row_start[i]));
+    g.built_round[i] = g.round;
+  }
+
+  // Opens node i's slots of its activated links that survive the filter
+  // (gossip_link_kept) and judges each link once: at its lower end, or
+  // at the higher one when the lower is down and skips its task.
+  void mark_gossip_links(topology::NodeId i) {
+    GossipRows& g = *gossip_;
+    const std::vector<topology::NodeId>& mine = nodes_[i].neighbors();
+    g.link_active[i].assign(mine.size(), 0);
+    for (std::size_t at = g.link_start[i]; at < g.link_start[i + 1]; ++at) {
+      const auto [j, k] = g.link_ends[at];
+      const topology::NodeId u = std::min(i, j);
+      const bool kept = gossip_link_kept(u, std::max(i, j));
+      if (kept) g.link_active[i][slot_in(mine, j)] = 1;
+      if (i == u || down(u)) g.kept[k] = kept ? 1 : 0;
     }
   }
 
-  // Rebuilds every member's row on the PREVIOUS activation: frames sent
-  // over A_{t-1} are what this round's compute_update mixes. Round 1
-  // (empty prev_links) runs identity rows — every view still equals the
-  // shared x⁰, so W·x̂ = x⁰ for any doubly stochastic W and the tick is
-  // bitwise a plain gradient step. The same row serves both recursion
-  // terms: W_t and W̃_t are row-stochastic, so the (W_t − W_{t-1})/2
-  // mismatch on the memory term annihilates consensus vectors and the
-  // filtered EXTRA fixed points survive (see DESIGN.md, "Gossip
-  // fabric").
-  //
-  // Each row is Metropolis–Hastings on the activated subgraph,
-  // accumulated directly into per-node aligned slots: a degree pass, an
-  // identity diagonal, then one symmetric update per link in activation
-  // order (the order of the dense reference in tests/oracle/).
-  void rebuild_gossip_rows() {
+  // Sparsified gossip duty-cycles the pruned links out of every
+  // activation *after* the scheduler drew it: the schedule itself is
+  // untouched (same draws for every surviving link, bitwise the
+  // unsparsified stream), the pruned links just never fire. A kept link
+  // feeds both link_active (this round's sends) and prev_links (next
+  // round's rows), so a pruned link contributes neither frames nor
+  // mixing weight. A link missing from either endpoint's row (a joiner's
+  // edge when churn does not re-project) is treated the same way. The
+  // masks mark a pruned link at both ends, so either end may judge.
+  bool gossip_link_kept(topology::NodeId u, topology::NodeId v) const {
+    const std::size_t su = slot_in(nodes_[u].neighbors(), v);
+    const std::size_t sv = slot_in(nodes_[v].neighbors(), u);
+    return su != kNoSlot && sv != kNoSlot &&
+           !(pruned_ && pruned_->masks[u][su]);
+  }
+
+  // Whether node i sits out this round's node tasks.
+  bool down(topology::NodeId i) const {
+    return injector_ && injector_->node_down(global_round_, i);
+  }
+
+  // The end of the round's gossip work, before the observer and the
+  // checkpoint see the nodes: the rows of the alive nodes the fabric
+  // skipped (down but not yet confirmed crashed) and the links both of
+  // whose ends it skipped, then the surviving activation in order.
+  void finish_gossip_round() {
     GossipRows& g = *gossip_;
-    std::fill(g.degree.begin(), g.degree.end(), 0);
-    for (const auto& [u, v] : g.prev_links) {
-      if (!alive_[u] || !alive_[v]) continue;
-      ++g.degree[u];
-      ++g.degree[v];
+    // Only a crashed member can be alive and skipped.
+    if (injector_ && injector_->down_node_count(global_round_) > 0) {
+      for (topology::NodeId i = 0; i < n_; ++i) {
+        if (alive_[i] && g.built_round[i] != g.round) build_gossip_row(i);
+      }
     }
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      g.row[i].assign(nodes_[i].neighbors().size(), 0.0);
-      g.self[i] = 1.0;
-    }
-    for (const auto& [u, v] : g.prev_links) {
-      if (!alive_[u] || !alive_[v]) continue;
-      const double weight =
-          1.0 / (1.0 + static_cast<double>(std::max(g.degree[u],
-                                                    g.degree[v])));
-      const std::size_t su = slot_in(nodes_[u].neighbors(), v);
-      const std::size_t sv = slot_in(nodes_[v].neighbors(), u);
-      SNAP_REQUIRE_MSG(su != kNoSlot && sv != kNoSlot,
-                       "activated link (" << u << "," << v
-                                          << ") is not a topology edge");
-      g.row[u][su] += weight;
-      g.row[v][sv] += weight;
-      g.self[u] -= weight;
-      g.self[v] -= weight;
-    }
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      if (alive_[i]) nodes_[i].set_weight_row(g.row[i], g.self[i]);
+    g.prev_links.clear();
+    for (std::size_t k = 0; k < g.links.size(); ++k) {
+      const auto [u, v] = g.links[k];
+      if (g.kept[k] == kUnjudged) g.kept[k] = gossip_link_kept(u, v) ? 1 : 0;
+      if (g.kept[k]) g.prev_links.push_back(g.links[k]);
     }
   }
 
@@ -578,6 +663,7 @@ class SnapScheme {
   // recursion needs (the fabric's event loop is single-threaded, so the
   // queues are safe to touch here).
   void local_update(topology::NodeId i) {
+    if (gossip_) prepare_gossip_node(i);
     if (paced_ && rounds_[i] > 0) {
       for (const auto j : nodes_[i].neighbors()) {
         auto& queued = paced_->pending[i][j];
@@ -744,6 +830,7 @@ class SnapScheme {
   // its future (homogeneous timing collapses this to the sync
   // semantics).
   void end_round(std::size_t round) {
+    if (gossip_) finish_gossip_round();
     maybe_restart();
     if (observer_) observer_(round, nodes_);
   }
@@ -893,8 +980,11 @@ class SnapScheme {
     // Block-diagonal re-projection over the new labels: an edge survives
     // only when both endpoints are alive and share a component. With a
     // single component this is bitwise the plain survivor re-projection,
-    // so unpartitioned churn trajectories are unchanged.
-    reproject_components(round);
+    // so unpartitioned churn trajectories are unchanged. The churn hook
+    // may have run it already this round, over the same membership and
+    // labels: the re-run would rebuild the same W and rows and repeat the
+    // restart, and the heal syncs above touch only views and backlogs.
+    if (reprojected_round_ != round) reproject_components(round);
   }
 
   // Shared W repair: block-diagonal re-projection over the injector's
@@ -921,15 +1011,18 @@ class SnapScheme {
       w_ = consensus::reproject_weight_matrix_sparse(
           g, alive_, labels, consensus::ReprojectionMethod::kMetropolis);
     }
-    for (topology::NodeId i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
-      if (!labels.empty() && labels[i] == kExcluded) continue;
+    // Each node's row, neighbor list and restart are its own: the pool
+    // runs them.
+    pool().parallel_for(0, n_, [&](std::size_t i) {
+      if (!alive_[i]) return;
+      if (!labels.empty() && labels[i] == kExcluded) return;
       AlignedRow row = split_row(w_, i);
       nodes_[i].set_topology(std::move(row.neighbors),
                              std::move(row.weights), row.self);
       nodes_[i].restart();
-    }
+    });
     if (pruned_) mark_pruned(g, edge_kept);
+    reprojected_round_ = round;
   }
 
   // Sparsifier telemetry: stamped onto every recorded row just before the
@@ -1114,6 +1207,8 @@ class SnapScheme {
   std::vector<std::size_t> rounds_;
   bool restarted_ = false;
   std::size_t global_round_ = 0;
+  /// The round reproject_components last ran for (0 = none yet).
+  std::size_t reprojected_round_ = 0;
   std::optional<GossipRows> gossip_;
   std::optional<PacedQueues> paced_;
   /// mean_loss's buffers, kept across rounds.

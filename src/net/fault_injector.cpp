@@ -96,6 +96,7 @@ FaultInjector::FaultInjector(const topology::Graph& graph, FaultPlan plan,
 
   link_chain_down_.assign(dynamic_graph_.edge_count(), false);
   edge_down_streak_.assign(dynamic_graph_.edge_count(), 0);
+  edge_sustained_down_.assign(dynamic_graph_.edge_count(), 0);
   random_node_down_.assign(n, false);
   down_streak_.assign(n, 0);
   confirmed_.assign(n, false);
@@ -139,7 +140,7 @@ FaultInjector::FaultInjector(const topology::Graph& graph, FaultPlan plan,
     // the initial member set over the full (un-cut) graph.
     std::vector<std::uint8_t> include(n, 0);
     for (std::size_t i = 0; i < n; ++i) include[i] = member_[i] ? 1 : 0;
-    prev_component_ =
+    initial_component_ =
         topology::connected_components(dynamic_graph_, include).label;
   }
 
@@ -214,6 +215,7 @@ void FaultInjector::join_node(topology::NodeId node, ChurnDelta& delta) {
       dynamic_graph_.add_edge(node, candidates[idx]);
       link_chain_down_.push_back(false);  // new links start up
       edge_down_streak_.push_back(0);
+      edge_sustained_down_.push_back(0);
     }
   }
   delta.joined.push_back(node);
@@ -322,13 +324,15 @@ void FaultInjector::materialize_next() {
   // effective graph the component labeling sees. Only maintained when
   // the component structure is tracked at all.
   if (tracks_partitions()) {
+    const bool any_cut = !state.cut.empty();
     for (std::size_t e = 0; e < edges.size(); ++e) {
-      const std::uint64_t k = link_key(edges[e].first, edges[e].second);
-      const bool down = link_chain_down_[e] || state.cut.contains(k);
+      const bool down =
+          link_chain_down_[e] ||
+          (any_cut &&
+           state.cut.contains(link_key(edges[e].first, edges[e].second)));
       edge_down_streak_[e] = down ? edge_down_streak_[e] + 1 : 0;
-      if (edge_down_streak_[e] > plan_.partition_confirm_rounds) {
-        state.sustained_down.insert(k);
-      }
+      edge_sustained_down_[e] =
+          edge_down_streak_[e] > plan_.partition_confirm_rounds ? 1 : 0;
     }
   }
 
@@ -389,7 +393,7 @@ void FaultInjector::materialize_next() {
   }
 
   if (tracks_partitions()) {
-    materialize_components(round, state);
+    materialize_components(state);
   }
 
   rounds_.push_back(std::move(state));
@@ -452,30 +456,28 @@ void FaultInjector::materialize_partitions(std::size_t round,
   for (const std::uint64_t k : random_cut_) state.cut.insert(k);
 }
 
-void FaultInjector::materialize_components(std::size_t round,
-                                           RoundState& state) {
+void FaultInjector::materialize_components(RoundState& state) {
   const std::size_t n = dynamic_graph_.node_count();
-  std::vector<std::uint8_t> include(n, 0);
+  include_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    include[i] = (member_[i] && !confirmed_[i]) ? 1 : 0;
+    include_[i] = (member_[i] && !confirmed_[i]) ? 1 : 0;
   }
-  const topology::ComponentMap map = topology::connected_components(
-      dynamic_graph_, include,
-      [&state](topology::NodeId u, topology::NodeId v) {
-        return state.sustained_down.contains(link_key(u, v));
-      });
-  state.component = map.label;
+  topology::ComponentMap map = topology::connected_components(
+      dynamic_graph_, include_, edge_sustained_down_);
   state.component_count = map.count;
   state.largest_component_frac = map.largest_fraction();
-  if (state.component != prev_component_) {
+  state.component = std::move(map.label);
+  const std::vector<std::size_t>& prev =
+      rounds_.empty() ? initial_component_ : rounds_.back().component;
+  if (state.component != prev) {
     ++partition_epoch_;
     PartitionDelta& delta = state.pdelta;
     delta.epoch = partition_epoch_;
     delta.components = map.count;
-    delta.labels = map.label;
+    delta.labels = state.component;
     constexpr std::size_t kEx = topology::ComponentMap::kExcluded;
     std::size_t prev_count = 0;
-    for (const std::size_t l : prev_component_) {
+    for (const std::size_t l : prev) {
       if (l != kEx) prev_count = std::max(prev_count, l + 1);
     }
     delta.split = map.count > prev_count;
@@ -484,19 +486,20 @@ void FaultInjector::materialize_components(std::size_t round,
     // different components last round and share one now. Nodes that
     // were excluded last round (joins, restarts) don't qualify — the
     // churn path owns their warm-start.
-    for (const auto& [u, v] : dynamic_graph_.edges()) {
-      if (map.label[u] == kEx || map.label[u] != map.label[v]) continue;
-      if (state.sustained_down.contains(link_key(u, v))) continue;
-      const std::size_t pu = prev_component_[u];
-      const std::size_t pv = prev_component_[v];
+    const std::vector<std::size_t>& label = state.component;
+    const auto& edges = dynamic_graph_.edges();
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const auto [u, v] = edges[e];
+      if (label[u] == kEx || label[u] != label[v]) continue;
+      if (edge_sustained_down_[e] != 0) continue;
+      const std::size_t pu = prev[u];
+      const std::size_t pv = prev[v];
       if (pu == kEx || pv == kEx || pu == pv) continue;
       delta.healed_edges.emplace_back(u, v);
       delta.merged = true;
     }
   }
   state.partition_epoch = partition_epoch_;
-  prev_component_ = state.component;
-  (void)round;
 }
 
 const FaultInjector::RoundState& FaultInjector::state(
@@ -576,6 +579,15 @@ bool FaultInjector::confirmed_down(std::size_t round,
   const RoundState& s = state(round);
   if (i < s.member.size() && !s.member[i]) return true;
   return i < s.confirmed.size() && s.confirmed[i];
+}
+
+void FaultInjector::alive_mask(std::size_t round,
+                               std::vector<bool>& alive) const {
+  const RoundState& s = state(round);
+  alive.resize(s.member.size());
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    alive[i] = s.member[i] && !s.confirmed[i];
+  }
 }
 
 const ChurnDelta& FaultInjector::churn_delta(std::size_t round) const {

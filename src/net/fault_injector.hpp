@@ -227,6 +227,9 @@ class FaultInjector {
   /// suspected, so it is confirmed immediately).
   bool confirmed_down(std::size_t round, topology::NodeId i) const;
 
+  /// alive[i] = !confirmed_down(round, i) for every node, in one pass.
+  void alive_mask(std::size_t round, std::vector<bool>& alive) const;
+
   /// Membership changes confirmed exactly at `round`.
   const ChurnDelta& churn_delta(std::size_t round) const;
 
@@ -307,9 +310,6 @@ class FaultInjector {
     std::unordered_set<std::uint64_t> burst_down;
     /// Edges cut by active partition events (frame-dropping, immediate).
     std::unordered_set<std::uint64_t> cut;
-    /// Edges out of the effective graph: down (cut or burst) for more
-    /// than partition_confirm_rounds consecutive rounds.
-    std::unordered_set<std::uint64_t> sustained_down;
     std::vector<bool> node_down;
     std::vector<bool> confirmed;
     std::vector<bool> member;
@@ -330,7 +330,7 @@ class FaultInjector {
   void materialize_next();
   void materialize_membership(std::size_t round, ChurnDelta& delta);
   void materialize_partitions(std::size_t round, RoundState& state);
-  void materialize_components(std::size_t round, RoundState& state);
+  void materialize_components(RoundState& state);
   void join_node(topology::NodeId node, ChurnDelta& delta);
   void leave_node(topology::NodeId node, ChurnDelta& delta);
   bool scheduled_down(topology::NodeId node, std::size_t round) const;
@@ -358,9 +358,16 @@ class FaultInjector {
 
   // Partition chain state.
   std::vector<std::size_t> edge_down_streak_;  // by edges() index
+  /// 1 where an edge is out of the effective graph this round: down
+  /// (cut or burst) for more than partition_confirm_rounds consecutive
+  /// rounds. By edges() index.
+  std::vector<std::uint8_t> edge_sustained_down_;
   std::unordered_set<std::uint64_t> random_cut_;  // active random partition
   std::size_t random_cut_until_ = 0;  // first round the random cut heals
-  std::vector<std::size_t> prev_component_;  // last round's labeling
+  /// The labeling before round 1; later rounds compare against the
+  /// previous round's own labels.
+  std::vector<std::size_t> initial_component_;
+  std::vector<std::uint8_t> include_;  // component-labeling scratch
   std::size_t partition_epoch_ = 0;
 
   std::vector<RoundState> rounds_;  // rounds_[r - 1] is round r

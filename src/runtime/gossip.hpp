@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -88,8 +89,62 @@ using ActivatedLink = std::pair<topology::NodeId, topology::NodeId>;
 /// membership epoch (0 without elastic membership) — folding it into
 /// the hash re-randomizes the schedule when the topology grows, so a
 /// joiner's fresh links don't inherit the pre-join activation pattern.
+/// One-shot form of GossipScheduler::draw.
 std::vector<ActivatedLink> gossip_activated_links(
     const GossipConfig& config, const topology::Graph& graph,
     std::size_t epoch, std::size_t round, const std::vector<bool>& alive);
+
+/// An alive edge and its matching rank (the stateless per-round hash).
+struct RankedEdge {
+  std::uint64_t rank = 0;
+  std::uint32_t u = 0;
+  std::uint32_t v = 0;
+};
+
+/// Orders `edges` ascending by (rank, u, v) — the order std::sort with
+/// that comparison yields — in expected linear time: a stable counting
+/// pass on the ranks' top bits, then an insertion sort that only moves
+/// an edge within its bucket. The ranks are uniform hashes, so a bucket
+/// holds about one edge; equal ranks fall to (u, v). `scratch` and
+/// `bucket` are working storage, kept by the caller across calls.
+void order_by_rank(std::vector<RankedEdge>& edges,
+                   std::vector<RankedEdge>& scratch,
+                   std::vector<std::uint32_t>& bucket);
+
+/// The activation draw with its working storage kept across rounds:
+/// what the gossip fabric runs every tick. draw() returns exactly
+/// gossip_activated_links(config, ...).
+///
+/// Matching mode takes the alive edges greedily in (rank, u, v) order
+/// (order_by_rank), recording each node's partner, and emits the pairs
+/// by scanning the partners in id order, which is already the (u, v)
+/// order. Push-pull ranks each node's neighbors and sorts the union.
+/// Both modes hash with the (seed, round, epoch) prefix computed once
+/// per draw.
+class GossipScheduler {
+ public:
+  explicit GossipScheduler(const GossipConfig& config) : config_(config) {}
+
+  /// The links activated for `round`; valid until the next draw.
+  std::span<const ActivatedLink> draw(const topology::Graph& graph,
+                                      std::size_t epoch, std::size_t round,
+                                      const std::vector<bool>& alive);
+
+ private:
+  void draw_matching(const topology::Graph& graph, std::uint64_t prefix,
+                     const std::vector<bool>& alive);
+  void draw_push_pull(const topology::Graph& graph, std::uint64_t prefix,
+                      const std::vector<bool>& alive);
+
+  GossipConfig config_;
+  std::vector<RankedEdge> ranked_;
+  std::vector<RankedEdge> scratch_;
+  std::vector<std::uint32_t> bucket_;
+  /// Matching mode: each node's partner this tick (all ones = idle).
+  std::vector<std::uint32_t> partner_;
+  /// Push-pull mode: one node's (rank, neighbor) candidates.
+  std::vector<std::pair<std::uint64_t, topology::NodeId>> ranks_;
+  std::vector<ActivatedLink> links_;
+};
 
 }  // namespace snap::runtime

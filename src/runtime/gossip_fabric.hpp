@@ -40,9 +40,7 @@ class GossipFabric final : public SyncFabric<Payload> {
   GossipFabric(const FabricConfig& config, const GossipConfig& gossip,
                std::unique_ptr<net::Transport<Payload>> transport = nullptr)
       : SyncFabric<Payload>(config, std::move(transport)),
-        gossip_(gossip) {}
-
-  const GossipConfig& gossip_config() const noexcept { return gossip_; }
+        scheduler_(gossip) {}
 
  protected:
   void prepare_round(std::size_t round,
@@ -56,20 +54,19 @@ class GossipFabric final : public SyncFabric<Payload> {
                      "gossip fabric requires a topology graph");
     const std::size_t epoch =
         faults != nullptr ? faults->membership_epoch(round) : 0;
-    alive_.assign(graph->node_count(), true);
     if (faults != nullptr) {
-      for (topology::NodeId i = 0; i < graph->node_count(); ++i) {
-        alive_[i] = !faults->confirmed_down(round, i);
-      }
+      faults->alive_mask(round, alive_);
+    } else {
+      alive_.assign(graph->node_count(), true);
     }
-    links_ = gossip_activated_links(gossip_, *graph, epoch, round, alive_);
-    this->round_links_activated_ = links_.size();
-    hooks.on_activation(round, std::span<const ActivatedLink>(links_));
+    const std::span<const ActivatedLink> links =
+        scheduler_.draw(*graph, epoch, round, alive_);
+    this->round_links_activated_ = links.size();
+    hooks.on_activation(round, links);
   }
 
  private:
-  GossipConfig gossip_;
-  std::vector<ActivatedLink> links_;
+  GossipScheduler scheduler_;
   std::vector<bool> alive_;
 };
 

@@ -5,27 +5,14 @@
 
 namespace snap::runtime {
 
-namespace {
-
-constexpr std::string_view kMagic = "SNAPRUN1";
-// v2: per-iteration partition telemetry (components,
-// largest_component_frac, partition_epoch) and sparsifier telemetry
-// (links_pruned, effective_edges, slem_after_prune). v3: SnapNode's
-// record drops the parked views and the initial mean |x⁰|. Older blobs
-// are rejected — the loader treats that as "no checkpoint" and
-// cold-replays from round 0, which determinism makes
-// bitwise-equivalent.
-constexpr std::uint32_t kVersion = 3;
-
-}  // namespace
-
 std::vector<std::byte> encode_run_checkpoint(const RunCheckpoint& ckpt) {
-  return ml::seal(kMagic, kVersion, ckpt);
+  return ml::seal(kRunCheckpointMagic, kRunCheckpointVersion, ckpt);
 }
 
 std::optional<RunCheckpoint> decode_run_checkpoint(
     std::span<const std::byte> bytes) {
-  return ml::unseal<RunCheckpoint>(bytes, kMagic, kVersion);
+  return ml::unseal<RunCheckpoint>(bytes, kRunCheckpointMagic,
+                                   kRunCheckpointVersion);
 }
 
 bool save_run_checkpoint(const std::string& path,

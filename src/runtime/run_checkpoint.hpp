@@ -16,10 +16,11 @@
 // never leave a torn checkpoint for the respawned process to trip on —
 // the previous round's file survives intact.
 //
-// Layout: the ml::seal envelope (magic "SNAPRUN1", version 3) around
-// RunCheckpoint::transfer's fields in their common::field shapes; an
-// iteration record is every core::kIterationStatsColumns entry in table
-// order (f64, u64, or a u8 for a bool).
+// Layout: the ml::seal envelope (kRunCheckpointMagic,
+// kRunCheckpointVersion) around RunCheckpoint::transfer's fields in
+// their common::field shapes; an iteration record is every
+// core::kIterationStatsColumns entry in table order (f64, u64, or a u8
+// for a bool).
 #pragma once
 
 #include <cstddef>
@@ -27,11 +28,23 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/training.hpp"
 
 namespace snap::runtime {
+
+/// The run checkpoint envelope's magic and format version. v2:
+/// per-iteration partition telemetry (components,
+/// largest_component_frac, partition_epoch) and sparsifier telemetry
+/// (links_pruned, effective_edges, slem_after_prune). v3: SnapNode's
+/// record drops the parked views and the initial mean |x⁰|. Older blobs
+/// are rejected — the loader treats that as "no checkpoint" and
+/// cold-replays from round 0, which determinism makes
+/// bitwise-equivalent.
+inline constexpr std::string_view kRunCheckpointMagic = "SNAPRUN1";
+inline constexpr std::uint32_t kRunCheckpointVersion = 3;
 
 /// Fabric-level checkpoint knobs (threaded from the CLI / configs down
 /// into FabricConfig). Disabled by default: no path, no cadence.

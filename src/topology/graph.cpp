@@ -94,44 +94,60 @@ std::size_t Graph::diameter() const {
 }
 
 ComponentMap connected_components(const Graph& graph) {
-  return connected_components(
-      graph, std::vector<std::uint8_t>(graph.node_count(), 1), nullptr);
+  return connected_components(graph,
+                              std::vector<std::uint8_t>(graph.node_count(), 1));
 }
 
-ComponentMap connected_components(
-    const Graph& graph, const std::vector<std::uint8_t>& include,
-    const std::function<bool(NodeId, NodeId)>& edge_down) {
+ComponentMap connected_components(const Graph& graph,
+                                  const std::vector<std::uint8_t>& include,
+                                  std::span<const std::uint8_t> edge_down) {
   const std::size_t n = graph.node_count();
   SNAP_REQUIRE_MSG(include.size() == n,
                    "inclusion mask covers " << include.size()
                                             << " nodes, graph has " << n);
+  SNAP_REQUIRE_MSG(edge_down.empty() || edge_down.size() == graph.edge_count(),
+                   "edge mask covers " << edge_down.size()
+                                       << " edges, graph has "
+                                       << graph.edge_count());
+  // Union-find whose root is always the component's lowest id (the
+  // higher root is linked under the lower), with path halving.
+  std::vector<NodeId> root(n);
+  for (NodeId i = 0; i < n; ++i) root[i] = i;
+  const auto find = [&root](NodeId i) {
+    while (root[i] != i) {
+      root[i] = root[root[i]];
+      i = root[i];
+    }
+    return i;
+  };
+  const auto& edges = graph.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const auto [u, v] = edges[e];
+    if (include[u] == 0 || include[v] == 0) continue;
+    if (!edge_down.empty() && edge_down[e] != 0) continue;
+    const NodeId ru = find(u);
+    const NodeId rv = find(v);
+    if (ru < rv) {
+      root[rv] = ru;
+    } else {
+      root[ru] = rv;
+    }
+  }
+  // A root is its component's lowest member, so the id-order scan meets
+  // it first and numbers the components by their lowest member.
   ComponentMap map;
   map.label.assign(n, ComponentMap::kExcluded);
-  std::queue<NodeId> frontier;
-  for (NodeId seed = 0; seed < n; ++seed) {
-    if (include[seed] == 0 || map.label[seed] != ComponentMap::kExcluded) {
-      continue;
+  std::vector<std::size_t> size;
+  for (NodeId i = 0; i < n; ++i) {
+    if (include[i] == 0) continue;
+    const NodeId r = find(i);
+    if (r == i) {
+      map.label[i] = map.count++;
+      size.push_back(0);
+    } else {
+      map.label[i] = map.label[r];
     }
-    const std::size_t component = map.count++;
-    std::size_t size = 0;
-    map.label[seed] = component;
-    frontier.push(seed);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop();
-      ++size;
-      for (const NodeId v : graph.neighbors(u)) {
-        if (include[v] == 0 || map.label[v] != ComponentMap::kExcluded) {
-          continue;
-        }
-        if (edge_down && edge_down(std::min(u, v), std::max(u, v))) {
-          continue;
-        }
-        map.label[v] = component;
-        frontier.push(v);
-      }
-    }
-    map.largest_size = std::max(map.largest_size, size);
+    map.largest_size = std::max(map.largest_size, ++size[map.label[i]]);
   }
   return map;
 }

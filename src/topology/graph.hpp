@@ -10,8 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace snap::topology {
@@ -104,12 +104,12 @@ struct ComponentMap {
 ComponentMap connected_components(const Graph& graph);
 
 /// Components of the *effective* graph: only nodes with include[u] != 0
-/// participate, and an edge {u, v} is traversable only when both
-/// endpoints are included and edge_down (if provided) returns false for
-/// it. Deterministic: BFS from the lowest unvisited included node, in
-/// ascending id order. edge_down is called with u < v.
+/// participate, and edge e (edges()[e]) is traversable only when both
+/// endpoints are included and edge_down is empty or edge_down[e] == 0.
+/// One pass over edges() in id order unions the endpoints of every
+/// traversable edge, so the cost is O(n + m) with sequential reads.
 ComponentMap connected_components(
     const Graph& graph, const std::vector<std::uint8_t>& include,
-    const std::function<bool(NodeId, NodeId)>& edge_down = nullptr);
+    std::span<const std::uint8_t> edge_down = {});
 
 }  // namespace snap::topology

@@ -163,7 +163,9 @@ TEST(CheckpointFuzzTest, RandomSealedBodiesDecodeOrRefuse) {
     for (auto& b : raw) b = static_cast<std::byte>(rng.uniform_u64(256));
     expect_run_decode_well_formed(raw);
     expect_model_decode_well_formed(raw);
-    expect_run_decode_well_formed(random_sealed("SNAPRUN1", 3, body, rng));
+    expect_run_decode_well_formed(
+        random_sealed(runtime::kRunCheckpointMagic,
+                      runtime::kRunCheckpointVersion, body, rng));
     expect_model_decode_well_formed(random_sealed("SNAPCKPT", 1, body, rng));
   }
 }

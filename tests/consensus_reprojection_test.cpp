@@ -271,7 +271,11 @@ std::vector<std::size_t> labels_of(const topology::Graph& g,
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     include[i] = alive[i] ? 1 : 0;
   }
-  return topology::connected_components(g, include, down).label;
+  std::vector<std::uint8_t> edge_down;
+  if (down) {
+    for (const auto& [u, v] : g.edges()) edge_down.push_back(down(u, v));
+  }
+  return topology::connected_components(g, include, edge_down).label;
 }
 
 void expect_bitwise_equal(const linalg::Matrix& a, const linalg::Matrix& b) {

@@ -431,13 +431,16 @@ TEST(SparseNodeTest, StaticRowSkipAndExplicitResetAgreeBitwise) {
   const double self_weight = 0.5;
   core::SnapNode skip(0, model, shard, neighbors, row, self_weight);
   core::SnapNode reset(0, model, shard, neighbors, row, self_weight);
+  // The same row in sparse form: 1 − 0.25 − 0.25 is exactly 0.5.
+  const std::vector<core::SnapNode::RowEntry> entries = {{1, 0.25},
+                                                         {2, 0.25}};
   const linalg::Vector x0{1.0, 1.0, 1.0};
   skip.set_initial(x0);
   reset.set_initial(x0);
   for (std::size_t k = 0; k < 12; ++k) {
     // Re-setting the identical row every round marks it dirty and
     // forces the prev-row copy the static node elides.
-    reset.set_weight_row(row, self_weight);
+    reset.set_weight_row(entries);
     skip.compute_update(0.1);
     reset.compute_update(0.1);
     skip.advance_views();

@@ -368,9 +368,11 @@ TEST(MixingExtremesTest, ErgodicEntryPointThrowsOnSplitBrain) {
 TEST(MixingExtremesTest, SparseErgodicEntryPointThrowsOnSplitBrain) {
   const auto g = topology::make_ring(4);
   std::vector<std::uint8_t> include(4, 1);
-  const auto down = [](topology::NodeId u, topology::NodeId v) {
-    return (u == 0 && v == 1) || (u == 2 && v == 3);
-  };
+  std::vector<std::uint8_t> down(g.edge_count(), 0);
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const auto [u, v] = g.edges()[e];
+    down[e] = (u == 0 && v == 1) || (u == 2 && v == 3);
+  }
   const auto labels = topology::connected_components(g, include, down).label;
   const std::vector<bool> alive(4, true);
   const auto split =

@@ -62,7 +62,9 @@ namespace {
 // bound.
 constexpr double kMaxAllocationsPerNodeRound = 1.5;
 
-TEST(AllocationBudgetTest, SteadyStateSyncNodeRound) {
+// Allocations per node-round between the observer callbacks of rounds
+// kFirst and kLast of a 64-node credit-SVM run under `config`.
+double allocations_per_node_round(SnapTrainerConfig config) {
   constexpr std::size_t kNodes = 64;
   constexpr std::size_t kFirst = 10;
   constexpr std::size_t kLast = 20;
@@ -81,7 +83,6 @@ TEST(AllocationBudgetTest, SteadyStateSyncNodeRound) {
   svm.feature_dim = pool.feature_dim();
   const ml::LinearSvm model(svm);
 
-  SnapTrainerConfig config;
   config.filter = FilterMode::kApe;
   config.convergence.min_iterations = kLast + 2;
   config.convergence.max_iterations = kLast + 2;
@@ -104,15 +105,39 @@ TEST(AllocationBudgetTest, SteadyStateSyncNodeRound) {
     }
   });
   trainer.train(pool);
+  return static_cast<double>(at_last - at_first) /
+         static_cast<double>((kLast - kFirst) * kNodes);
+}
 
-  const double per_node_round =
-      static_cast<double>(at_last - at_first) /
-      static_cast<double>((kLast - kFirst) * kNodes);
+TEST(AllocationBudgetTest, SteadyStateSyncNodeRound) {
+  const double per_node_round = allocations_per_node_round({});
   RecordProperty("allocations_per_node_round",
                  std::to_string(per_node_round));
-  EXPECT_LE(per_node_round, kMaxAllocationsPerNodeRound)
-      << (at_last - at_first) << " allocations over " << (kLast - kFirst)
-      << " rounds of " << kNodes << " nodes";
+  EXPECT_LE(per_node_round, kMaxAllocationsPerNodeRound);
+}
+
+// Measured at 4.19 per node-round on this configuration: the envelope
+// vector, a catch-up frame (control block and buffer) on most activated
+// links, since a gossip link is silent most rounds and backlogs, the
+// fault layer's per-round state, and the rows re-projected at each
+// partition epoch. Building every gossip row into a fresh copy (a
+// by-value row per node per round) and drawing the activation into
+// fresh scratch measured 6.55.
+constexpr double kMaxGossipAllocationsPerNodeRound = 5.0;
+
+TEST(AllocationBudgetTest, GossipNodeRoundUnderFaults) {
+  SnapTrainerConfig config;
+  config.fabric = runtime::FabricKind::kGossip;
+  config.faults.link_enter_burst = 0.05;
+  config.faults.link_exit_burst = 0.5;
+  config.faults.crash_probability = 0.01;
+  config.faults.restart_probability = 0.3;
+  config.faults.partition_probability = 0.1;
+  config.faults.partition_duration = 4;
+  const double per_node_round = allocations_per_node_round(config);
+  RecordProperty("allocations_per_node_round",
+                 std::to_string(per_node_round));
+  EXPECT_LE(per_node_round, kMaxGossipAllocationsPerNodeRound);
 }
 
 }  // namespace

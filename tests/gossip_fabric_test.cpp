@@ -7,6 +7,7 @@
 // wire-accounting contract (only activated links carry bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -147,6 +148,64 @@ TEST(GossipFabricTest, ReplaysBitwiseUnderChurnAndJoins) {
   for (const auto& it : serial.iterations) joined += it.nodes_joined;
   EXPECT_EQ(joined, 3u);  // two first-time joins + one rejoin
   EXPECT_GT(serial.iterations.back().alive_nodes, 10u);
+
+  expect_bitwise_equal(serial, run(4));
+  expect_bitwise_equal(serial, run(0));
+}
+
+TEST(GossipFabricTest, ReplaysBitwiseUnderChurnPartitionsAndSparsify) {
+  // Every gossip path that runs per node on the pool at once: joins,
+  // random crashes (rows of down nodes finished after the round), link
+  // bursts, random partitions (re-projection), and sparsification (the
+  // pruned-link filter that node tasks judge), at three thread counts.
+  auto run = [&](std::size_t threads) {
+    experiments::ScenarioConfig cfg;
+    cfg.nodes = 14;
+    cfg.average_degree = 3.5;
+    cfg.train_samples = 800;
+    cfg.test_samples = 200;
+    cfg.seed = 23;
+    cfg.convergence.max_iterations = 90;
+    cfg.convergence.loss_tolerance = 0.0;
+    cfg.weight_optimizer.max_iterations = 40;
+    cfg.latent_joiners = 3;
+    cfg.faults.join_probability = 0.05;
+    cfg.faults.crash_probability = 0.02;
+    cfg.faults.restart_probability = 0.3;
+    cfg.faults.link_enter_burst = 0.03;
+    cfg.faults.link_exit_burst = 0.4;
+    cfg.faults.partition_probability = 0.05;
+    cfg.faults.partition_duration = 6;
+    cfg.sparsify.enabled = true;
+    cfg.sparsify.slem_bound = 1.0;
+    cfg.sparsify.cost_budget = 0.75;
+    cfg.fabric = runtime::FabricKind::kGossip;
+    cfg.threads = threads;
+    const experiments::Scenario scenario(cfg);
+    return scenario.run(experiments::Scheme::kSnap);
+  };
+  const TrainResult serial = run(1);
+  ASSERT_EQ(serial.iterations.size(), 90u);
+  EXPECT_TRUE(std::isfinite(serial.final_train_loss));
+  // Each process actually fired: a join, a crash, a burst, a split, a
+  // pruned link.
+  std::uint64_t joined = 0;
+  std::uint64_t down = 0;
+  std::uint64_t links_down = 0;
+  std::uint64_t max_components = 0;
+  std::uint64_t pruned = 0;
+  for (const auto& it : serial.iterations) {
+    joined += it.nodes_joined;
+    down += it.nodes_down;
+    links_down += it.links_down;
+    max_components = std::max(max_components, it.components);
+    pruned = std::max(pruned, it.links_pruned);
+  }
+  EXPECT_GT(joined, 0u);
+  EXPECT_GT(down, 0u);
+  EXPECT_GT(links_down, 0u);
+  EXPECT_GT(max_components, 1u);
+  EXPECT_GT(pruned, 0u);
 
   expect_bitwise_equal(serial, run(4));
   expect_bitwise_equal(serial, run(0));

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -230,24 +232,35 @@ TEST(RuntimeCheckpointTest, CodecRoundTripsEveryStatsColumn) {
 
 TEST(RuntimeCheckpointTest, DecoderRejectsWrappingIterationCount) {
   // 92233720368547759 × 200 wraps u64 to 184, so a multiplied-out bound
-  // accepts this count against 256 trailing bytes and reserve() throws.
-  // An untrusted blob must come back as nullopt (a resume then cold-
-  // replays) rather than kill the shard.
-  common::ByteWriter writer;
-  for (const char c : std::string_view("SNAPRUN1")) {
-    writer.write_u8(static_cast<std::uint8_t>(c));
-  }
-  writer.write_u32(3);                     // version
-  writer.write_u64(0);                     // round
-  writer.write_f64(0.0);                   // sim_seconds
-  writer.write_u64(0);                     // membership_epoch
-  writer.write_u64(0);                     // alive count
-  writer.write_u64(92233720368547759ULL);  // iteration count
-  writer.write_bytes(std::vector<std::byte>(256));
-  writer.write_u64(ml::fnv1a(writer.bytes()));
+  // accepts this count against the 288 bytes that follow it and
+  // reserve() throws. An untrusted blob must come back as nullopt (a
+  // resume then cold-replays) rather than kill the shard. The blob is a
+  // stub sealed by the codec with only its iteration count (and the
+  // checksum) patched, so the magic, the version and every field before
+  // the count are the current format's.
+  runtime::RunCheckpoint stub;
+  stub.algorithm_state.resize(256);
+  const std::vector<std::byte> sealed = runtime::encode_run_checkpoint(stub);
+  ASSERT_TRUE(runtime::decode_run_checkpoint(sealed).has_value());
+  // The count's offset: where a one-iteration stub first differs.
+  runtime::RunCheckpoint one = stub;
+  one.iterations.resize(1);
+  const std::vector<std::byte> longer = runtime::encode_run_checkpoint(one);
+  const auto differs =
+      std::mismatch(sealed.begin(), sealed.end(), longer.begin()).first;
+  const std::size_t at =
+      static_cast<std::size_t>(differs - sealed.begin()) -
+      (std::endian::native == std::endian::little ? 0 : 7);
+
+  std::vector<std::byte> blob = sealed;
+  const std::uint64_t count = 92233720368547759ULL;
+  std::memcpy(blob.data() + at, &count, sizeof count);
+  const std::uint64_t sum =
+      ml::fnv1a(std::span<const std::byte>(blob).first(blob.size() - 8));
+  std::memcpy(blob.data() + blob.size() - 8, &sum, sizeof sum);
 
   std::optional<runtime::RunCheckpoint> decoded;
-  EXPECT_NO_THROW(decoded = runtime::decode_run_checkpoint(writer.bytes()));
+  EXPECT_NO_THROW(decoded = runtime::decode_run_checkpoint(blob));
   EXPECT_FALSE(decoded.has_value());
 }
 

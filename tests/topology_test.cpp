@@ -177,9 +177,11 @@ TEST(ComponentsTest, DownEdgesSplitTheGraph) {
   // Ring 0-1-2-3-0 with edges {0,1} and {2,3} down: {1, 2} and {3, 0}.
   const Graph g = make_ring(4);
   std::vector<std::uint8_t> include(4, 1);
-  const auto edge_down = [](NodeId u, NodeId v) {
-    return (u == 0 && v == 1) || (u == 2 && v == 3);
-  };
+  std::vector<std::uint8_t> edge_down(g.edge_count(), 0);
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const auto [u, v] = g.edges()[e];
+    edge_down[e] = (u == 0 && v == 1) || (u == 2 && v == 3);
+  }
   const ComponentMap map = connected_components(g, include, edge_down);
   EXPECT_EQ(map.count, 2u);
   EXPECT_TRUE(map.same_component(1, 2));
