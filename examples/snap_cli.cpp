@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -23,8 +24,11 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -164,6 +168,27 @@ internal (set by the launcher, not by hand):
 )";
 }
 
+/// A malformed option value: main reports it and exits 2.
+struct BadOption : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// All of `text` as a T: a count takes digits only (no sign, suffix or
+/// blank), a real whatever from_chars reads, end to end.
+template <typename T>
+T parse_whole(std::string_view text, std::string_view option) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw BadOption("--" + std::string(option) +
+                    (std::is_integral_v<T> ? " takes a non-negative integer"
+                                           : " takes a number") +
+                    ", got '" + std::string(text) + "'");
+  }
+  return value;
+}
+
 std::optional<std::map<std::string, std::string>> parse_args(
     int argc, char** argv) {
   std::map<std::string, std::string> args;
@@ -197,9 +222,11 @@ bool parse_partition_spec(const std::string& spec, net::FaultPlan& plan) {
     if (common::starts_with(spec, "random:")) {
       const std::string rest = spec.substr(7);
       const auto colon = rest.find(':');
-      plan.partition_probability = std::stod(rest.substr(0, colon));
+      plan.partition_probability =
+          parse_whole<double>(rest.substr(0, colon), "partition");
       if (colon != std::string::npos) {
-        plan.partition_duration = std::stoul(rest.substr(colon + 1));
+        plan.partition_duration =
+            parse_whole<std::size_t>(rest.substr(colon + 1), "partition");
       }
       return plan.partition_probability > 0.0 &&
              plan.partition_duration >= 1;
@@ -208,8 +235,10 @@ bool parse_partition_spec(const std::string& spec, net::FaultPlan& plan) {
     const auto c2 = c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
     if (c2 == std::string::npos) return false;
     net::PartitionEvent event;
-    event.start_round = std::stoul(spec.substr(0, c1));
-    event.heal_round = std::stoul(spec.substr(c1 + 1, c2 - c1 - 1));
+    event.start_round =
+        parse_whole<std::size_t>(spec.substr(0, c1), "partition");
+    event.heal_round = parse_whole<std::size_t>(
+        spec.substr(c1 + 1, c2 - c1 - 1), "partition");
     const std::string edges = spec.substr(c2 + 1);
     std::size_t pos = 0;
     while (pos <= edges.size()) {
@@ -220,8 +249,8 @@ bool parse_partition_spec(const std::string& spec, net::FaultPlan& plan) {
       const auto dash = edge.find('-');
       if (dash == std::string::npos || dash == 0) return false;
       event.edges.emplace_back(
-          static_cast<topology::NodeId>(std::stoul(edge.substr(0, dash))),
-          static_cast<topology::NodeId>(std::stoul(edge.substr(dash + 1))));
+          parse_whole<topology::NodeId>(edge.substr(0, dash), "partition"),
+          parse_whole<topology::NodeId>(edge.substr(dash + 1), "partition"));
       if (comma == std::string::npos) break;
       pos = comma + 1;
     }
@@ -245,13 +274,19 @@ std::optional<experiments::Scheme> parse_scheme(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_cli(int argc, char** argv) {
   const auto parsed = parse_args(argc, argv);
   if (!parsed.has_value()) return 2;
   const auto& args = *parsed;
   auto get = [&](const std::string& key, const std::string& fallback) {
     const auto it = args.find(key);
     return it == args.end() ? fallback : it->second;
+  };
+  const auto count = [&](const std::string& key, const std::string& fallback) {
+    return parse_whole<std::size_t>(get(key, fallback), key);
+  };
+  const auto real = [&](const std::string& key, const std::string& fallback) {
+    return parse_whole<double>(get(key, fallback), key);
   };
   if (args.contains("help")) {
     print_help();
@@ -284,53 +319,60 @@ int main(int argc, char** argv) {
   }
 
   experiments::ScenarioConfig cfg;
-  cfg.workload = get("workload", "credit") == "mnist"
-                     ? experiments::Workload::kMnistMlp
-                     : experiments::Workload::kCreditSvm;
-  cfg.nodes = std::stoul(get("nodes", "60"));
-  cfg.average_degree = std::stod(get("degree", "3"));
+  const std::string workload = get("workload", "credit");
+  if (workload != "credit" && workload != "mnist") {
+    std::cerr << "unknown --workload " << workload
+              << " (credit or mnist; try --help)\n";
+    return 2;
+  }
+  cfg.workload = workload == "mnist" ? experiments::Workload::kMnistMlp
+                                     : experiments::Workload::kCreditSvm;
+  cfg.nodes = count("nodes", "60");
+  cfg.average_degree = real("degree", "3");
   cfg.complete_topology = args.contains("complete");
-  cfg.train_samples = std::stoul(get("train", "12000"));
-  cfg.test_samples = std::stoul(get("test", "3000"));
-  cfg.alpha = std::stod(get("alpha", "0.3"));
-  cfg.convergence.max_iterations = std::stoul(get("iterations", "400"));
+  cfg.train_samples = count("train", "12000");
+  cfg.test_samples = count("test", "3000");
+  cfg.alpha = real("alpha", "0.3");
+  cfg.convergence.max_iterations = count("iterations", "400");
   cfg.convergence.loss_tolerance = 1e-3;
   cfg.convergence.consensus_tolerance = 1e-2;
-  cfg.link_failure_probability = std::stod(get("failure", "0"));
-  cfg.faults.crash_probability = std::stod(get("crash-rate", "0"));
-  cfg.faults.restart_probability = std::stod(get("restart-rate", "0"));
+  cfg.link_failure_probability = real("failure", "0");
+  cfg.faults.crash_probability = real("crash-rate", "0");
+  cfg.faults.restart_probability = real("restart-rate", "0");
   if (args.contains("link-burst")) {
     const std::string burst = get("link-burst", "0");
     const auto colon = burst.find(':');
     cfg.faults.link_enter_burst =
-        std::stod(burst.substr(0, colon));
+        parse_whole<double>(burst.substr(0, colon), "link-burst");
     cfg.faults.link_exit_burst =
-        colon == std::string::npos ? 0.5 : std::stod(burst.substr(colon + 1));
+        colon == std::string::npos
+            ? 0.5
+            : parse_whole<double>(burst.substr(colon + 1), "link-burst");
   }
-  cfg.faults.frame_corruption_probability = std::stod(get("corrupt", "0"));
+  cfg.faults.frame_corruption_probability = real("corrupt", "0");
   if (args.contains("partition") &&
       !parse_partition_spec(get("partition", ""), cfg.faults)) {
     std::cerr << "bad --partition spec (try --help)\n";
     return 2;
   }
   cfg.faults.partition_confirm_rounds =
-      std::stoul(get("partition-confirm", "1"));
+      count("partition-confirm", "1");
   cfg.recovery.suspect_after_s =
-      std::stod(get("recovery-timeout", "0"));
+      real("recovery-timeout", "0");
   cfg.reproject_on_churn = !args.contains("no-reproject");
-  cfg.latent_joiners = std::stoul(get("joiners", "0"));
+  cfg.latent_joiners = count("joiners", "0");
   cfg.faults.join_probability =
-      std::stod(get("join-rate", cfg.latent_joiners > 0 ? "0.02" : "0"));
-  cfg.faults.join_degree = std::stoul(get("join-degree", "2"));
-  cfg.faults.leave_probability = std::stod(get("leave-rate", "0"));
-  cfg.faults.rejoin_probability = std::stod(get("rejoin-rate", "0"));
+      real("join-rate", cfg.latent_joiners > 0 ? "0.02" : "0");
+  cfg.faults.join_degree = count("join-degree", "2");
+  cfg.faults.leave_probability = real("leave-rate", "0");
+  cfg.faults.rejoin_probability = real("rejoin-rate", "0");
   const std::string warm = get("warm-start", "on");
   if (warm != "on" && warm != "off") {
     std::cerr << "--warm-start takes on or off (try --help)\n";
     return 2;
   }
   cfg.warm_start_joins = warm == "on";
-  cfg.seed = std::stoull(get("seed", "2020"));
+  cfg.seed = count("seed", "2020");
   if (args.contains("topology")) {
     std::string error;
     auto loaded = topology::load_edge_list(get("topology", ""), &error);
@@ -359,10 +401,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.gossip.mode = *gossip_mode;
-  cfg.gossip.fanout = std::stoul(get("gossip-fanout", "1"));
-  cfg.gossip.restart_every = std::stoul(get("gossip-restart", "16"));
-  const double base_compute = std::stod(get("compute", "0.001"));
-  const double hetero = std::stod(get("hetero", "0"));
+  cfg.gossip.fanout = count("gossip-fanout", "1");
+  cfg.gossip.restart_every = count("gossip-restart", "16");
+  const double base_compute = real("compute", "0.001");
+  const double hetero = real("hetero", "0");
   cfg.async.compute_s = base_compute;
   if (hetero > 0.0) {
     // Latent joiners occupy node slots from round 1, so the per-node
@@ -370,12 +412,12 @@ int main(int argc, char** argv) {
     cfg.async.node_compute_s = runtime::linear_compute_spread(
         cfg.nodes + cfg.latent_joiners, base_compute, hetero);
   }
-  cfg.async.compute_jitter = std::stod(get("jitter", "0"));
-  cfg.async.link_latency_s = std::stod(get("latency", "0.001"));
+  cfg.async.compute_jitter = real("jitter", "0");
+  cfg.async.link_latency_s = real("latency", "0.001");
   cfg.async.nic_bandwidth_bytes_per_s =
-      std::stod(get("bandwidth", "1.25e8"));
+      real("bandwidth", "1.25e8");
   cfg.async.max_staleness_rounds =
-      std::stoul(get("max-staleness", "0"));
+      count("max-staleness", "0");
   cfg.async_free_run = args.contains("free-run");
   cfg.async.seed = cfg.seed;
 
@@ -384,10 +426,12 @@ int main(int argc, char** argv) {
     try {
       if (common::starts_with(spec, "slem:")) {
         cfg.sparsify.enabled = true;
-        cfg.sparsify.slem_bound = std::stod(spec.substr(5));
+        cfg.sparsify.slem_bound =
+            parse_whole<double>(spec.substr(5), "sparsify");
       } else if (common::starts_with(spec, "cost:")) {
         cfg.sparsify.enabled = true;
-        cfg.sparsify.cost_budget = std::stod(spec.substr(5));
+        cfg.sparsify.cost_budget =
+            parse_whole<double>(spec.substr(5), "sparsify");
       } else {
         std::cerr << "bad --sparsify spec (slem:BOUND or cost:BUDGET; "
                      "try --help)\n";
@@ -429,16 +473,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.transport.kind = *transport_kind;
-  cfg.transport.shards = std::stoul(get("shards", "1"));
+  cfg.transport.shards = count("shards", "1");
   const bool worker = args.contains("shard-worker");
-  cfg.transport.shard_id = worker ? std::stoul(get("shard-worker", "0")) : 0;
+  cfg.transport.shard_id = worker ? count("shard-worker", "0") : 0;
   cfg.transport.rendezvous_dir = get("rendezvous", "");
   const bool resume = args.contains("resume");
   cfg.transport.resume = resume;
-  cfg.transport.incarnation = std::stoull(get("resume-incarnation", "0"));
+  cfg.transport.incarnation = count("resume-incarnation", "0");
   const std::size_t checkpoint_every =
-      std::stoul(get("checkpoint-every", "0"));
-  const double chaos_kill = std::stod(get("chaos-kill", "0"));
+      count("checkpoint-every", "0");
+  const double chaos_kill = real("chaos-kill", "0");
   const bool socket_run = cfg.transport.kind != net::TransportKind::kSim;
   if (!socket_run && (cfg.transport.shards > 1 || worker)) {
     std::cerr << "--shards/--shard-worker require --transport=uds or tcp\n";
@@ -813,4 +857,13 @@ int main(int argc, char** argv) {
     if (created_rendezvous) fs::remove(cfg.transport.rendezvous_dir, ec);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const BadOption& bad) {
+    std::cerr << bad.what() << " (try --help)\n";
+    return 2;
+  }
 }

@@ -1,7 +1,7 @@
 // Fuzz entry point for everything that parses bytes off the network or
 // back from disk: the update-frame codec (formats A and B), the
-// checksummed STATE_SYNC codec, the transport's record codecs (frame
-// header, control records, SHARE rows), the stream reassembler, and the
+// checksummed STATE_SYNC codec, the socket hub's seven record types
+// (every input is decoded as each), the stream reassembler, and the
 // two checkpoint decoders (run and model). Each checkpoint decoder also
 // sees the input re-sealed (its FNV-1a trailer recomputed), so
 // arbitrary bytes reach the field decoders behind the checksum.
@@ -85,11 +85,14 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
     check_update_frame(*frame);
   }
   (void)snap::net::decode_state_sync_frame(input);
-  (void)snap::net::decode_wire_record(input);
-  (void)snap::net::decode_heartbeat_record(input);
-  (void)snap::net::decode_reconnect_record(input);
-  (void)snap::net::decode_reconnect_ack_record(input);
-  if (const auto share = snap::net::decode_share_record(input)) {
+  using snap::net::decode_record;
+  (void)decode_record<snap::net::HelloRecord>(input);
+  (void)decode_record<snap::net::WireRecord>(input);
+  (void)decode_record<snap::net::BarrierRecord>(input);
+  (void)decode_record<snap::net::HeartbeatRecord>(input);
+  (void)decode_record<snap::net::ReconnectRecord>(input);
+  (void)decode_record<snap::net::ReconnectAckRecord>(input);
+  if (const auto share = decode_record<snap::net::ShareRecord>(input)) {
     // The size check precedes the allocation: a decoded row can never
     // claim more values than the input carried bytes for.
     if (share->values.size() * sizeof(double) > size) std::abort();
@@ -185,28 +188,21 @@ void emit_corpus(const std::filesystem::path& dir) {
   record.to = 4;
   record.charged_bytes = 64;
   record.payload.resize(16, std::byte{0x5A});
-  emit(net::encode_wire_record(record));
-  emit(FrameReassembler::frame(net::encode_wire_record(record)));
+  // Each seed goes in raw and framed, plus the usual bit-flip mutants.
+  const auto emit_record = [&](const auto& hub_record) {
+    const std::vector<std::byte> body = net::encode_record(hub_record);
+    emit(body);
+    emit(FrameReassembler::frame(body));
+  };
+  emit_record(record);
 
-  // Crash-recovery control records: heartbeat, reconnect handshake,
-  // and its ack — raw and framed, plus the usual bit-flip mutants.
-  net::HeartbeatRecord heartbeat;
-  heartbeat.flip = 12;
-  emit(net::encode_heartbeat_record(heartbeat));
-  emit(FrameReassembler::frame(net::encode_heartbeat_record(heartbeat)));
-  net::ReconnectRecord reconnect;
-  reconnect.shard = 1;
-  reconnect.shards = 2;
-  reconnect.nodes = 8;
-  reconnect.incarnation = 3;
-  emit(net::encode_reconnect_record(reconnect));
-  emit(FrameReassembler::frame(net::encode_reconnect_record(reconnect)));
-  net::ReconnectAckRecord ack;
-  ack.shard = 0;
-  ack.parked_flip = 12;
-  ack.incarnation = 3;
-  emit(net::encode_reconnect_ack_record(ack));
-  emit(FrameReassembler::frame(net::encode_reconnect_ack_record(ack)));
+  // Rendezvous and control records: HELLO, BARRIER, heartbeat, the
+  // reconnect handshake and its ack.
+  emit_record(net::HelloRecord{{1, 2, 8}});
+  emit_record(net::BarrierRecord{12});
+  emit_record(net::HeartbeatRecord{12});
+  emit_record(net::ReconnectRecord{{1, 2, 8}, 3});
+  emit_record(net::ReconnectAckRecord{0, 12, 3});
 
   // Owner-computed rows: a gradient row and a one-double loss row.
   net::ShareRecord share;
@@ -214,10 +210,9 @@ void emit_corpus(const std::filesystem::path& dir) {
   share.node = 5;
   share.values.resize(25);
   for (auto& v : share.values) v = rng.normal();
-  emit(net::encode_share_record(share));
-  emit(FrameReassembler::frame(net::encode_share_record(share)));
+  emit_record(share);
   share.values.resize(1);
-  emit(net::encode_share_record(share));
+  emit(net::encode_record(share));
 
   // Checkpoints: a run checkpoint with a short stats series and opaque
   // wire/algorithm blobs, and a model checkpoint. Their bit-flip mutants

@@ -101,22 +101,28 @@ if ! cmp -s "$SMOKE_DIR/mnist-sim.csv" "$SMOKE_DIR/mnist-uds.csv"; then
 fi
 echo "    sim and 2-shard UDS trajectories are bitwise identical"
 
-echo "==> chaos smoke: UDS run with injected SIGKILLs vs sim oracle"
+echo "==> chaos smoke: UDS and TCP runs with injected SIGKILLs vs sim oracle"
 # Random partitions ride along: the split/heal schedule is part of the
 # replayable timeline, so the chaos run must still match the simulator.
 CHAOS_ARGS=(--nodes=8 --seed=7 --iterations=60 --train=800 --test=100
             --partition=random:0.05:6 --partition-confirm=1)
 build/examples/snap_cli "${CHAOS_ARGS[@]}" \
   --csv="$SMOKE_DIR/chaos-sim.csv" >/dev/null
-build/examples/snap_cli "${CHAOS_ARGS[@]}" --transport=uds --shards=2 \
-  --rendezvous="$SMOKE_DIR/chaos" --checkpoint-every=5 --chaos-kill=5 \
-  --csv="$SMOKE_DIR/chaos-uds.csv" >/dev/null
-if ! cmp -s "$SMOKE_DIR/chaos-sim.csv" "$SMOKE_DIR/chaos-uds.csv"; then
-  echo "error: chaos UDS run diverged from the sim oracle" >&2
-  diff "$SMOKE_DIR/chaos-sim.csv" "$SMOKE_DIR/chaos-uds.csv" | head -20 >&2
-  exit 1
-fi
-echo "    chaos run (shard kills + checkpoint resume) matches bitwise"
+for CHAOS_TRANSPORT in uds tcp; do
+  build/examples/snap_cli "${CHAOS_ARGS[@]}" --transport="$CHAOS_TRANSPORT" \
+    --shards=2 --rendezvous="$SMOKE_DIR/chaos-$CHAOS_TRANSPORT" \
+    --checkpoint-every=5 --chaos-kill=5 \
+    --csv="$SMOKE_DIR/chaos-$CHAOS_TRANSPORT.csv" >/dev/null
+  if ! cmp -s "$SMOKE_DIR/chaos-sim.csv" \
+      "$SMOKE_DIR/chaos-$CHAOS_TRANSPORT.csv"; then
+    echo "error: chaos $CHAOS_TRANSPORT run diverged from the sim oracle" >&2
+    diff "$SMOKE_DIR/chaos-sim.csv" "$SMOKE_DIR/chaos-$CHAOS_TRANSPORT.csv" |
+      head -20 >&2
+    exit 1
+  fi
+  echo "    chaos $CHAOS_TRANSPORT run (shard kills + checkpoint resume)" \
+    "matches bitwise"
+done
 
 echo "==> gossip churn smoke: joins, crashes, bursts and splits vs sim oracle"
 # The gossip tick builds each node's row and activation gate in the

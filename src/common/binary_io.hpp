@@ -1,13 +1,13 @@
-// Byte-level serialization used by the SNAP wire protocol (src/net) and
-// by every checkpoint.
+// Byte-level serialization used by the SNAP wire protocol (src/net), the
+// socket hub's records and every checkpoint.
 //
 // ByteWriter appends little-endian primitives to a growable buffer;
 // ByteReader consumes them back. The reader reports truncation through
 // ok()/error() rather than throwing, because malformed frames are an
 // expected runtime condition for a network component.
 //
-// Persisted state goes through the field codec at the bottom: a struct
-// lists its fields once, in
+// Persisted state and hub records go through the field codec at the
+// bottom: a struct lists its fields once, in
 //   template <class Self, class Io> static void transfer(Self&, Io&)
 // calling field(io, member) for each; save walks it with a ByteWriter
 // (Self const), load with a ByteReader. Reads never throw or
@@ -15,6 +15,7 @@
 // so a loader checks ok() once after the walk, then runs its validate().
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -26,6 +27,8 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace snap::common {
 
@@ -39,6 +42,24 @@ inline std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
     hash *= 0x100000001B3ULL;
   }
   return hash;
+}
+
+/// FNV-1a over the values' 64-bit patterns, one word per step in four
+/// interleaved lanes (a gradient row is ~190 KB; byte-wise FNV would
+/// cost more than the copy). Each step is injective in both arguments
+/// and the lanes fold injectively, so any changed word changes the
+/// digest.
+inline std::uint64_t row_checksum(std::span<const double> values) noexcept {
+  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
+  std::uint64_t lane[4] = {0xCBF29CE484222325ULL, 0x84222325CBF29CE4ULL,
+                           0x9CE484222325CBF2ULL, 0x2325CBF29CE48422ULL};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::uint64_t& h = lane[i % 4];
+    h = (h ^ std::bit_cast<std::uint64_t>(values[i])) * kPrime;
+  }
+  std::uint64_t digest = lane[0];
+  for (std::size_t k = 1; k < 4; ++k) digest = (digest ^ lane[k]) * kPrime;
+  return digest;
 }
 
 /// Append-only little-endian byte buffer.
@@ -119,6 +140,17 @@ class ByteReader {
     return out;
   }
 
+  /// Consumes exactly out.size() raw bytes into `out` (one copy); sets
+  /// the error flag and leaves `out` alone if fewer remain.
+  void read_into(std::span<std::byte> out) noexcept {
+    if (failed_ || out.size() > bytes_.size() - offset_) {
+      failed_ = true;
+      return;
+    }
+    std::memcpy(out.data(), bytes_.data() + offset_, out.size());
+    offset_ += out.size();
+  }
+
   /// True while no read has run past the end of the buffer (and no
   /// field decoder refused what it read).
   bool ok() const noexcept { return !failed_; }
@@ -153,7 +185,10 @@ class ByteReader {
 };
 
 // Field codec: one overload pair per on-disk shape.
-//   u64 (std::size_t), f64, u8; bool as one u8 (non-zero reads true)
+//   u64 (std::size_t), f64, u8; bool as one u8 (0 or 1, anything else
+//     fails the reader)
+//   u32(x): an integer as u32; the writer refuses a value above 2^32 - 1
+//   constant(v): a u32 the writer stamps and the reader requires
 //   a sequence (std::vector, linalg::Vector): u64 count, then each
 //     element; the reader refuses a count above remaining() / width
 //     before it allocates, and reads records one by one
@@ -162,6 +197,10 @@ class ByteReader {
 //     container already has the right length)
 //   present(io, optional, make): a u8 flag (0 or 1), then the value
 //   a map: u64 count, then key and value per entry in key order
+//   rest(bytes): raw bytes to the end of the record, no count
+//   checked_row(doubles): u32 count, row_checksum, then the raw doubles;
+//     the reader refuses a count the input cannot hold and a mismatched
+//     checksum
 //   a record with a public static transfer, or a class with save and
 //     bool load (a false load fails the reader)
 // fields(io, a, b, ...) is field() over each argument in order.
@@ -173,9 +212,83 @@ inline void field(ByteReader& r, double& v) { v = r.read_f64(); }
 inline void field(ByteWriter& w, std::uint8_t v) { w.write_u8(v); }
 inline void field(ByteReader& r, std::uint8_t& v) { v = r.read_u8(); }
 inline void field(ByteWriter& w, bool v) { w.write_u8(v ? 1 : 0); }
-inline void field(ByteReader& r, bool& v) { v = r.read_u8() != 0; }
+inline bool read_bool(ByteReader& r) noexcept {
+  const std::uint8_t flag = r.read_u8();
+  if (flag > 1) r.fail();
+  return flag == 1;
+}
+inline void field(ByteReader& r, bool& v) { v = read_bool(r); }
 inline void field(ByteReader& r, std::vector<bool>::reference v) {
-  v = r.read_u8() != 0;
+  v = read_bool(r);
+}
+
+template <typename T>
+struct U32Field {
+  T& value;
+};
+template <typename T>
+U32Field<T> u32(T& value) {
+  return {value};
+}
+template <typename T>
+void field(ByteWriter& w, U32Field<T> v) {
+  SNAP_REQUIRE_MSG(v.value <= 0xFFFFFFFFULL,
+                   "value " << v.value << " exceeds a u32 field");
+  w.write_u32(static_cast<std::uint32_t>(v.value));
+}
+template <typename T>
+void field(ByteReader& r, U32Field<T> v) {
+  v.value = r.read_u32();
+}
+
+struct Constant {
+  std::uint32_t value;
+};
+constexpr Constant constant(std::uint32_t value) { return {value}; }
+inline void field(ByteWriter& w, Constant c) { w.write_u32(c.value); }
+inline void field(ByteReader& r, Constant c) {
+  if (r.read_u32() != c.value) r.fail();
+}
+
+template <typename C>
+struct Rest {
+  C& bytes;
+};
+template <typename C>
+Rest<C> rest(C& bytes) {
+  return {bytes};
+}
+inline void field(ByteWriter& w, Rest<const std::vector<std::byte>> run) {
+  w.write_bytes(run.bytes);
+}
+inline void field(ByteReader& r, Rest<std::vector<std::byte>> run) {
+  run.bytes = r.read_bytes(r.remaining());
+}
+
+template <typename C>
+struct CheckedRow {
+  C& values;
+};
+template <typename C>
+CheckedRow<C> checked_row(C& values) {
+  return {values};
+}
+inline void field(ByteWriter& w, CheckedRow<const std::vector<double>> row) {
+  const std::span<const double> values(row.values);
+  const std::size_t count = values.size();
+  field(w, u32(count));
+  w.write_u64(row_checksum(values));
+  w.write_bytes(std::as_bytes(values));
+}
+inline void field(ByteReader& r, CheckedRow<std::vector<double>> row) {
+  const std::uint32_t count = r.read_u32();
+  const std::uint64_t checksum = r.read_u64();
+  // Sized before the allocation: a damaged count must neither
+  // over-allocate nor read past the record.
+  if (!r.ok() || count > r.remaining() / sizeof(double)) return r.fail();
+  row.values.resize(count);
+  r.read_into(std::as_writable_bytes(std::span(row.values)));
+  if (row_checksum(row.values) != checksum) r.fail();
 }
 
 inline void field(ByteWriter& w, const std::string& s) {

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -29,27 +28,6 @@
 namespace snap::net {
 namespace {
 
-// Record types multiplexed over one stream. Every record body starts
-// with the type byte; the length prefix around the body comes from
-// FrameReassembler::frame.
-constexpr std::uint8_t kRecordHello = 1;
-constexpr std::uint8_t kRecordFrame = 2;
-constexpr std::uint8_t kRecordBarrier = 3;
-constexpr std::uint8_t kRecordHeartbeat = 4;
-constexpr std::uint8_t kRecordReconnect = 5;
-constexpr std::uint8_t kRecordReconnectAck = 6;
-constexpr std::uint8_t kRecordShare = 7;
-
-constexpr std::uint32_t kHelloMagic = 0x534E4150;  // "SNAP"
-// Version 2 added SHARE records (owner-computed rows).
-constexpr std::uint32_t kProtocolVersion = 2;
-
-// type + flip + seq + from + to + state_sync + charged_bytes.
-constexpr std::size_t kFrameHeader = 1 + 8 + 8 + 4 + 4 + 1 + 8;
-
-// type + barrier + node + count + checksum.
-constexpr std::size_t kShareHeader = 1 + 8 + 4 + 4 + 8;
-
 // How long a blocked shard waits for peer bytes before declaring the
 // mesh dead (a peer crashed mid-run); generous next to any test budget.
 constexpr int kPollTimeoutMs = 60'000;
@@ -58,188 +36,15 @@ constexpr int kPollTimeoutMs = 60'000;
 // Short: the wait is a spin-step inside a retry loop, not a deadline.
 constexpr int kSendPollTimeoutMs = 50;
 
-std::vector<std::byte> encode_hello(std::size_t shard_id,
-                                    std::size_t shard_count,
-                                    std::size_t node_count) {
-  common::ByteWriter writer(1 + 4 * 4 + 8);
-  writer.write_u8(kRecordHello);
-  writer.write_u32(kHelloMagic);
-  writer.write_u32(kProtocolVersion);
-  writer.write_u32(static_cast<std::uint32_t>(shard_id));
-  writer.write_u32(static_cast<std::uint32_t>(shard_count));
-  writer.write_u64(node_count);
-  return writer.take();
-}
-
-std::vector<std::byte> encode_barrier(std::uint64_t flip) {
-  common::ByteWriter writer(1 + 8);
-  writer.write_u8(kRecordBarrier);
-  writer.write_u64(flip);
-  return writer.take();
-}
-
 void sleep_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-/// FNV-1a over the values' 64-bit patterns, one word per step in four
-/// interleaved lanes (a gradient row is ~190 KB; byte-wise FNV would
-/// cost more than the copy). Each step is injective in both arguments
-/// and the lanes fold injectively, so any changed word changes the
-/// digest.
-std::uint64_t share_checksum(std::span<const double> values) noexcept {
-  constexpr std::uint64_t kPrime = 0x100000001B3ULL;
-  std::uint64_t lane[4] = {0xCBF29CE484222325ULL, 0x84222325CBF29CE4ULL,
-                           0x9CE484222325CBF2ULL, 0x2325CBF29CE48422ULL};
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    std::uint64_t& h = lane[i % 4];
-    h = (h ^ std::bit_cast<std::uint64_t>(values[i])) * kPrime;
-  }
-  std::uint64_t digest = lane[0];
-  for (std::size_t k = 1; k < 4; ++k) digest = (digest ^ lane[k]) * kPrime;
-  return digest;
+std::uint8_t record_tag(std::span<const std::byte> body) {
+  return body.empty() ? 0 : static_cast<std::uint8_t>(body[0]);
 }
 
 }  // namespace
-
-std::vector<std::byte> encode_wire_record(const WireRecord& record) {
-  common::ByteWriter writer(kFrameHeader + record.payload.size());
-  writer.write_u8(kRecordFrame);
-  writer.write_u64(record.flip);
-  writer.write_u64(record.seq);
-  writer.write_u32(record.from);
-  writer.write_u32(record.to);
-  writer.write_u8(record.state_sync ? 1 : 0);
-  writer.write_u64(record.charged_bytes);
-  writer.write_bytes(record.payload);
-  return writer.take();
-}
-
-std::optional<WireRecord> decode_wire_record(
-    std::span<const std::byte> bytes) {
-  if (bytes.size() < kFrameHeader) return std::nullopt;
-  common::ByteReader reader(bytes);
-  if (reader.read_u8() != kRecordFrame) return std::nullopt;
-  WireRecord record;
-  record.flip = reader.read_u64();
-  record.seq = reader.read_u64();
-  record.from = reader.read_u32();
-  record.to = reader.read_u32();
-  const std::uint8_t sync = reader.read_u8();
-  record.charged_bytes = reader.read_u64();
-  if (!reader.ok() || sync > 1) return std::nullopt;
-  record.state_sync = sync == 1;
-  const auto payload = bytes.subspan(kFrameHeader);
-  record.payload.assign(payload.begin(), payload.end());
-  return record;
-}
-
-std::vector<std::byte> encode_heartbeat_record(const HeartbeatRecord& record) {
-  common::ByteWriter writer(1 + 8);
-  writer.write_u8(kRecordHeartbeat);
-  writer.write_u64(record.flip);
-  return writer.take();
-}
-
-std::optional<HeartbeatRecord> decode_heartbeat_record(
-    std::span<const std::byte> bytes) {
-  common::ByteReader reader(bytes);
-  if (reader.read_u8() != kRecordHeartbeat) return std::nullopt;
-  HeartbeatRecord record;
-  record.flip = reader.read_u64();
-  if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
-  return record;
-}
-
-std::vector<std::byte> encode_share_record(const ShareRecord& record) {
-  SNAP_REQUIRE_MSG(record.values.size() <= 0xFFFFFFFFULL,
-                   "share row exceeds u32 value count");
-  const std::span<const double> values(record.values);
-  common::ByteWriter writer(kShareHeader + values.size_bytes());
-  writer.write_u8(kRecordShare);
-  writer.write_u64(record.barrier);
-  writer.write_u32(record.node);
-  writer.write_u32(static_cast<std::uint32_t>(values.size()));
-  writer.write_u64(share_checksum(values));
-  // Raw doubles in the writer's (native little-endian) layout.
-  writer.write_bytes(std::as_bytes(values));
-  return writer.take();
-}
-
-std::optional<ShareRecord> decode_share_record(
-    std::span<const std::byte> bytes) {
-  common::ByteReader reader(bytes);
-  if (reader.read_u8() != kRecordShare) return std::nullopt;
-  ShareRecord record;
-  record.barrier = reader.read_u64();
-  record.node = reader.read_u32();
-  const std::uint32_t count = reader.read_u32();
-  const std::uint64_t checksum = reader.read_u64();
-  // Exact size before any allocation: a damaged count must neither
-  // over-allocate nor read past the record.
-  if (!reader.ok() ||
-      reader.remaining() != sizeof(double) * std::uint64_t{count}) {
-    return std::nullopt;
-  }
-  record.values.resize(count);
-  std::memcpy(record.values.data(), bytes.data() + kShareHeader,
-              sizeof(double) * count);
-  if (share_checksum(record.values) != checksum) return std::nullopt;
-  return record;
-}
-
-std::vector<std::byte> encode_reconnect_record(const ReconnectRecord& record) {
-  common::ByteWriter writer(1 + 4 * 4 + 8 * 3);
-  writer.write_u8(kRecordReconnect);
-  writer.write_u32(kHelloMagic);
-  writer.write_u32(kProtocolVersion);
-  writer.write_u32(record.shard);
-  writer.write_u32(record.shards);
-  writer.write_u64(record.nodes);
-  writer.write_u64(record.incarnation);
-  writer.write_u64(record.resume_flip);
-  return writer.take();
-}
-
-std::optional<ReconnectRecord> decode_reconnect_record(
-    std::span<const std::byte> bytes) {
-  common::ByteReader reader(bytes);
-  if (reader.read_u8() != kRecordReconnect) return std::nullopt;
-  if (reader.read_u32() != kHelloMagic) return std::nullopt;
-  if (reader.read_u32() != kProtocolVersion) return std::nullopt;
-  ReconnectRecord record;
-  record.shard = reader.read_u32();
-  record.shards = reader.read_u32();
-  record.nodes = reader.read_u64();
-  record.incarnation = reader.read_u64();
-  record.resume_flip = reader.read_u64();
-  if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
-  return record;
-}
-
-std::vector<std::byte> encode_reconnect_ack_record(
-    const ReconnectAckRecord& record) {
-  common::ByteWriter writer(1 + 4 * 2 + 8 * 2);
-  writer.write_u8(kRecordReconnectAck);
-  writer.write_u32(kHelloMagic);
-  writer.write_u32(record.shard);
-  writer.write_u64(record.parked_flip);
-  writer.write_u64(record.incarnation);
-  return writer.take();
-}
-
-std::optional<ReconnectAckRecord> decode_reconnect_ack_record(
-    std::span<const std::byte> bytes) {
-  common::ByteReader reader(bytes);
-  if (reader.read_u8() != kRecordReconnectAck) return std::nullopt;
-  if (reader.read_u32() != kHelloMagic) return std::nullopt;
-  ReconnectAckRecord record;
-  record.shard = reader.read_u32();
-  record.parked_flip = reader.read_u64();
-  record.incarnation = reader.read_u64();
-  if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
-  return record;
-}
 
 struct SocketHub::Impl {
   TransportConfig config;
@@ -284,8 +89,9 @@ struct SocketHub::Impl {
   std::string pid_path;     ///< our shard-<id>.pid liveness stamp
   bool closed = false;
   /// False during the rendezvous handshake: send_all's deadlock drain
-  /// then parks drained records in the reassembler (for read_record)
-  /// instead of dispatching them as steady-state traffic.
+  /// then parks drained records in the reassembler (for read_one)
+  /// instead of dispatching them as steady-state traffic, and the
+  /// listener still takes HELLOs.
   bool steady = false;
 
   std::size_t peer_count() const noexcept {
@@ -327,36 +133,43 @@ struct SocketHub::Impl {
   /// the same time, both their blocking writes stall until someone
   /// reads — so the writer reads. Records are dispatched only in
   /// steady state; during the rendezvous handshake drained bytes stay
-  /// parked in the reassembler for read_record to pop.
+  /// parked in the reassembler for read_one to pop.
   void drain_readable() {
     for (std::size_t s = 0; s < config.shards; ++s) {
       if (s == config.shard_id) continue;
-      while (peer_fds[s] >= 0) {
-        std::byte chunk[65536];
-        const ssize_t n =
-            ::recv(peer_fds[s], chunk, sizeof chunk, MSG_DONTWAIT);
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == ECONNRESET) {
-          mark_link_down(s);
-          break;
-        }
-        SNAP_REQUIRE_MSG(n >= 0, "recv from peer shard "
-                                     << s << " failed: "
-                                     << std::strerror(errno));
-        if (n == 0) {
-          mark_link_down(s);
-          break;
-        }
-        stats.os_bytes_received += static_cast<std::uint64_t>(n);
-        reassemblers[s].feed({chunk, static_cast<std::size_t>(n)});
-        if (steady) {
-          while (auto record = reassemblers[s].next()) {
-            dispatch_record(s, *record);
-          }
-        }
+      while (peer_fds[s] >= 0 && receive(s, MSG_DONTWAIT)) {
       }
     }
+  }
+
+  /// One recv on `peer_shard`'s live link: the bytes go to its
+  /// reassembler, and in steady state every whole record is dispatched.
+  /// EOF or a reset marks the link down. An orderly finish and a crash
+  /// look identical here; finish_flip tells them apart by whether the
+  /// peer's barrier for the flip it needs already arrived. Returns false
+  /// only when a nonblocking call found nothing to read.
+  bool receive(std::size_t peer_shard, int flags) {
+    std::byte chunk[65536];
+    ssize_t n = 0;
+    do {
+      n = ::recv(peer_fds[peer_shard], chunk, sizeof chunk, flags);
+    } while (n < 0 && errno == EINTR);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return false;
+    if (n == 0 || (n < 0 && errno == ECONNRESET)) {
+      mark_link_down(peer_shard);
+      return true;
+    }
+    SNAP_REQUIRE_MSG(n > 0, "recv from peer shard " << peer_shard
+                                                    << " failed: "
+                                                    << std::strerror(errno));
+    stats.os_bytes_received += static_cast<std::uint64_t>(n);
+    reassemblers[peer_shard].feed({chunk, static_cast<std::size_t>(n)});
+    if (steady) {
+      while (auto record = reassemblers[peer_shard].next()) {
+        dispatch_record(peer_shard, *record);
+      }
+    }
+    return true;
   }
 
   void send_all(std::size_t peer_shard, std::span<const std::byte> bytes) {
@@ -426,54 +239,56 @@ struct SocketHub::Impl {
     while (!log.empty() && log.front().flip < flip) log.pop_front();
   }
 
-  void send_record(std::size_t peer_shard, std::span<const std::byte> body) {
-    const std::vector<std::byte> framed = FrameReassembler::frame(body);
-    send_all(peer_shard, framed);
+  template <class R>
+  void send_record(std::size_t peer_shard, const R& record) {
+    send_all(peer_shard, FrameReassembler::frame(encode_record(record)));
   }
 
-  /// Blocking read of one length-delimited record from `peer_shard`
-  /// (rendezvous only; steady-state reads go through poll_once).
-  std::vector<std::byte> read_record(std::size_t peer_shard) {
-    const int fd = peer_fds[peer_shard];
-    SNAP_REQUIRE(fd >= 0);
-    auto& reassembler = reassemblers[peer_shard];
+  /// Blocking read of the next whole record on `fd`, fed through
+  /// `reassembler`; nullopt when the stream ends first.
+  std::optional<std::vector<std::byte>> read_one(
+      int fd, FrameReassembler& reassembler) {
     while (true) {
-      if (auto record = reassembler.next()) return std::move(*record);
+      if (auto record = reassembler.next()) return record;
       std::byte chunk[4096];
       const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
       if (n < 0 && errno == EINTR) continue;
-      SNAP_REQUIRE_MSG(n > 0, "peer shard " << peer_shard
-                                            << " closed during handshake");
+      if (n <= 0) return std::nullopt;
       stats.os_bytes_received += static_cast<std::uint64_t>(n);
       reassembler.feed({chunk, static_cast<std::size_t>(n)});
     }
   }
 
-  void validate_hello(std::span<const std::byte> body,
-                      std::size_t expect_shard) {
-    common::ByteReader reader(body);
-    const std::uint8_t type = reader.read_u8();
-    const std::uint32_t magic = reader.read_u32();
-    const std::uint32_t version = reader.read_u32();
-    const std::uint32_t shard = reader.read_u32();
-    const std::uint32_t shards = reader.read_u32();
-    const std::uint64_t nodes = reader.read_u64();
-    SNAP_REQUIRE_MSG(reader.ok() && type == kRecordHello &&
-                         magic == kHelloMagic,
-                     "malformed HELLO from peer shard " << expect_shard);
-    SNAP_REQUIRE_MSG(version == kProtocolVersion,
-                     "peer shard " << expect_shard << " speaks protocol v"
-                                   << version << ", expected v"
-                                   << kProtocolVersion);
-    SNAP_REQUIRE_MSG(shard == expect_shard,
-                     "expected HELLO from shard " << expect_shard
-                                                  << ", got shard " << shard);
-    SNAP_REQUIRE_MSG(shards == config.shards && nodes == node_count,
-                     "peer shard " << expect_shard
-                                   << " disagrees on run shape: "
-                                   << shards << " shards / " << nodes
-                                   << " nodes vs " << config.shards << " / "
-                                   << node_count);
+  RunShape own_shape() const {
+    return {config.shard_id, config.shards, node_count};
+  }
+
+  /// Why a handshake's run shape cannot come from a peer of this run;
+  /// empty when it can.
+  std::string shape_refusal(const RunShape& shape) const {
+    std::ostringstream why;
+    if (shape.version != kProtocolVersion) {
+      why << "speaks protocol v" << shape.version << ", expected v"
+          << kProtocolVersion;
+    } else if (shape.shard >= config.shards ||
+               shape.shard == config.shard_id) {
+      why << "claims shard id " << shape.shard;
+    } else if (shape.shards != config.shards || shape.nodes != node_count) {
+      why << "disagrees on run shape: " << shape.shards << " shards / "
+          << shape.nodes << " nodes vs " << config.shards << " / "
+          << node_count;
+    }
+    return why.str();
+  }
+
+  /// The sender's shard id from a rendezvous HELLO; a hard error on any
+  /// refusal, since a peer that cannot join leaves no run to fall back to.
+  std::size_t require_hello(std::span<const std::byte> body) const {
+    const std::optional<HelloRecord> hello = decode_record<HelloRecord>(body);
+    SNAP_REQUIRE_MSG(hello.has_value(), "malformed HELLO from a peer shard");
+    const std::string refusal = shape_refusal(hello->shape);
+    SNAP_REQUIRE_MSG(refusal.empty(), "HELLO refused: peer " << refusal);
+    return hello->shape.shard;
   }
 
   // --- rendezvous ---------------------------------------------------
@@ -600,9 +415,17 @@ struct SocketHub::Impl {
       const int fd = try_connect(peer_shard);
       if (fd >= 0) {
         peer_fds[peer_shard] = fd;
-        send_record(peer_shard,
-                    encode_hello(config.shard_id, config.shards, node_count));
-        validate_hello(read_record(peer_shard), peer_shard);
+        send_record(peer_shard, HelloRecord{own_shape()});
+        const std::optional<std::vector<std::byte>> reply =
+            read_one(fd, reassemblers[peer_shard]);
+        SNAP_REQUIRE_MSG(reply.has_value(), "peer shard "
+                                                << peer_shard
+                                                << " closed during handshake");
+        const std::size_t shard = require_hello(*reply);
+        SNAP_REQUIRE_MSG(shard == peer_shard,
+                         "expected HELLO from shard " << peer_shard
+                                                      << ", got shard "
+                                                      << shard);
         // The handshake read may have pulled post-HELLO records (an
         // eager peer's first frames/barrier) into the reassembler;
         // surface them now — pump_once only drains after fresh bytes.
@@ -631,146 +454,110 @@ struct SocketHub::Impl {
                                            << " timed out waiting for "
                                            << (expected - greeted.size())
                                            << " peer connection(s)");
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      SNAP_REQUIRE_MSG(fd >= 0, "accept: " << std::strerror(errno));
-      if (config.kind == TransportKind::kTcp) {
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      }
-      // The connector speaks first; its HELLO (or, for a worker that
-      // was killed and respawned mid-rendezvous, its RECONNECT) tells
-      // us who it is.
-      if (const std::optional<std::size_t> shard = accept_handshake(fd);
+      // No flip has completed anywhere yet (rounds need barriers from
+      // every shard), so a worker killed and respawned mid-rendezvous
+      // reconnects at flip 0.
+      if (const std::optional<std::size_t> shard = accept_handshake(0);
           shard.has_value() && *shard > config.shard_id) {
         greeted.insert(*shard);
       }
     }
   }
 
-  /// Reads and answers one handshake record on a freshly accepted fd.
-  /// Returns the installed peer shard, or nullopt when the connector
-  /// died first or sent a rejected handshake (fd closed either way).
-  std::optional<std::size_t> accept_handshake(int fd) {
-    FrameReassembler reassembler;
-    std::vector<std::byte> body;
-    while (true) {
-      if (auto record = reassembler.next()) {
-        body = std::move(*record);
-        break;
-      }
-      std::byte chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {  // connector crashed mid-handshake; re-accept later
-        ::close(fd);
-        return std::nullopt;
-      }
-      stats.os_bytes_received += static_cast<std::uint64_t>(n);
-      reassembler.feed({chunk, static_cast<std::size_t>(n)});
+  /// Accepts one inbound connection and answers its handshake: a
+  /// RECONNECT at any time, a HELLO only during the rendezvous. Returns
+  /// the installed peer shard, or nullopt when the connector died first
+  /// or its RECONNECT was refused (fd closed either way). A refused
+  /// HELLO is a hard error.
+  std::optional<std::size_t> accept_handshake(std::uint64_t flip) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    SNAP_REQUIRE_MSG(fd >= 0 || steady, "accept: " << std::strerror(errno));
+    if (fd < 0) return std::nullopt;
+    if (config.kind == TransportKind::kTcp) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     }
-    SNAP_REQUIRE_MSG(!body.empty(), "empty handshake record");
-    if (static_cast<std::uint8_t>(body[0]) == kRecordReconnect) {
-      // A worker killed during the initial rendezvous respawned in
-      // resume mode while we are still here. No flip has completed
-      // anywhere (rounds need barriers from every shard), so the
-      // respawn participates from flip 0 with nothing to replay.
-      const std::optional<ReconnectRecord> hello =
-          decode_reconnect_record(body);
-      if (!hello.has_value() || hello->shard >= config.shards ||
-          hello->shard == config.shard_id ||
-          hello->shards != config.shards || hello->nodes != node_count ||
-          !reconnect_supersedes(incarnation_seen[hello->shard],
-                                hello->incarnation) ||
-          reassembler.buffered_bytes() != 0) {
-        ::close(fd);
-        return std::nullopt;
-      }
-      const std::size_t shard = hello->shard;
-      if (peer_fds[shard] >= 0) mark_link_down(shard);
+    // The connector speaks first and sends nothing more until answered,
+    // so its handshake is the whole stream so far.
+    FrameReassembler reassembler;
+    const std::optional<std::vector<std::byte>> body =
+        read_one(fd, reassembler);
+    const bool alone = reassembler.buffered_bytes() == 0;
+    if (body.has_value() && !steady &&
+        record_tag(*body) != ReconnectRecord::kTag) {
+      const std::size_t shard = require_hello(*body);
+      SNAP_REQUIRE_MSG(shard > config.shard_id,
+                       "inbound HELLO from unexpected shard id " << shard);
+      SNAP_REQUIRE_MSG(peer_fds[shard] < 0,
+                       "duplicate connection from shard " << shard);
+      SNAP_REQUIRE_MSG(alone, "shard " << shard
+                                       << " sent bytes behind its HELLO");
       peer_fds[shard] = fd;
-      peer_eof[shard] = false;
-      reassemblers[shard] = FrameReassembler();
-      incarnation_seen[shard] = hello->incarnation;
-      live_from[shard] = 0;
-      ++stats.reconnects;
-      ReconnectAckRecord ack;
-      ack.shard = static_cast<std::uint32_t>(config.shard_id);
-      ack.parked_flip = 0;
-      ack.incarnation = hello->incarnation;
-      send_record(shard, encode_reconnect_ack_record(ack));
+      send_record(shard, HelloRecord{own_shape()});
       return shard;
     }
-    common::ByteReader reader(body);
-    reader.read_u8();  // type, validated below
-    reader.read_u32();
-    reader.read_u32();
-    const std::uint32_t shard = reader.read_u32();
-    SNAP_REQUIRE_MSG(reader.ok() && shard < config.shards &&
-                         shard > config.shard_id,
-                     "inbound HELLO from unexpected shard id " << shard);
-    SNAP_REQUIRE_MSG(peer_fds[shard] < 0,
-                     "duplicate connection from shard " << shard);
-    peer_fds[shard] = fd;
-    // Leftover bytes read past the HELLO belong to the link's stream.
-    validate_hello(body, shard);
-    while (auto extra = reassembler.next()) {
-      dispatch_record(shard, *extra);
+    const std::optional<ReconnectRecord> reconnect =
+        body.has_value() ? decode_record<ReconnectRecord>(*body)
+                         : std::nullopt;
+    if (!reconnect.has_value() || !alone ||
+        !shape_refusal(reconnect->shape).empty() ||
+        !reconnect_supersedes(incarnation_seen[reconnect->shape.shard],
+                              reconnect->incarnation)) {
+      ::close(fd);
+      return std::nullopt;
     }
-    // Whatever partial bytes remain migrate to the per-peer reassembler.
-    // (FrameReassembler has no splice; rendezvous sends nothing after
-    // HELLO until our reply, so the stream is empty here by protocol.)
-    SNAP_REQUIRE(reassembler.buffered_bytes() == 0);
-    send_record(shard,
-                encode_hello(config.shard_id, config.shards, node_count));
-    return shard;
+    install_reconnect(fd, *reconnect, flip);
+    return reconnect->shape.shard;
   }
 
   // --- steady state -------------------------------------------------
 
+  template <class R>
+  R require_record(std::size_t peer_shard, std::span<const std::byte> body,
+                   const char* what) {
+    std::optional<R> record = decode_record<R>(body);
+    SNAP_REQUIRE_MSG(record.has_value(), "malformed " << what
+                                                      << " record from peer "
+                                                         "shard "
+                                                      << peer_shard);
+    return std::move(*record);
+  }
+
   void dispatch_record(std::size_t peer_shard,
                        std::span<const std::byte> body) {
-    SNAP_REQUIRE_MSG(!body.empty(),
-                     "empty record from peer shard " << peer_shard);
-    const auto type = static_cast<std::uint8_t>(body[0]);
-    if (type == kRecordFrame) {
-      std::optional<WireRecord> record = decode_wire_record(body);
-      SNAP_REQUIRE_MSG(record.has_value(), "malformed frame record from "
-                                           "peer shard "
-                                               << peer_shard);
+    const std::uint8_t type = record_tag(body);
+    if (type == WireRecord::kTag) {
+      WireRecord record = require_record<WireRecord>(peer_shard, body, "frame");
       ++stats.frames_received;
-      pending_frames[record->flip].push_back(std::move(*record));
+      pending_frames[record.flip].push_back(std::move(record));
       return;
     }
-    if (type == kRecordShare) {
-      std::optional<ShareRecord> share = decode_share_record(body);
-      SNAP_REQUIRE_MSG(share.has_value(), "malformed share record from "
-                                          "peer shard "
-                                              << peer_shard);
+    if (type == ShareRecord::kTag) {
+      ShareRecord share =
+          require_record<ShareRecord>(peer_shard, body, "share");
       SNAP_REQUIRE_MSG(
-          share->node < node_count &&
-              shard_of_node(share->node, node_count, config.shards) ==
+          share.node < node_count &&
+              shard_of_node(share.node, node_count, config.shards) ==
                   peer_shard,
-          "peer shard " << peer_shard << " shared node " << share->node
+          "peer shard " << peer_shard << " shared node " << share.node
                         << ", which it does not own");
-      SNAP_REQUIRE_MSG(share->barrier >= next_barrier,
+      SNAP_REQUIRE_MSG(share.barrier >= next_barrier,
                        "peer shard " << peer_shard << " shared node "
-                                     << share->node << " for barrier "
-                                     << share->barrier
+                                     << share.node << " for barrier "
+                                     << share.barrier
                                      << ", which already finished");
-      auto& slot = pending_shares[share->barrier];
-      SNAP_REQUIRE_MSG(!slot.contains(share->node),
-                       "duplicate share of node " << share->node
+      auto& slot = pending_shares[share.barrier];
+      SNAP_REQUIRE_MSG(!slot.contains(share.node),
+                       "duplicate share of node " << share.node
                                                   << " for barrier "
-                                                  << share->barrier);
-      const topology::NodeId node = share->node;
-      slot.emplace(node, std::move(*share));
+                                                  << share.barrier);
+      const topology::NodeId node = share.node;
+      slot.emplace(node, std::move(share));
       return;
     }
-    if (type == kRecordBarrier) {
-      common::ByteReader reader(body);
-      reader.read_u8();
-      const std::uint64_t flip = reader.read_u64();
-      SNAP_REQUIRE(reader.ok());
+    if (type == BarrierRecord::kTag) {
+      const std::uint64_t flip =
+          require_record<BarrierRecord>(peer_shard, body, "barrier").flip;
       const bool fresh = barriers_seen[flip].insert(peer_shard).second;
       SNAP_REQUIRE_MSG(fresh, "duplicate barrier for flip "
                                   << flip << " from peer shard "
@@ -780,17 +567,14 @@ struct SocketHub::Impl {
       prune_sent_log(peer_shard, flip);
       return;
     }
-    if (type == kRecordHeartbeat) {
-      const std::optional<HeartbeatRecord> beat =
-          decode_heartbeat_record(body);
-      SNAP_REQUIRE_MSG(beat.has_value(), "malformed heartbeat record from "
-                                         "peer shard "
-                                             << peer_shard);
-      prune_sent_log(peer_shard, beat->flip);
+    if (type == HeartbeatRecord::kTag) {
+      prune_sent_log(
+          peer_shard,
+          require_record<HeartbeatRecord>(peer_shard, body, "heartbeat").flip);
       return;
     }
-    // RECONNECT / RECONNECT-ACK are connection-scoped handshakes; seen
-    // mid-stream they are a replay or a duplicate and reject the
+    // HELLO / RECONNECT / RECONNECT_ACK are connection-scoped handshakes;
+    // seen mid-stream they are a replay or a duplicate and reject the
     // stream whole.
     SNAP_REQUIRE_MSG(false, "unexpected record type "
                                 << static_cast<int>(type)
@@ -833,86 +617,25 @@ struct SocketHub::Impl {
     for (std::size_t i = 0; i < pfds.size(); ++i) {
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       if (owners[i] == kListener) {
-        accept_reconnect(flip);
+        accept_handshake(flip);
         progressed = true;
         continue;
       }
       const std::size_t shard = owners[i];
-      // accept_reconnect may have replaced this fd mid-pass; the event
+      // accept_handshake may have replaced this fd mid-pass; the event
       // belonged to the dead incarnation's socket.
       if (peer_fds[shard] != pfds[i].fd) continue;
-      std::byte chunk[65536];
-      const ssize_t n = ::recv(peer_fds[shard], chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && errno == ECONNRESET) {
-        mark_link_down(shard);
-        progressed = true;
-        continue;
-      }
-      SNAP_REQUIRE_MSG(n >= 0, "recv from peer shard "
-                                   << shard << " failed: "
-                                   << std::strerror(errno));
-      if (n == 0) {
-        // FIN: orderly finish and crash look identical here. Mark the
-        // link down; finish_flip disambiguates — the peer's barrier
-        // for the flip we need is either already in (finished
-        // legitimately) or missing (crashed: park for the respawn).
-        mark_link_down(shard);
-        progressed = true;
-        continue;
-      }
-      stats.os_bytes_received += static_cast<std::uint64_t>(n);
-      reassemblers[shard].feed({chunk, static_cast<std::size_t>(n)});
-      while (auto record = reassemblers[shard].next()) {
-        dispatch_record(shard, *record);
-      }
+      receive(shard, 0);
       progressed = true;
     }
     return progressed;
   }
 
-  /// Accepts a respawned shard's replacement connection while we are
-  /// parked at `flip`. The handshake is rejected whole — connection
-  /// closed, no state touched — on any malformation, shape mismatch,
-  /// or non-superseding incarnation.
-  void accept_reconnect(std::uint64_t flip) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) return;
-    if (config.kind == TransportKind::kTcp) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    }
-    // Blocking read of exactly one record; a connector that dies first
-    // is simply dropped.
-    FrameReassembler reassembler;
-    std::vector<std::byte> body;
-    while (true) {
-      if (auto record = reassembler.next()) {
-        body = std::move(*record);
-        break;
-      }
-      std::byte chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        ::close(fd);
-        return;
-      }
-      stats.os_bytes_received += static_cast<std::uint64_t>(n);
-      reassembler.feed({chunk, static_cast<std::size_t>(n)});
-    }
-    const std::optional<ReconnectRecord> hello =
-        decode_reconnect_record(body);
-    if (!hello.has_value() || hello->shard >= config.shards ||
-        hello->shard == config.shard_id ||
-        hello->shards != config.shards || hello->nodes != node_count ||
-        !reconnect_supersedes(incarnation_seen[hello->shard],
-                              hello->incarnation) ||
-        reassembler.buffered_bytes() != 0) {
-      ::close(fd);
-      return;
-    }
-    const std::size_t shard = hello->shard;
+  /// Installs a respawned shard's replacement connection, accepted
+  /// while we are parked at `flip` (0 during the rendezvous).
+  void install_reconnect(int fd, const ReconnectRecord& hello,
+                         std::uint64_t flip) {
+    const std::size_t shard = hello.shape.shard;
     // A fast respawn can outrun our EOF detection of the old socket.
     if (peer_fds[shard] >= 0) mark_link_down(shard);
     // First flip the resumed replica exchanges wire traffic for: the
@@ -948,16 +671,13 @@ struct SocketHub::Impl {
     peer_fds[shard] = fd;
     peer_eof[shard] = false;
     reassemblers[shard] = FrameReassembler();
-    incarnation_seen[shard] = hello->incarnation;
+    incarnation_seen[shard] = hello.incarnation;
     // Also lifts a write-off: a peer we had given up on (live_from =
     // UINT64_MAX) is live again from here on.
     live_from[shard] = resume_from;
     ++stats.reconnects;
-    ReconnectAckRecord ack;
-    ack.shard = static_cast<std::uint32_t>(config.shard_id);
-    ack.parked_flip = resume_from;
-    ack.incarnation = hello->incarnation;
-    send_record(shard, encode_reconnect_ack_record(ack));
+    send_record(shard, ReconnectAckRecord{config.shard_id, resume_from,
+                                          hello.incarnation});
     // Replay everything the dead incarnation missed, oldest first.
     // Snapshot the log: send_all's deadlock drain can dispatch a
     // barrier from this very peer mid-flush, and the resulting prune
@@ -969,24 +689,6 @@ struct SocketHub::Impl {
     for (const LoggedSend& entry : replay) {
       if (peer_fds[shard] < 0) break;  // died again mid-flush
       if (entry.flip >= resume_from) send_all(shard, entry.bytes);
-    }
-  }
-
-  /// Tolerant sibling of read_record: nullopt on EOF instead of a hard
-  /// error (resume rendezvous races peers' graceful exits).
-  std::optional<std::vector<std::byte>> read_record_tolerant(
-      std::size_t peer_shard) {
-    const int fd = peer_fds[peer_shard];
-    SNAP_REQUIRE(fd >= 0);
-    auto& reassembler = reassemblers[peer_shard];
-    while (true) {
-      if (auto record = reassembler.next()) return record;
-      std::byte chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return std::nullopt;
-      stats.os_bytes_received += static_cast<std::uint64_t>(n);
-      reassembler.feed({chunk, static_cast<std::size_t>(n)});
     }
   }
 
@@ -1008,15 +710,9 @@ struct SocketHub::Impl {
         continue;
       }
       peer_fds[s] = fd;
-      ReconnectRecord hello;
-      hello.shard = static_cast<std::uint32_t>(config.shard_id);
-      hello.shards = static_cast<std::uint32_t>(config.shards);
-      hello.nodes = node_count;
-      hello.incarnation = config.incarnation;
-      hello.resume_flip = 0;  // advisory: checkpoint not loaded yet
-      send_record(s, encode_reconnect_record(hello));
+      send_record(s, ReconnectRecord{own_shape(), config.incarnation});
       const std::optional<std::vector<std::byte>> ack_body =
-          read_record_tolerant(s);
+          read_one(fd, reassemblers[s]);
       if (!ack_body.has_value()) {
         // Raced the peer's exit, or it rejected us as stale: same
         // write-off as an unreachable peer.
@@ -1025,7 +721,7 @@ struct SocketHub::Impl {
         continue;
       }
       const std::optional<ReconnectAckRecord> ack =
-          decode_reconnect_ack_record(*ack_body);
+          decode_record<ReconnectAckRecord>(*ack_body);
       SNAP_REQUIRE_MSG(ack.has_value() && ack->shard == s &&
                            ack->incarnation == config.incarnation,
                        "malformed RECONNECT ACK from peer shard " << s);
@@ -1116,7 +812,7 @@ void SocketHub::send_frame(std::size_t peer_shard,
   SNAP_REQUIRE(peer_shard < impl_->config.shards &&
                peer_shard != impl_->config.shard_id);
   impl_->log_send(peer_shard, record.flip,
-                  FrameReassembler::frame(encode_wire_record(record)));
+                  FrameReassembler::frame(encode_record(record)));
   ++impl_->stats.frames_sent;
 }
 
@@ -1127,7 +823,7 @@ std::uint64_t SocketHub::live_from(std::size_t peer_shard) const noexcept {
 
 void SocketHub::send_share(const ShareRecord& record) {
   const std::vector<std::byte> framed =
-      FrameReassembler::frame(encode_share_record(record));
+      FrameReassembler::frame(encode_record(record));
   for (std::size_t s = 0; s < impl_->config.shards; ++s) {
     if (s == impl_->config.shard_id) continue;
     if (!impl_->participates(s, record.barrier)) continue;
@@ -1142,7 +838,7 @@ void SocketHub::Impl::await_barrier(std::uint64_t flip) {
   // peer that is down (or dies mid-write) still receives it from the
   // reconnect replay flush.
   const std::vector<std::byte> barrier =
-      FrameReassembler::frame(encode_barrier(flip));
+      FrameReassembler::frame(encode_record(BarrierRecord{flip}));
   std::size_t participating = 0;
   for (std::size_t s = 0; s < config.shards; ++s) {
     if (s == config.shard_id) continue;
@@ -1152,7 +848,7 @@ void SocketHub::Impl::await_barrier(std::uint64_t flip) {
   }
   if (participating > 0) {
     const std::vector<std::byte> heartbeat =
-        FrameReassembler::frame(encode_heartbeat_record({flip}));
+        FrameReassembler::frame(encode_record(HeartbeatRecord{flip}));
     const int interval_ms =
         std::max(1, static_cast<int>(config.heartbeat_interval_s * 1000.0));
     double quiet_s = 0.0;

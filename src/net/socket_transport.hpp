@@ -71,97 +71,174 @@
 #include <utility>
 #include <vector>
 
+#include "common/binary_io.hpp"
 #include "common/check.hpp"
 #include "net/transport.hpp"
 #include "topology/graph.hpp"
 
 namespace snap::net {
 
-/// One cross-shard frame as it travels inside a length-delimited
-/// record: routing header + codec payload.
+// Records multiplexed over one shard-to-shard stream. Each record is a
+// struct with its tag and a transfer that lists its fields once through
+// the common::field codec; encode_record writes the tag, then the
+// fields. The length prefix around a record comes from
+// FrameReassembler::frame. docs/protocol.md has the byte layout.
+
+/// "SNAP", stamped after the tag of HELLO, RECONNECT and RECONNECT_ACK.
+inline constexpr std::uint32_t kHelloMagic = 0x534E4150;
+/// Version 2 added SHARE records; version 3 dropped RECONNECT's unused
+/// resume flip.
+inline constexpr std::uint32_t kProtocolVersion = 3;
+
+/// Who sent a handshake and which run it belongs to: the part HELLO and
+/// RECONNECT share, checked against the local config on arrival.
+struct RunShape {
+  std::size_t shard = 0;
+  std::size_t shards = 0;
+  std::uint64_t nodes = 0;
+  std::uint32_t version = kProtocolVersion;
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, common::constant(kHelloMagic),
+                   common::u32(self.version), common::u32(self.shard),
+                   common::u32(self.shards), self.nodes);
+  }
+};
+
+/// The rendezvous handshake: each end of a new link sends its own.
+struct HelloRecord {
+  static constexpr std::uint8_t kTag = 1;
+  RunShape shape;
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, self.shape);
+  }
+};
+
+/// One cross-shard frame: routing header + codec payload.
 struct WireRecord {
+  static constexpr std::uint8_t kTag = 2;
   std::uint64_t flip = 0;      ///< flip index the frame belongs to
   std::uint64_t seq = 0;       ///< global post sequence (replica-aligned)
   topology::NodeId from = 0;
   topology::NodeId to = 0;
   bool state_sync = false;
   std::uint64_t charged_bytes = 0;  ///< wire_bytes the sender charged
-  std::vector<std::byte> payload;   ///< WireCodec output
+  std::vector<std::byte> payload;   ///< WireCodec output, to record end
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, self.flip, self.seq, common::u32(self.from),
+                   common::u32(self.to), self.state_sync, self.charged_bytes,
+                   common::rest(self.payload));
+  }
+  std::size_t bulk_bytes() const noexcept { return payload.size(); }
 };
 
-/// Serializes a FRAME record body (no length prefix — the hub wraps it
-/// via FrameReassembler::frame). Exposed for the reassembly tests.
-std::vector<std::byte> encode_wire_record(const WireRecord& record);
+/// "Every record of mine for `flip` precedes this one."
+struct BarrierRecord {
+  static constexpr std::uint8_t kTag = 3;
+  std::uint64_t flip = 0;
 
-/// Parses a FRAME record body. nullopt on anything malformed.
-std::optional<WireRecord> decode_wire_record(
-    std::span<const std::byte> bytes);
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, self.flip);
+  }
+};
 
 /// A parked survivor's liveness beacon: "I am waiting at `flip`". Lets
 /// live peers prune their sent-frame replay logs below that flip (the
 /// sender will never need anything older resent) while a crashed shard
 /// is being respawned.
 struct HeartbeatRecord {
+  static constexpr std::uint8_t kTag = 4;
   std::uint64_t flip = 0;
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, self.flip);
+  }
 };
 
-std::vector<std::byte> encode_heartbeat_record(const HeartbeatRecord& record);
-/// nullopt on truncation, wrong type byte, or trailing garbage.
-std::optional<HeartbeatRecord> decode_heartbeat_record(
-    std::span<const std::byte> bytes);
-
-/// First record on a respawned shard's replacement connection. Carries
-/// the full HELLO shape check plus the respawn incarnation; a survivor
-/// rejects the whole handshake unless the incarnation strictly exceeds
-/// the last one it accepted from that shard (reconnect_supersedes) —
-/// replayed or duplicate handshakes never install a connection.
-/// `resume_flip` is advisory only (the transport reconnects before the
-/// fabric has loaded the checkpoint, so it is always 0 today).
+/// First record on a respawned shard's replacement connection: the HELLO
+/// shape plus the respawn incarnation. A survivor rejects the whole
+/// handshake unless the incarnation strictly exceeds the last one it
+/// accepted from that shard (reconnect_supersedes) — replayed or
+/// duplicate handshakes never install a connection.
 struct ReconnectRecord {
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 0;
-  std::uint64_t nodes = 0;
+  static constexpr std::uint8_t kTag = 5;
+  RunShape shape;
   std::uint64_t incarnation = 0;
-  std::uint64_t resume_flip = 0;
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, self.shape, self.incarnation);
+  }
 };
-
-/// Stamps the protocol magic + version alongside the fields.
-std::vector<std::byte> encode_reconnect_record(const ReconnectRecord& record);
-/// nullopt on truncation, wrong type/magic/version, or trailing garbage.
-std::optional<ReconnectRecord> decode_reconnect_record(
-    std::span<const std::byte> bytes);
-
-/// One owner-computed row — a node's gradient, or its loss as a
-/// one-double row — on its way to the replicas that adopt it instead of
-/// recomputing it.
-struct ShareRecord {
-  std::uint64_t barrier = 0;  ///< exchange index (shared with flips)
-  topology::NodeId node = 0;
-  std::vector<double> values;
-};
-
-/// Serializes a SHARE record body: barrier, node, value count, a
-/// checksum over the values, then the raw doubles.
-std::vector<std::byte> encode_share_record(const ShareRecord& record);
-/// nullopt on truncation, wrong type byte, a count that disagrees with
-/// the size, checksum mismatch, or trailing garbage.
-std::optional<ShareRecord> decode_share_record(
-    std::span<const std::byte> bytes);
 
 /// The survivor's reply: `parked_flip` is the first flip for which the
 /// resumed shard must exchange wire traffic again (everything below it
 /// runs on the full-local replica); `incarnation` echoes the handshake.
 struct ReconnectAckRecord {
-  std::uint32_t shard = 0;
+  static constexpr std::uint8_t kTag = 6;
+  std::size_t shard = 0;
   std::uint64_t parked_flip = 0;
   std::uint64_t incarnation = 0;
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, common::constant(kHelloMagic), common::u32(self.shard),
+                   self.parked_flip, self.incarnation);
+  }
 };
 
-std::vector<std::byte> encode_reconnect_ack_record(
-    const ReconnectAckRecord& record);
-/// nullopt on truncation, wrong type/magic, or trailing garbage.
-std::optional<ReconnectAckRecord> decode_reconnect_ack_record(
-    std::span<const std::byte> bytes);
+/// One owner-computed row — a node's gradient, or its loss as a
+/// one-double row — on its way to the replicas that adopt it instead of
+/// recomputing it.
+struct ShareRecord {
+  static constexpr std::uint8_t kTag = 7;
+  std::uint64_t barrier = 0;  ///< exchange index (shared with flips)
+  topology::NodeId node = 0;
+  std::vector<double> values;
+
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io) {
+    common::fields(io, self.barrier, common::u32(self.node),
+                   common::checked_row(self.values));
+  }
+  std::size_t bulk_bytes() const noexcept {
+    return sizeof(double) * values.size();
+  }
+};
+
+/// A record body: its tag, then its fields. The buffer is sized once,
+/// bulk fields included (bulk_bytes).
+template <class R>
+std::vector<std::byte> encode_record(const R& record) {
+  constexpr std::size_t kFixedBytes = 64;  // covers every fixed layout
+  std::size_t bytes = kFixedBytes;
+  if constexpr (requires { record.bulk_bytes(); }) {
+    bytes += record.bulk_bytes();
+  }
+  common::ByteWriter writer(bytes);
+  writer.write_u8(R::kTag);
+  R::transfer(record, writer);
+  return writer.take();
+}
+
+/// Parses a record body: nullopt on another tag, truncation, a field
+/// its shape refuses, or trailing bytes.
+template <class R>
+std::optional<R> decode_record(std::span<const std::byte> bytes) {
+  common::ByteReader reader(bytes);
+  if (reader.read_u8() != R::kTag) return std::nullopt;
+  R record;
+  R::transfer(record, reader);
+  if (!reader.ok() || reader.remaining() != 0) return std::nullopt;
+  return record;
+}
 
 /// Duplicate-rejection rule for RECONNECT handshakes: an incoming
 /// incarnation installs a connection only if it strictly exceeds the

@@ -8,6 +8,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -160,7 +163,7 @@ TEST(WireRecordTest, RoundTripsThroughEncodeDecode) {
   record.state_sync = true;
   record.charged_bytes = 999;
   record.payload = pattern_payload(23, 6);
-  const auto decoded = decode_wire_record(encode_wire_record(record));
+  const auto decoded = decode_record<WireRecord>(encode_record(record));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->flip, record.flip);
   EXPECT_EQ(decoded->seq, record.seq);
@@ -174,75 +177,74 @@ TEST(WireRecordTest, RoundTripsThroughEncodeDecode) {
 TEST(WireRecordTest, TruncatedOrMalformedRecordsAreRejected) {
   WireRecord record;
   record.payload = pattern_payload(8, 7);
-  auto bytes = encode_wire_record(record);
+  auto bytes = encode_record(record);
   // Truncated below the fixed header.
   EXPECT_FALSE(
-      decode_wire_record({bytes.data(), 10}).has_value());
+      decode_record<WireRecord>({bytes.data(), 10}).has_value());
   // Wrong record-type byte.
   auto wrong_type = bytes;
   wrong_type[0] = std::byte{99};
-  EXPECT_FALSE(decode_wire_record(wrong_type).has_value());
+  EXPECT_FALSE(decode_record<WireRecord>(wrong_type).has_value());
   // state_sync flag outside {0, 1}.
   auto bad_flag = bytes;
   bad_flag[1 + 8 + 8 + 4 + 4] = std::byte{2};
-  EXPECT_FALSE(decode_wire_record(bad_flag).has_value());
+  EXPECT_FALSE(decode_record<WireRecord>(bad_flag).has_value());
 }
 
 TEST(WireRecordTest, HeartbeatRoundTripsAndRejectsDamage) {
   HeartbeatRecord record;
   record.flip = 0x1122334455667788ULL;
-  const auto bytes = encode_heartbeat_record(record);
-  const auto decoded = decode_heartbeat_record(bytes);
+  const auto bytes = encode_record(record);
+  const auto decoded = decode_record<HeartbeatRecord>(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->flip, record.flip);
 
   // Every truncation is rejected whole.
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(
-        decode_heartbeat_record({bytes.data(), len}).has_value())
+        decode_record<HeartbeatRecord>({bytes.data(), len}).has_value())
         << "truncation to " << len;
   }
   // Wrong record-type byte.
   auto wrong_type = bytes;
   wrong_type[0] = std::byte{99};
-  EXPECT_FALSE(decode_heartbeat_record(wrong_type).has_value());
+  EXPECT_FALSE(decode_record<HeartbeatRecord>(wrong_type).has_value());
   // Trailing garbage means the frame was not a heartbeat after all.
   auto padded = bytes;
   padded.push_back(std::byte{0});
-  EXPECT_FALSE(decode_heartbeat_record(padded).has_value());
+  EXPECT_FALSE(decode_record<HeartbeatRecord>(padded).has_value());
 }
 
 TEST(WireRecordTest, ReconnectRoundTripsAndRejectsDamage) {
   ReconnectRecord record;
-  record.shard = 3;
-  record.shards = 4;
-  record.nodes = 60;
+  record.shape.shard = 3;
+  record.shape.shards = 4;
+  record.shape.nodes = 60;
   record.incarnation = 7;
-  record.resume_flip = 0;
-  const auto bytes = encode_reconnect_record(record);
-  const auto decoded = decode_reconnect_record(bytes);
+  const auto bytes = encode_record(record);
+  const auto decoded = decode_record<ReconnectRecord>(bytes);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->shard, record.shard);
-  EXPECT_EQ(decoded->shards, record.shards);
-  EXPECT_EQ(decoded->nodes, record.nodes);
+  EXPECT_EQ(decoded->shape.shard, record.shape.shard);
+  EXPECT_EQ(decoded->shape.shards, record.shape.shards);
+  EXPECT_EQ(decoded->shape.nodes, record.shape.nodes);
+  EXPECT_EQ(decoded->shape.version, kProtocolVersion);
   EXPECT_EQ(decoded->incarnation, record.incarnation);
-  EXPECT_EQ(decoded->resume_flip, record.resume_flip);
 
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(
-        decode_reconnect_record({bytes.data(), len}).has_value())
+        decode_record<ReconnectRecord>({bytes.data(), len}).has_value())
         << "truncation to " << len;
   }
   auto wrong_type = bytes;
   wrong_type[0] = std::byte{99};
-  EXPECT_FALSE(decode_reconnect_record(wrong_type).has_value());
+  EXPECT_FALSE(decode_record<ReconnectRecord>(wrong_type).has_value());
   // Damaged protocol magic (right after the type byte).
   auto bad_magic = bytes;
   bad_magic[1] ^= std::byte{0x01};
-  EXPECT_FALSE(decode_reconnect_record(bad_magic).has_value());
+  EXPECT_FALSE(decode_record<ReconnectRecord>(bad_magic).has_value());
   auto padded = bytes;
   padded.push_back(std::byte{0});
-  EXPECT_FALSE(decode_reconnect_record(padded).has_value());
+  EXPECT_FALSE(decode_record<ReconnectRecord>(padded).has_value());
 }
 
 TEST(WireRecordTest, ReconnectAckRoundTripsAndRejectsDamage) {
@@ -250,8 +252,8 @@ TEST(WireRecordTest, ReconnectAckRoundTripsAndRejectsDamage) {
   record.shard = 1;
   record.parked_flip = 42;
   record.incarnation = 9;
-  const auto bytes = encode_reconnect_ack_record(record);
-  const auto decoded = decode_reconnect_ack_record(bytes);
+  const auto bytes = encode_record(record);
+  const auto decoded = decode_record<ReconnectAckRecord>(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->shard, record.shard);
   EXPECT_EQ(decoded->parked_flip, record.parked_flip);
@@ -259,18 +261,18 @@ TEST(WireRecordTest, ReconnectAckRoundTripsAndRejectsDamage) {
 
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(
-        decode_reconnect_ack_record({bytes.data(), len}).has_value())
+        decode_record<ReconnectAckRecord>({bytes.data(), len}).has_value())
         << "truncation to " << len;
   }
   auto wrong_type = bytes;
   wrong_type[0] = std::byte{99};
-  EXPECT_FALSE(decode_reconnect_ack_record(wrong_type).has_value());
+  EXPECT_FALSE(decode_record<ReconnectAckRecord>(wrong_type).has_value());
   auto bad_magic = bytes;
   bad_magic[1] ^= std::byte{0x01};
-  EXPECT_FALSE(decode_reconnect_ack_record(bad_magic).has_value());
+  EXPECT_FALSE(decode_record<ReconnectAckRecord>(bad_magic).has_value());
   auto padded = bytes;
   padded.push_back(std::byte{0});
-  EXPECT_FALSE(decode_reconnect_ack_record(padded).has_value());
+  EXPECT_FALSE(decode_record<ReconnectAckRecord>(padded).has_value());
 }
 
 TEST(WireRecordTest, ShareRoundTripsAndRejectsDamage) {
@@ -278,8 +280,8 @@ TEST(WireRecordTest, ShareRoundTripsAndRejectsDamage) {
   record.barrier = 0x0102030405060708ULL;
   record.node = 6;
   record.values = {1.5, -0.0, 3.25e-300, -7.0, 0.1, 42.0};
-  const auto bytes = encode_share_record(record);
-  const auto decoded = decode_share_record(bytes);
+  const auto bytes = encode_record(record);
+  const auto decoded = decode_record<ShareRecord>(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->barrier, record.barrier);
   EXPECT_EQ(decoded->node, record.node);
@@ -291,54 +293,177 @@ TEST(WireRecordTest, ShareRoundTripsAndRejectsDamage) {
 
   // A one-double row (a node's loss) round-trips too.
   const ShareRecord loss{3, 1, {0.693}};
-  const auto loss_decoded = decode_share_record(encode_share_record(loss));
+  const auto loss_decoded = decode_record<ShareRecord>(encode_record(loss));
   ASSERT_TRUE(loss_decoded.has_value());
   EXPECT_EQ(loss_decoded->values, loss.values);
 
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(decode_share_record({bytes.data(), len}).has_value())
+    EXPECT_FALSE(decode_record<ShareRecord>({bytes.data(), len}).has_value())
         << "truncation to " << len;
   }
   auto wrong_type = bytes;
   wrong_type[0] = std::byte{99};
-  EXPECT_FALSE(decode_share_record(wrong_type).has_value());
+  EXPECT_FALSE(decode_record<ShareRecord>(wrong_type).has_value());
   auto padded = bytes;
   padded.push_back(std::byte{0});
-  EXPECT_FALSE(decode_share_record(padded).has_value());
+  EXPECT_FALSE(decode_record<ShareRecord>(padded).has_value());
   // A count that disagrees with the size (type + barrier + node first).
   auto bad_count = bytes;
   bad_count[1 + 8 + 4] ^= std::byte{0x01};
-  EXPECT_FALSE(decode_share_record(bad_count).has_value());
+  EXPECT_FALSE(decode_record<ShareRecord>(bad_count).has_value());
   // Any flipped bit in the values fails the checksum.
   for (std::size_t at = bytes.size() - 8 * record.values.size();
        at < bytes.size(); at += 5) {
     auto flipped = bytes;
     flipped[at] ^= std::byte{0x10};
-    EXPECT_FALSE(decode_share_record(flipped).has_value())
+    EXPECT_FALSE(decode_record<ShareRecord>(flipped).has_value())
         << "bit flip at byte " << at;
   }
+}
+
+TEST(WireRecordTest, HelloRoundTripsAndRejectsDamage) {
+  const HelloRecord record{{2, 5, 40}};
+  const auto bytes = encode_record(record);
+  const auto decoded = decode_record<HelloRecord>(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->shape.shard, 2u);
+  EXPECT_EQ(decoded->shape.shards, 5u);
+  EXPECT_EQ(decoded->shape.nodes, 40u);
+  EXPECT_EQ(decoded->shape.version, kProtocolVersion);
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(decode_record<HelloRecord>({bytes.data(), len}).has_value())
+        << "truncation to " << len;
+  }
+  auto wrong_type = bytes;
+  wrong_type[0] = std::byte{99};
+  EXPECT_FALSE(decode_record<HelloRecord>(wrong_type).has_value());
+  auto bad_magic = bytes;
+  bad_magic[1] ^= std::byte{0x01};
+  EXPECT_FALSE(decode_record<HelloRecord>(bad_magic).has_value());
+  // One trailing byte: refused, like every other record type.
+  auto padded = bytes;
+  padded.push_back(std::byte{0});
+  EXPECT_FALSE(decode_record<HelloRecord>(padded).has_value());
+}
+
+TEST(WireRecordTest, BarrierRoundTripsAndRejectsDamage) {
+  const BarrierRecord record{0x1122334455667788ULL};
+  const auto bytes = encode_record(record);
+  const auto decoded = decode_record<BarrierRecord>(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->flip, record.flip);
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(
+        decode_record<BarrierRecord>({bytes.data(), len}).has_value())
+        << "truncation to " << len;
+  }
+  auto wrong_type = bytes;
+  wrong_type[0] = std::byte{99};
+  EXPECT_FALSE(decode_record<BarrierRecord>(wrong_type).has_value());
+  auto padded = bytes;
+  padded.push_back(std::byte{0});
+  EXPECT_FALSE(decode_record<BarrierRecord>(padded).has_value());
+}
+
+TEST(WireRecordTest, U32FieldsRefuseWideValuesOnWrite) {
+  WireRecord record;
+  record.to = std::size_t{1} << 32;
+  EXPECT_THROW(encode_record(record), common::ContractViolation);
+  record.to = 0xFFFFFFFFu;
+  const auto decoded = decode_record<WireRecord>(encode_record(record));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->to, 0xFFFFFFFFu);
+}
+
+TEST(WireRecordTest, EncodedBytesArePinned) {
+  // Byte images of one fixed instance per record type. HELLO, FRAME,
+  // BARRIER, HEARTBEAT, SHARE and RECONNECT_ACK are the protocol v2
+  // layouts unchanged; HELLO's version word (byte 5) reads 3 since
+  // RECONNECT dropped its resume flip.
+  const auto b = [](std::initializer_list<int> values) {
+    std::vector<std::byte> out;
+    for (const int v : values) out.push_back(static_cast<std::byte>(v));
+    return out;
+  };
+  EXPECT_EQ(encode_record(HelloRecord{{1, 2, 16}}),
+            b({0x01, 0x50, 0x41, 0x4E, 0x53, 0x03, 0x00, 0x00, 0x00,
+               0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x10,
+               0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
+  WireRecord frame;
+  frame.flip = 3;
+  frame.seq = 17;
+  frame.from = 1;
+  frame.to = 4;
+  frame.state_sync = true;
+  frame.charged_bytes = 64;
+  frame.payload = b({0xDE, 0xAD, 0xBE, 0xEF});
+  EXPECT_EQ(encode_record(frame),
+            b({0x02, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+               0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+               0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x01, 0x40,
+               0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xDE, 0xAD,
+               0xBE, 0xEF}));
+  EXPECT_EQ(encode_record(BarrierRecord{0x0102030405060708ULL}),
+            b({0x03, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(encode_record(HeartbeatRecord{12}),
+            b({0x04, 0x0C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
+  EXPECT_EQ(encode_record(ShareRecord{7, 5, {1.5, -0.0, 0.25}}),
+            b({0x07, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+               0x05, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0xFD,
+               0x16, 0x16, 0xC5, 0x92, 0x1D, 0x72, 0x42, 0x00, 0x00,
+               0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F, 0x00, 0x00, 0x00,
+               0x00, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00,
+               0x00, 0x00, 0xD0, 0x3F}));
+  EXPECT_EQ(encode_record(ReconnectAckRecord{1, 42, 9}),
+            b({0x06, 0x50, 0x41, 0x4E, 0x53, 0x01, 0x00, 0x00, 0x00,
+               0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+               0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
+  // RECONNECT: HELLO's shape under its own tag, then the incarnation.
+  EXPECT_EQ(encode_record(ReconnectRecord{{1, 2, 16}, 3}),
+            b({0x05, 0x50, 0x41, 0x4E, 0x53, 0x03, 0x00, 0x00, 0x00,
+               0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x10,
+               0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
+               0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
 }
 
 TEST(WireRecordTest, RecordTypesDoNotCrossDecode) {
   // Each decoder owns exactly one type byte: feeding it a well-formed
   // record of any *other* type must fail whole, never alias fields.
-  const auto heartbeat = encode_heartbeat_record({5});
-  const auto reconnect = encode_reconnect_record({1, 2, 8, 3, 0});
-  const auto ack = encode_reconnect_ack_record({0, 6, 3});
-  const auto share = encode_share_record({5, 2, {1.0, 2.0}});
-  EXPECT_FALSE(decode_share_record(heartbeat).has_value());
-  EXPECT_FALSE(decode_share_record(reconnect).has_value());
-  EXPECT_FALSE(decode_share_record(ack).has_value());
-  EXPECT_FALSE(decode_heartbeat_record(share).has_value());
-  EXPECT_FALSE(decode_reconnect_record(share).has_value());
-  EXPECT_FALSE(decode_reconnect_ack_record(share).has_value());
-  EXPECT_FALSE(decode_wire_record(share).has_value());
-  EXPECT_FALSE(decode_heartbeat_record(reconnect).has_value());
-  EXPECT_FALSE(decode_heartbeat_record(ack).has_value());
-  EXPECT_FALSE(decode_reconnect_record(heartbeat).has_value());
-  EXPECT_FALSE(decode_reconnect_record(ack).has_value());
-  EXPECT_FALSE(decode_reconnect_ack_record(heartbeat).has_value());
-  EXPECT_FALSE(decode_reconnect_ack_record(reconnect).has_value());
+  WireRecord frame;
+  frame.payload = pattern_payload(9, 3);
+  const std::vector<std::vector<std::byte>> records = {
+      encode_record(HelloRecord{{1, 2, 8}}),
+      encode_record(frame),
+      encode_record(BarrierRecord{5}),
+      encode_record(HeartbeatRecord{5}),
+      encode_record(ReconnectRecord{{1, 2, 8}, 3}),
+      encode_record(ReconnectAckRecord{0, 6, 3}),
+      encode_record(ShareRecord{5, 2, {1.0, 2.0}}),
+  };
+  using Decode = bool (*)(std::span<const std::byte>);
+  const auto decodes = [](auto tag) -> Decode {
+    using R = typename decltype(tag)::type;
+    return [](std::span<const std::byte> bytes) {
+      return decode_record<R>(bytes).has_value();
+    };
+  };
+  const std::vector<Decode> decoders = {
+      decodes(std::type_identity<HelloRecord>{}),
+      decodes(std::type_identity<WireRecord>{}),
+      decodes(std::type_identity<BarrierRecord>{}),
+      decodes(std::type_identity<HeartbeatRecord>{}),
+      decodes(std::type_identity<ReconnectRecord>{}),
+      decodes(std::type_identity<ReconnectAckRecord>{}),
+      decodes(std::type_identity<ShareRecord>{}),
+  };
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    for (std::size_t d = 0; d < decoders.size(); ++d) {
+      EXPECT_EQ(decoders[d](records[r]), r == d)
+          << "record " << r << " through decoder " << d;
+    }
+  }
 }
 
 TEST(WireRecordTest, ReconnectSupersessionIsStrict) {
