@@ -18,12 +18,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -40,6 +42,7 @@ namespace {
 
 constexpr std::size_t kRounds = 20;
 constexpr double kAverageDegree = 4.0;
+constexpr std::size_t kScales[] = {100, 1'000, 10'000, 100'000};
 
 /// One row's measurements; plain bytes, so a child can pipe them back.
 struct SweepRow {
@@ -157,7 +160,16 @@ int main(int argc, char** argv) {
   std::size_t max_n = 100'000;
   for (int a = 1; a < argc; ++a) {
     if (std::strncmp(argv[a], "--max-n=", 8) == 0) {
-      max_n = static_cast<std::size_t>(std::atoll(argv[a] + 8));
+      // The whole text, digits only: a prefix read takes "1e4" as 1 and
+      // would write a sweep with no rows over the JSON.
+      const std::string_view text = argv[a] + 8;
+      const char* end = text.data() + text.size();
+      const auto [stop, error] = std::from_chars(text.data(), end, max_n);
+      if (error != std::errc() || stop != end || max_n < kScales[0]) {
+        std::cerr << "--max-n takes an integer >= " << kScales[0]
+                  << ", got '" << text << "'\n";
+        return 2;
+      }
     } else {
       std::cerr << "usage: scale_sweep [--max-n=N]\n";
       return 2;
@@ -181,12 +193,11 @@ int main(int argc, char** argv) {
   doc.add_meta("rounds", static_cast<std::uint64_t>(kRounds));
   doc.add_meta("max_n", static_cast<std::uint64_t>(max_n));
 
-  const std::vector<std::size_t> scales = {100, 1'000, 10'000, 100'000};
   const std::vector<std::pair<std::string, snap::runtime::FabricKind>>
       fabrics = {{"sync", snap::runtime::FabricKind::kSync},
                  {"gossip", snap::runtime::FabricKind::kGossip}};
   for (const auto& [name, kind] : fabrics) {
-    for (const std::size_t n : scales) {
+    for (const std::size_t n : kScales) {
       if (n > max_n) continue;
       const SweepRow row = run_isolated(kind, n);
       std::printf("%-8s %-9zu %-12.2f %-14.1f %-11.6f %-12.1f |",

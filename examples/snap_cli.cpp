@@ -6,11 +6,15 @@
 //   snap_cli --scheme=terngrad --nodes=40 --alpha=0.2 --csv=run.csv
 //   snap_cli --workload=mnist --nodes=3 --complete --iterations=40
 //   snap_cli --help
+//
+// Each option is one entry of `options()`, which drives parsing, the
+// range checks and --help; `settle()` holds the cross-option rules.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -18,10 +22,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <mutex>
-#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -29,6 +33,7 @@
 #include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -44,488 +49,496 @@ namespace {
 
 using namespace snap;
 
-void print_help() {
-  std::cout <<
-      R"(snap_cli — run SNAP and its baselines on synthetic edge workloads
-
-options (defaults in brackets):
-  --scheme=NAME       centralized | snap | snap0 | sno | ps | terngrad [snap]
-  --workload=NAME     credit (SVM) | mnist (MLP 784-30-10) [credit]
-  --nodes=N           edge servers [60]
-  --degree=D          average node degree of the random topology [3]
-  --complete          use the complete graph instead of a random one
-  --train=N           training samples (0 = generator default) [12000]
-  --test=N            test samples [3000]
-  --alpha=A           step size [0.3]
-  --iterations=K      iteration cap [400]
-  --failure=P         per-round link failure probability [0]
-  --crash-rate=P      per-round probability an alive node crashes [0]
-  --restart-rate=P    per-round probability a crashed node restarts [0]
-  --link-burst=E[:X]  bursty (Gilbert-Elliott) link outages: links go
-                      down with prob E per round and recover with prob
-                      X (default 0.5; X = 1-E reproduces --failure) [off]
-  --corrupt=P         per-frame corruption probability (corrupted frames
-                      are charged, fail decode, and are retried) [0]
-  --partition=SPEC    network partition injection. Scheduled cut:
-                      START:HEAL:u-v[,u-v...] severs the listed edges
-                      for rounds [START, HEAL) (HEAL 0 = never heals);
-                      cutting a bridge splits the run into components
-                      that train independently and merge on heal.
-                      Random splits: random:P[:DURATION] starts a
-                      seeded region cut with probability P per round,
-                      healing after DURATION rounds [10]. [off]
-  --partition-confirm=N  rounds an edge must stay down before the
-                      component labeling treats it as cut (transient
-                      bursts do not register as splits) [1]
-  --recovery-timeout=S  async silence window before a neighbor is
-                      suspected crashed (0 = auto from timing) [0]
-  --no-reproject      disable the self-healing weight re-projection on
-                      confirmed churn (ablation; EXTRA then anchors to
-                      dead nodes' frozen parameters)
-  --joiners=N         elastic membership: N latent nodes that start
-                      outside the run and join mid-run [0]
-  --join-rate=P       per-round probability an absent latent node
-                      joins [0.02 when --joiners is set, else 0]
-  --join-degree=K     attachment edges a first-time joiner adds toward
-                      alive members [2]
-  --leave-rate=P      per-round probability an alive member leaves
-                      gracefully [0]
-  --rejoin-rate=P     per-round probability a departed node rejoins [0]
-  --warm-start=B      on|off: joiners warm-start from a neighbor's
-                      STATE_SYNC model handoff (off = cold x0) [on]
-  --seed=S            experiment seed [2020]
-  --fabric=NAME       sync (shared-clock rounds) | async (event-driven
-                      runtime; frames arrive when they arrive) | gossip
-                      (shared clock, but each round only a sparse
-                      activated link subset exchanges) [sync]
-  --gossip-mode=NAME  matching (random maximal matching: at most one
-                      partner per node per round) | pushpull (every
-                      node picks --gossip-fanout neighbors) [matching]
-  --gossip-fanout=K   neighbors each node activates per round in
-                      pushpull mode [1]
-  --gossip-restart=R  synchronized EXTRA restart every R rounds under
-                      gossip (0 = never; stabilizes the recursion
-                      against round-varying activations) [16]
-  --sparsify=SPEC     cost-aware topology sparsification (SNAP-family
-                      schemes, sync/gossip fabrics). slem:BOUND greedily
-                      prunes links while every component's SLEM stays
-                      <= BOUND; cost:BUDGET prunes (SLEM unconstrained)
-                      until the kept link cost drops to BUDGET x the
-                      initial cost. Pruned links carry no frames; the
-                      sparsifier re-runs at membership/partition
-                      epochs and never disconnects a component. [off]
-  --link-cost=NAME    link price model for --sparsify: hops (detour
-                      distance, the paper's hop-weighted cost analogue)
-                      | uniform (every link costs 1) [hops]
-  --compute=S         per-round compute time in seconds (async) [0.001]
-  --hetero=H          linear compute spread: the slowest node takes
-                      (1+H)x the base compute time (async) [0]
-  --jitter=J          lognormal-ish compute jitter fraction, 0<=J<1
-                      (async) [0]
-  --latency=S         per-hop link latency in seconds (async) [0.001]
-  --bandwidth=B       NIC bandwidth in bytes/s (async) [1.25e8]
-  --max-staleness=K   bounded-staleness gate: a node may run at most K
-                      rounds ahead of its slowest neighbor; 0 = off
-                      (async) [0]
-  --free-run          async decentralized schemes: drop the
-                      neighborhood pacing gate and let nodes free-run
-                      (EXTRA can diverge under persistent view skew)
-  --transport=NAME    sim (in-process deterministic oracle) | uds
-                      (multi-process over Unix-domain sockets) | tcp
-                      (multi-process over TCP loopback) [sim]
-                      Socket transports require a SNAP-family scheme
-                      and a sync or gossip fabric; the learning
-                      trajectory is bitwise identical to sim for the
-                      same seed.
-  --shards=K          shard processes for a socket transport: the node
-                      set splits into K contiguous blocks, one process
-                      each, and snap_cli forks the other K-1 [1]
-  --rendezvous=DIR    directory for the shard rendezvous artifacts
-                      (sockets/ports, per-shard logs and wire stats)
-                      [a fresh /tmp directory, removed on exit]
-  --checkpoint-every=N  socket transports: write a round-aligned run
-                      checkpoint (shard-<id>.ckpt in the rendezvous
-                      dir) every N rounds; a respawned shard resumes
-                      from it instead of replaying from round 0 [0]
-  --chaos-kill=RATE   chaos harness: the launcher SIGKILLs a random
-                      worker shard at RATE mean kills per second and
-                      respawns it with --resume; the learning
-                      trajectory stays bitwise identical to the
-                      fault-free run [0]
-  --csv=FILE          write the per-iteration series as CSV
-  --topology=FILE     load the peer topology from an edge-list file
-                      (see topology/io.hpp for the format)
-  --save-model=FILE   write the trained parameters as a checkpoint
-  --help              this text
-
-internal (set by the launcher, not by hand):
-  --shard-worker=I    run as shard I of a socket-transport run
-  --resume            shard worker: reconnect to parked survivors and
-                      resume from the latest run checkpoint (if any)
-  --resume-incarnation=N  monotone respawn counter; survivors reject
-                      reconnect handshakes that do not supersede the
-                      last accepted incarnation
-)";
-}
-
-/// A malformed option value: main reports it and exits 2.
+/// A refused command line: main reports it and exits 2.
 struct BadOption : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// All of `text` as a T: a count takes digits only (no sign, suffix or
-/// blank), a real whatever from_chars reads, end to end.
+/// Everything a command line sets: the scenario, and what only the CLI
+/// acts on.
+struct Cli {
+  experiments::ScenarioConfig cfg;
+  experiments::Scheme scheme = experiments::Scheme::kSnap;
+  double hetero = 0.0;
+  double chaos_kill = 0.0;
+  std::string csv, topology, save_model;  ///< paths; empty: not given
+  bool help = false;
+  /// The options the command line named; a repeat is refused.
+  std::set<std::string_view> given;
+};
+
+/// What every command line starts from; --help prints its values as the
+/// defaults.
+Cli base_cli() {
+  Cli cli;
+  cli.cfg.train_samples = 12000;
+  cli.cfg.test_samples = 3000;
+  cli.cfg.convergence.max_iterations = 400;
+  cli.cfg.convergence.loss_tolerance = 1e-3;
+  cli.cfg.convergence.consensus_tolerance = 1e-2;
+  return cli;
+}
+
+/// --link-burst's recovery probability when X is omitted.
+constexpr double kBurstExit = 0.5;
+/// --join-rate when --joiners is set and --join-rate is not.
+constexpr double kJoinRateWithJoiners = 0.02;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The values a numeric option accepts; an open end excludes its bound.
+/// NaN lies outside every range.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool open_lo = false;
+  bool open_hi = false;
+
+  bool contains(double v) const {
+    return (open_lo ? v > lo : v >= lo) && (open_hi ? v < hi : v <= hi);
+  }
+};
+constexpr Range kProbability{0.0, 1.0};
+constexpr Range kPositive{0.0, kInf, true};
+constexpr Range kNonNegative{0.0};
+
+/// The shortest text that reads back as `value`.
 template <typename T>
-T parse_whole(std::string_view text, std::string_view option) {
+std::string shown(T value) {
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+  return std::string(buffer, result.ptr);
+}
+
+/// What `range` admits, in words: "a number in [0, 1]".
+template <typename T>
+std::string describe(Range r) {
+  constexpr bool kCount = std::is_integral_v<T>;
+  if (r.lo == -kInf) return kCount ? "a non-negative integer" : "a number";
+  return std::string(kCount ? "an integer" : "a number") + " in " +
+         (r.open_lo ? "(" : "[") + shown(r.lo) + ", " + shown(r.hi) +
+         (r.open_hi || r.hi == kInf ? ")" : "]");
+}
+
+/// All of `text` as a T inside `range`: a count takes digits only (no
+/// sign, suffix or blank), a real whatever from_chars reads, end to end.
+template <typename T>
+T parse_number(std::string_view text, Range range = {}) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end) {
-    throw BadOption("--" + std::string(option) +
-                    (std::is_integral_v<T> ? " takes a non-negative integer"
-                                           : " takes a number") +
-                    ", got '" + std::string(text) + "'");
+  if (error != std::errc() || stop != end ||
+      !range.contains(static_cast<double>(value))) {
+    throw BadOption("takes " + describe<T>(range));
   }
   return value;
 }
 
-std::optional<std::map<std::string, std::string>> parse_args(
-    int argc, char** argv) {
-  std::map<std::string, std::string> args;
+/// One command-line option. `set` reads the value (empty for a flag)
+/// into a Cli; a refusal throws BadOption("takes <what it takes>").
+struct Option {
+  std::string_view name;
+  std::string placeholder;  ///< empty: a flag, which takes no value
+  std::string help;
+  std::function<void(Cli&, std::string_view)> set{};
+  std::string base_value{};  ///< printed as the default; empty: none
+  bool internal = false;  ///< set by the launcher on its workers
+};
+
+/// The table's field accessor: FIELD(cfg.nodes) returns `cli.cfg.nodes`.
+#define FIELD(member) [](Cli& c) -> auto& { return c.member; }
+
+/// An option stored in `field(cli)`. A bool is a flag: it flips the
+/// base value (once; a repeat is refused). A string takes any non-empty
+/// text, and a number what parse_number reads inside `range`.
+template <typename F>
+Option option(std::string_view name, std::string placeholder, F field,
+              std::string help, Range range = {}, bool internal = false) {
+  using T = std::remove_reference_t<std::invoke_result_t<F, Cli&>>;
+  Option entry{name, std::move(placeholder), std::move(help), {}, {}, internal};
+  entry.set = [=](Cli& cli, std::string_view text) {
+    if constexpr (std::is_same_v<T, bool>) {
+      field(cli) = !field(cli);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (text.empty()) throw BadOption("takes a non-empty value");
+      field(cli) = std::string(text);
+    } else {
+      field(cli) = parse_number<T>(text, range);
+    }
+  };
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    Cli base = base_cli();
+    entry.base_value = shown(field(base));
+  }
+  return entry;
+}
+
+/// One of `choices`, matched by spelling; the spellings form the
+/// placeholder.
+template <typename T, typename F>
+Option choice(std::string_view name, F field, std::string help,
+              std::vector<std::pair<std::string_view, T>> choices) {
+  Cli base = base_cli();
+  std::vector<std::string> spellings;
+  std::string base_value;
+  for (const auto& [spelling, value] : choices) {
+    spellings.emplace_back(spelling);
+    if (field(base) == value) base_value = spelling;
+  }
+  const std::string listed = common::join(spellings, ", ");
+  return {name, common::join(spellings, "|"), std::move(help),
+          [=](Cli& cli, std::string_view text) {
+            for (const auto& [spelling, value] : choices) {
+              if (text == spelling) {
+                field(cli) = value;
+                return;
+              }
+            }
+            throw BadOption("takes one of " + listed);
+          },
+          base_value};
+}
+
+/// A choice spelled by the library's own names for `values`.
+template <typename T, typename F, typename Spell>
+Option named(std::string_view name, F field, std::string help,
+             std::initializer_list<T> values, Spell spell) {
+  std::vector<std::pair<std::string_view, T>> choices;
+  for (const T value : values) choices.emplace_back(spell(value), value);
+  return choice(name, field, std::move(help), std::move(choices));
+}
+
+/// --link-burst=E[:X]: Gilbert-Elliott enter and exit probabilities.
+void set_link_burst(Cli& cli, std::string_view spec) {
+  const auto colon = spec.find(':');
+  net::FaultPlan& plan = cli.cfg.faults;
+  plan.link_enter_burst =
+      parse_number<double>(spec.substr(0, colon), kProbability);
+  plan.link_exit_burst =
+      colon == std::string_view::npos
+          ? kBurstExit
+          : parse_number<double>(spec.substr(colon + 1), kProbability);
+}
+
+/// --partition=START:HEAL:u-v[,u-v...] (a scheduled edge cut) or
+/// random:P[:DURATION] (seeded random region cuts).
+void set_partition(Cli& cli, std::string_view spec) {
+  net::FaultPlan& plan = cli.cfg.faults;
+  if (spec.starts_with("random:")) {
+    const std::string_view rest = spec.substr(7);
+    const auto colon = rest.find(':');
+    plan.partition_probability =
+        parse_number<double>(rest.substr(0, colon), {0.0, 1.0, true});
+    if (colon != std::string_view::npos) {
+      plan.partition_duration =
+          parse_number<std::size_t>(rest.substr(colon + 1), {1.0});
+    }
+    return;
+  }
+  const BadOption bad("takes START:HEAL:u-v[,u-v...] or random:P[:DURATION]");
+  const std::vector<std::string> fields = common::split(spec, ':');
+  if (fields.size() != 3) throw bad;
+  net::PartitionEvent event;
+  event.start_round = parse_number<std::size_t>(fields[0], {1.0});
+  event.heal_round = parse_number<std::size_t>(fields[1]);
+  if (event.heal_round != 0 && event.heal_round <= event.start_round) throw bad;
+  for (const std::string& edge : common::split(fields[2], ',')) {
+    const auto dash = edge.find('-');
+    if (dash == std::string::npos || dash == 0) throw bad;
+    event.edges.emplace_back(
+        parse_number<topology::NodeId>(edge.substr(0, dash)),
+        parse_number<topology::NodeId>(edge.substr(dash + 1)));
+  }
+  plan.scheduled_partitions.push_back(std::move(event));
+}
+
+/// --sparsify=slem:BOUND or cost:BUDGET.
+void set_sparsify(Cli& cli, std::string_view spec) {
+  consensus::SparsifierConfig& sparsify = cli.cfg.sparsify;
+  if (spec.starts_with("slem:")) {
+    sparsify.slem_bound = parse_number<double>(spec.substr(5));
+  } else if (spec.starts_with("cost:")) {
+    sparsify.cost_budget = parse_number<double>(spec.substr(5));
+  } else {
+    throw BadOption("takes slem:BOUND or cost:BUDGET");
+  }
+  sparsify.enabled = true;
+}
+
+/// Every option snap_cli takes, in --help order.
+const std::vector<Option>& options() {
+  using experiments::Scheme;
+  using net::TransportKind;
+  using runtime::FabricKind;
+  static const std::vector<Option> table = {
+      choice<Scheme>("scheme", FIELD(scheme), "the training scheme",
+                     {{"centralized", Scheme::kCentralized},
+                      {"snap", Scheme::kSnap}, {"snap0", Scheme::kSnap0},
+                      {"sno", Scheme::kSno}, {"ps", Scheme::kPs},
+                      {"terngrad", Scheme::kTernGrad}}),
+      choice<experiments::Workload>(
+          "workload", FIELD(cfg.workload),
+          "the 24-feature SVM or the 784-30-10 MLP",
+          {{"credit", experiments::Workload::kCreditSvm},
+           {"mnist", experiments::Workload::kMnistMlp}}),
+      option("nodes", "N", FIELD(cfg.nodes), "edge servers", {2.0}),
+      option("degree", "D", FIELD(cfg.average_degree),
+             "average node degree of the random topology", kPositive),
+      option("complete", "", FIELD(cfg.complete_topology),
+             "use the complete graph instead of a random one"),
+      option("train", "N", FIELD(cfg.train_samples),
+             "training samples (0 = generator default)"),
+      option("test", "N", FIELD(cfg.test_samples),
+             "test samples (0 = generator default)"),
+      option("alpha", "A", FIELD(cfg.alpha), "step size", kPositive),
+      option("iterations", "K", FIELD(cfg.convergence.max_iterations),
+             "iteration cap"),
+      option("failure", "P", FIELD(cfg.link_failure_probability),
+             "per-round link failure probability", kProbability),
+      option("crash-rate", "P", FIELD(cfg.faults.crash_probability),
+             "per-round probability an alive node crashes", kProbability),
+      option("restart-rate", "P", FIELD(cfg.faults.restart_probability),
+             "per-round probability a crashed node restarts", kProbability),
+      {"link-burst", "E[:X]",
+       "bursty (Gilbert-Elliott) link outages: down with probability E per "
+       "round, up again with probability X (" + shown(kBurstExit) +
+           " if omitted; X = 1-E reproduces --failure)",
+       set_link_burst},
+      option("corrupt", "P", FIELD(cfg.faults.frame_corruption_probability),
+             "per-frame corruption probability", kProbability),
+      {"partition", "SPEC",
+       "START:HEAL:u-v[,u-v...] cuts the listed edges for rounds [START, "
+       "HEAL) (HEAL 0 = never heals); random:P[:DURATION] starts a seeded "
+       "region cut with probability P per round, healed after DURATION (" +
+           shown(base_cli().cfg.faults.partition_duration) +
+           ") rounds. Split components train apart and merge on heal.",
+       set_partition},
+      option("partition-confirm", "N",
+             FIELD(cfg.faults.partition_confirm_rounds),
+             "rounds an edge stays down before it counts as cut"),
+      option("recovery-timeout", "S", FIELD(cfg.recovery.suspect_after_s),
+             "async crash-suspicion window (0 = auto)", kNonNegative),
+      option("no-reproject", "", FIELD(cfg.reproject_on_churn),
+             "ablation: no weight re-projection on confirmed churn"),
+      option("joiners", "N", FIELD(cfg.latent_joiners),
+             "latent nodes that start outside the run and join mid-run"),
+      option("join-rate", "P", FIELD(cfg.faults.join_probability),
+             "per-round probability an absent latent node joins (" +
+                 shown(kJoinRateWithJoiners) + " if --joiners is set)",
+             kProbability),
+      option("join-degree", "K", FIELD(cfg.faults.join_degree),
+             "attachment edges a first-time joiner adds"),
+      option("leave-rate", "P", FIELD(cfg.faults.leave_probability),
+             "per-round probability an alive member leaves", kProbability),
+      option("rejoin-rate", "P", FIELD(cfg.faults.rejoin_probability),
+             "per-round probability a departed node rejoins", kProbability),
+      choice<bool>("warm-start", FIELD(cfg.warm_start_joins),
+                   "joiners start from a neighbor's model (off: from x0)",
+                   {{"on", true}, {"off", false}}),
+      option("seed", "S", FIELD(cfg.seed), "experiment seed"),
+      named("fabric", FIELD(cfg.fabric),
+            "shared-clock rounds, the event-driven runtime, or gossip",
+            {FabricKind::kSync, FabricKind::kAsync, FabricKind::kGossip},
+            runtime::fabric_name),
+      named("gossip-mode", FIELD(cfg.gossip.mode),
+            "a random maximal matching, or --gossip-fanout picks per node",
+            {runtime::GossipMode::kMatching, runtime::GossipMode::kPushPull},
+            runtime::gossip_mode_name),
+      option("gossip-fanout", "K", FIELD(cfg.gossip.fanout),
+             "neighbors each node activates per round in pushpull mode"),
+      option("gossip-restart", "R", FIELD(cfg.gossip.restart_every),
+             "synchronized EXTRA restart every R gossip rounds (0 = never)"),
+      {"sparsify", "SPEC",
+       "slem:BOUND prunes links while every component's SLEM stays <= "
+       "BOUND; cost:BUDGET prunes until the kept link cost is BUDGET x the "
+       "initial cost. Re-runs at every epoch, never disconnects a component.",
+       set_sparsify},
+      choice<consensus::LinkCostModel>(
+          "link-cost", FIELD(cfg.sparsify.cost_model),
+          "link price for --sparsify: detour hops, or 1 per link",
+          {{"hops", consensus::LinkCostModel::kHops},
+           {"uniform", consensus::LinkCostModel::kUniform}}),
+      option("compute", "S", FIELD(cfg.async.compute_s),
+             "per-round compute seconds (async)", kPositive),
+      option("hetero", "H", FIELD(hetero),
+             "the slowest node computes (1+H)x as long (async)", kNonNegative),
+      option("jitter", "J", FIELD(cfg.async.compute_jitter),
+             "compute jitter fraction (async)", {0.0, 1.0, false, true}),
+      option("latency", "S", FIELD(cfg.async.link_latency_s),
+             "per-hop link latency in seconds (async)", kNonNegative),
+      option("bandwidth", "B", FIELD(cfg.async.nic_bandwidth_bytes_per_s),
+             "NIC bandwidth in bytes/s (async)", kPositive),
+      option("max-staleness", "K", FIELD(cfg.async.max_staleness_rounds),
+             "max rounds ahead of the slowest neighbor (0 = off; async)"),
+      option("free-run", "", FIELD(cfg.async_free_run),
+             "async: no neighborhood pacing gate (EXTRA can diverge)"),
+      named("transport", FIELD(cfg.transport.kind),
+            "the in-process oracle, or one process per shard over sockets "
+            "(SNAP-family schemes, sync or gossip; bitwise the sim's run)",
+            {TransportKind::kSim, TransportKind::kUds, TransportKind::kTcp},
+            net::transport_name),
+      option("shards", "K", FIELD(cfg.transport.shards),
+             "shard processes of a socket run; snap_cli forks K-1 of them"),
+      option("rendezvous", "DIR", FIELD(cfg.transport.rendezvous_dir),
+             "shard sockets, logs and stats [a fresh /tmp directory]"),
+      option("checkpoint-every", "N", FIELD(cfg.checkpoint.every),
+             "socket runs: checkpoint each shard every N rounds (0 = never)"),
+      option("chaos-kill", "RATE", FIELD(chaos_kill),
+             "SIGKILL and respawn a worker shard RATE times a second",
+             kNonNegative),
+      option("csv", "FILE", FIELD(csv), "write the per-iteration series"),
+      option("topology", "FILE", FIELD(topology),
+             "load the peer topology from an edge-list file"),
+      option("save-model", "FILE", FIELD(save_model),
+             "write the trained parameters as a checkpoint"),
+      option("help", "", FIELD(help), "this text"),
+      option("shard-worker", "I", FIELD(cfg.transport.shard_id),
+             "run as shard I of a socket run", {}, /*internal=*/true),
+      option("resume", "", FIELD(cfg.transport.resume),
+             "reconnect and resume from the last checkpoint", {},
+             /*internal=*/true),
+      option("resume-incarnation", "N", FIELD(cfg.transport.incarnation),
+             "respawn counter; a RECONNECT must supersede the last", {},
+             /*internal=*/true),
+  };
+  return table;
+}
+#undef FIELD
+
+Cli parse_command_line(int argc, char** argv) {
+  Cli cli = base_cli();
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
-    if (!common::starts_with(arg, "--")) {
-      std::cerr << "unrecognized argument: " << arg << "\n";
-      return std::nullopt;
+    if (!arg.starts_with("--")) {
+      throw BadOption("unrecognized argument: " + std::string(arg));
     }
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     const std::string name(arg.substr(0, eq));
-    // A second value would silently lose to the first.
-    const bool fresh =
-        eq == std::string_view::npos
-            ? args.emplace(name, "1").second  // boolean flag
-            : args.emplace(name, std::string(arg.substr(eq + 1))).second;
-    if (!fresh) {
-      std::cerr << "repeated option --" << name << "\n";
-      return std::nullopt;
+    const auto entry = std::ranges::find(options(), name, &Option::name);
+    if (entry == options().end()) throw BadOption("unknown option --" + name);
+    // A repeat is refused, never resolved in favor of one of its values.
+    if (!cli.given.insert(entry->name).second) {
+      throw BadOption("repeated option --" + name);
+    }
+    const bool has_value = eq != std::string_view::npos;
+    if (has_value == entry->placeholder.empty()) {
+      throw BadOption("--" + name +
+                      (has_value ? " takes no value" : " needs a value"));
+    }
+    const std::string_view value = has_value ? arg.substr(eq + 1) : "";
+    try {
+      entry->set(cli, value);
+    } catch (const BadOption& bad) {
+      throw BadOption("--" + name + " " + bad.what() + ", got '" +
+                      std::string(value) + "'");
     }
   }
-  return args;
+  return cli;
 }
 
-/// Parses --partition=START:HEAL:u-v[,u-v...] (scheduled edge cut) or
-/// random:P[:DURATION] (seeded random region cuts) into the fault
-/// plan. Returns false on a malformed spec.
-bool parse_partition_spec(const std::string& spec, net::FaultPlan& plan) {
-  try {
-    if (common::starts_with(spec, "random:")) {
-      const std::string rest = spec.substr(7);
-      const auto colon = rest.find(':');
-      plan.partition_probability =
-          parse_whole<double>(rest.substr(0, colon), "partition");
-      if (colon != std::string::npos) {
-        plan.partition_duration =
-            parse_whole<std::size_t>(rest.substr(colon + 1), "partition");
+/// The table as help text: each option, its help wrapped at 78 columns,
+/// and the base Cli's value in brackets.
+void print_help() {
+  constexpr std::size_t kIndent = 22;
+  constexpr std::size_t kWidth = 78;
+  std::cout << "snap_cli — run SNAP and its baselines on synthetic edge "
+               "workloads\n\noptions (defaults in brackets):\n";
+  for (const bool internal : {false, true}) {
+    if (internal) std::cout << "\ninternal (set by the launcher):\n";
+    for (const Option& entry : options()) {
+      if (entry.internal != internal) continue;
+      std::string line = "  --" + std::string(entry.name);
+      if (!entry.placeholder.empty()) line += "=" + entry.placeholder;
+      if (line.size() + 2 > kIndent) {
+        std::cout << line << '\n';
+        line.clear();
       }
-      return plan.partition_probability > 0.0 &&
-             plan.partition_duration >= 1;
+      line.resize(kIndent, ' ');
+      const std::string text =
+          entry.help +
+          (entry.base_value.empty() ? "" : " [" + entry.base_value + "]");
+      for (const std::string& word : common::split(text, ' ')) {
+        if (line.size() > kIndent && line.size() + 1 + word.size() > kWidth) {
+          std::cout << line << '\n';
+          line.assign(kIndent, ' ');
+        }
+        line += (line.size() > kIndent ? " " : "") + word;
+      }
+      std::cout << line << '\n';
     }
-    const auto c1 = spec.find(':');
-    const auto c2 = c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
-    if (c2 == std::string::npos) return false;
-    net::PartitionEvent event;
-    event.start_round =
-        parse_whole<std::size_t>(spec.substr(0, c1), "partition");
-    event.heal_round = parse_whole<std::size_t>(
-        spec.substr(c1 + 1, c2 - c1 - 1), "partition");
-    const std::string edges = spec.substr(c2 + 1);
-    std::size_t pos = 0;
-    while (pos <= edges.size()) {
-      const auto comma = edges.find(',', pos);
-      const std::string edge =
-          edges.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-      const auto dash = edge.find('-');
-      if (dash == std::string::npos || dash == 0) return false;
-      event.edges.emplace_back(
-          parse_whole<topology::NodeId>(edge.substr(0, dash), "partition"),
-          parse_whole<topology::NodeId>(edge.substr(dash + 1), "partition"));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (event.edges.empty()) return false;
-    plan.scheduled_partitions.push_back(std::move(event));
-    return true;
-  } catch (...) {
-    return false;
   }
 }
 
-std::optional<experiments::Scheme> parse_scheme(const std::string& name) {
-  if (name == "centralized") return experiments::Scheme::kCentralized;
-  if (name == "snap") return experiments::Scheme::kSnap;
-  if (name == "snap0") return experiments::Scheme::kSnap0;
-  if (name == "sno") return experiments::Scheme::kSno;
-  if (name == "ps") return experiments::Scheme::kPs;
-  if (name == "terngrad") return experiments::Scheme::kTernGrad;
-  return std::nullopt;
+/// The rules that tie options together, checked once every option is
+/// read and the topology is loaded. Throws BadOption on a refusal.
+void settle(Cli& cli) {
+  experiments::ScenarioConfig& cfg = cli.cfg;
+  if (cfg.latent_joiners > 0 && !cli.given.contains("join-rate")) {
+    cfg.faults.join_probability = kJoinRateWithJoiners;
+  }
+  const bool snap_family = cli.scheme == experiments::Scheme::kSnap ||
+                           cli.scheme == experiments::Scheme::kSnap0 ||
+                           cli.scheme == experiments::Scheme::kSno;
+  const bool async = cfg.fabric == runtime::FabricKind::kAsync;
+  const bool worker = cli.given.contains("shard-worker");
+  const bool socket = cfg.transport.kind != net::TransportKind::kSim;
+  const std::size_t shards = cfg.transport.shards;
+  const bool sparsify = cfg.sparsify.enabled;
+  const std::pair<bool, const char*> refusals[] = {
+      {sparsify && !snap_family, "--sparsify needs scheme snap, snap0 or sno"},
+      {sparsify && async, "--sparsify needs --fabric=sync or gossip"},
+      {!socket && (shards > 1 || worker),
+       "--shards/--shard-worker need --transport=uds or tcp"},
+      {socket && !snap_family, "--transport needs scheme snap, snap0 or sno"},
+      {socket && async, "--transport=uds|tcp needs --fabric=sync or gossip"},
+      {socket && (shards == 0 || shards > cfg.nodes + cfg.latent_joiners),
+       "--shards must be between 1 and the node count"},
+      {socket && worker && cfg.transport.rendezvous_dir.empty(),
+       "--shard-worker needs --rendezvous"},
+      {cfg.transport.resume && !worker,
+       "--resume is a shard-worker flag (the supervisor sets it on respawn)"},
+      {cfg.checkpoint.every > 0 && !socket,
+       "--checkpoint-every needs --transport=uds or tcp"},
+      // Workers inherit the launcher's argv; the flag only acts there.
+      {cli.chaos_kill > 0.0 && !worker && (!socket || shards < 2),
+       "--chaos-kill needs a socket-transport launcher with 2+ shards"},
+  };
+  for (const auto& [refused, message] : refusals) {
+    if (refused) throw BadOption(message);
+  }
 }
 
 }  // namespace
 
 static int run_cli(int argc, char** argv) {
-  const auto parsed = parse_args(argc, argv);
-  if (!parsed.has_value()) return 2;
-  const auto& args = *parsed;
-  auto get = [&](const std::string& key, const std::string& fallback) {
-    const auto it = args.find(key);
-    return it == args.end() ? fallback : it->second;
-  };
-  const auto count = [&](const std::string& key, const std::string& fallback) {
-    return parse_whole<std::size_t>(get(key, fallback), key);
-  };
-  const auto real = [&](const std::string& key, const std::string& fallback) {
-    return parse_whole<double>(get(key, fallback), key);
-  };
-  if (args.contains("help")) {
+  Cli cli = parse_command_line(argc, argv);
+  if (cli.help) {
     print_help();
     return 0;
   }
-  for (const auto& [key, value] : args) {
-    static const std::set<std::string> known{
-        "scheme", "workload", "nodes", "degree", "complete", "train",
-        "test", "alpha", "iterations", "failure", "seed", "csv",
-        "topology", "save-model", "help", "fabric", "compute", "hetero",
-        "jitter", "latency", "bandwidth", "max-staleness", "free-run",
-        "crash-rate", "restart-rate", "link-burst", "corrupt",
-        "partition", "partition-confirm",
-        "recovery-timeout", "no-reproject", "joiners", "join-rate",
-        "join-degree", "leave-rate", "rejoin-rate", "warm-start",
-        "gossip-mode", "gossip-fanout", "gossip-restart", "sparsify",
-        "link-cost", "transport",
-        "shards", "shard-worker", "rendezvous", "checkpoint-every",
-        "chaos-kill", "resume", "resume-incarnation"};
-    if (!known.contains(key)) {
-      std::cerr << "unknown option --" << key << " (try --help)\n";
-      return 2;
-    }
-  }
-
-  const auto scheme = parse_scheme(get("scheme", "snap"));
-  if (!scheme.has_value()) {
-    std::cerr << "unknown scheme (try --help)\n";
-    return 2;
-  }
-
-  experiments::ScenarioConfig cfg;
-  const std::string workload = get("workload", "credit");
-  if (workload != "credit" && workload != "mnist") {
-    std::cerr << "unknown --workload " << workload
-              << " (credit or mnist; try --help)\n";
-    return 2;
-  }
-  cfg.workload = workload == "mnist" ? experiments::Workload::kMnistMlp
-                                     : experiments::Workload::kCreditSvm;
-  cfg.nodes = count("nodes", "60");
-  cfg.average_degree = real("degree", "3");
-  cfg.complete_topology = args.contains("complete");
-  cfg.train_samples = count("train", "12000");
-  cfg.test_samples = count("test", "3000");
-  cfg.alpha = real("alpha", "0.3");
-  cfg.convergence.max_iterations = count("iterations", "400");
-  cfg.convergence.loss_tolerance = 1e-3;
-  cfg.convergence.consensus_tolerance = 1e-2;
-  cfg.link_failure_probability = real("failure", "0");
-  cfg.faults.crash_probability = real("crash-rate", "0");
-  cfg.faults.restart_probability = real("restart-rate", "0");
-  if (args.contains("link-burst")) {
-    const std::string burst = get("link-burst", "0");
-    const auto colon = burst.find(':');
-    cfg.faults.link_enter_burst =
-        parse_whole<double>(burst.substr(0, colon), "link-burst");
-    cfg.faults.link_exit_burst =
-        colon == std::string::npos
-            ? 0.5
-            : parse_whole<double>(burst.substr(colon + 1), "link-burst");
-  }
-  cfg.faults.frame_corruption_probability = real("corrupt", "0");
-  if (args.contains("partition") &&
-      !parse_partition_spec(get("partition", ""), cfg.faults)) {
-    std::cerr << "bad --partition spec (try --help)\n";
-    return 2;
-  }
-  cfg.faults.partition_confirm_rounds =
-      count("partition-confirm", "1");
-  cfg.recovery.suspect_after_s =
-      real("recovery-timeout", "0");
-  cfg.reproject_on_churn = !args.contains("no-reproject");
-  cfg.latent_joiners = count("joiners", "0");
-  cfg.faults.join_probability =
-      real("join-rate", cfg.latent_joiners > 0 ? "0.02" : "0");
-  cfg.faults.join_degree = count("join-degree", "2");
-  cfg.faults.leave_probability = real("leave-rate", "0");
-  cfg.faults.rejoin_probability = real("rejoin-rate", "0");
-  const std::string warm = get("warm-start", "on");
-  if (warm != "on" && warm != "off") {
-    std::cerr << "--warm-start takes on or off (try --help)\n";
-    return 2;
-  }
-  cfg.warm_start_joins = warm == "on";
-  cfg.seed = count("seed", "2020");
-  if (args.contains("topology")) {
+  experiments::ScenarioConfig& cfg = cli.cfg;
+  if (!cli.topology.empty()) {
     std::string error;
-    auto loaded = topology::load_edge_list(get("topology", ""), &error);
-    if (!loaded.has_value()) {
-      std::cerr << "bad topology file: " << error << "\n";
-      return 1;
-    }
-    if (!loaded->is_connected()) {
-      std::cerr << "topology must be connected\n";
+    auto loaded = topology::load_edge_list(cli.topology, &error);
+    if (!loaded.has_value() || !loaded->is_connected()) {
+      std::cerr << (loaded ? "topology must be connected"
+                           : "bad topology file: " + error) << "\n";
       return 1;
     }
     cfg.custom_topology = std::move(*loaded);
     cfg.nodes = cfg.custom_topology->node_count();
   }
-
-  const auto fabric = runtime::parse_fabric_kind(get("fabric", "sync"));
-  if (!fabric.has_value()) {
-    std::cerr << "unknown fabric (sync, async, or gossip; try --help)\n";
-    return 2;
-  }
-  cfg.fabric = *fabric;
-  const auto gossip_mode =
-      runtime::parse_gossip_mode(get("gossip-mode", "matching"));
-  if (!gossip_mode.has_value()) {
-    std::cerr << "unknown gossip mode (matching or pushpull; try --help)\n";
-    return 2;
-  }
-  cfg.gossip.mode = *gossip_mode;
-  cfg.gossip.fanout = count("gossip-fanout", "1");
-  cfg.gossip.restart_every = count("gossip-restart", "16");
-  const double base_compute = real("compute", "0.001");
-  const double hetero = real("hetero", "0");
-  cfg.async.compute_s = base_compute;
-  if (hetero > 0.0) {
+  settle(cli);
+  if (cli.hetero > 0.0) {
     // Latent joiners occupy node slots from round 1, so the per-node
     // timing vector must cover them too.
     cfg.async.node_compute_s = runtime::linear_compute_spread(
-        cfg.nodes + cfg.latent_joiners, base_compute, hetero);
+        cfg.nodes + cfg.latent_joiners, cfg.async.compute_s, cli.hetero);
   }
-  cfg.async.compute_jitter = real("jitter", "0");
-  cfg.async.link_latency_s = real("latency", "0.001");
-  cfg.async.nic_bandwidth_bytes_per_s =
-      real("bandwidth", "1.25e8");
-  cfg.async.max_staleness_rounds =
-      count("max-staleness", "0");
-  cfg.async_free_run = args.contains("free-run");
   cfg.async.seed = cfg.seed;
-
-  if (args.contains("sparsify")) {
-    const std::string spec = get("sparsify", "");
-    try {
-      if (common::starts_with(spec, "slem:")) {
-        cfg.sparsify.enabled = true;
-        cfg.sparsify.slem_bound =
-            parse_whole<double>(spec.substr(5), "sparsify");
-      } else if (common::starts_with(spec, "cost:")) {
-        cfg.sparsify.enabled = true;
-        cfg.sparsify.cost_budget =
-            parse_whole<double>(spec.substr(5), "sparsify");
-      } else {
-        std::cerr << "bad --sparsify spec (slem:BOUND or cost:BUDGET; "
-                     "try --help)\n";
-        return 2;
-      }
-    } catch (...) {
-      std::cerr << "bad --sparsify spec (slem:BOUND or cost:BUDGET; "
-                   "try --help)\n";
-      return 2;
-    }
-  }
-  const std::string link_cost = get("link-cost", "hops");
-  if (link_cost == "hops") {
-    cfg.sparsify.cost_model = consensus::LinkCostModel::kHops;
-  } else if (link_cost == "uniform") {
-    cfg.sparsify.cost_model = consensus::LinkCostModel::kUniform;
-  } else {
-    std::cerr << "--link-cost takes hops or uniform (try --help)\n";
-    return 2;
-  }
-  if (cfg.sparsify.enabled) {
-    if (*scheme != experiments::Scheme::kSnap &&
-        *scheme != experiments::Scheme::kSnap0 &&
-        *scheme != experiments::Scheme::kSno) {
-      std::cerr << "--sparsify supports only the SNAP-family schemes "
-                   "(snap, snap0, sno)\n";
-      return 2;
-    }
-    if (cfg.fabric == runtime::FabricKind::kAsync) {
-      std::cerr << "--sparsify requires --fabric=sync or gossip\n";
-      return 2;
-    }
-  }
-
-  const auto transport_kind =
-      net::parse_transport_kind(get("transport", "sim"));
-  if (!transport_kind.has_value()) {
-    std::cerr << "unknown transport (sim, uds, or tcp; try --help)\n";
-    return 2;
-  }
-  cfg.transport.kind = *transport_kind;
-  cfg.transport.shards = count("shards", "1");
-  const bool worker = args.contains("shard-worker");
-  cfg.transport.shard_id = worker ? count("shard-worker", "0") : 0;
-  cfg.transport.rendezvous_dir = get("rendezvous", "");
-  const bool resume = args.contains("resume");
-  cfg.transport.resume = resume;
-  cfg.transport.incarnation = count("resume-incarnation", "0");
-  const std::size_t checkpoint_every =
-      count("checkpoint-every", "0");
-  const double chaos_kill = real("chaos-kill", "0");
+  const bool worker = cli.given.contains("shard-worker");
   const bool socket_run = cfg.transport.kind != net::TransportKind::kSim;
-  if (!socket_run && (cfg.transport.shards > 1 || worker)) {
-    std::cerr << "--shards/--shard-worker require --transport=uds or tcp\n";
-    return 2;
-  }
-  if (socket_run) {
-    if (*scheme != experiments::Scheme::kSnap &&
-        *scheme != experiments::Scheme::kSnap0 &&
-        *scheme != experiments::Scheme::kSno) {
-      std::cerr << "socket transports support only the SNAP-family "
-                   "schemes (snap, snap0, sno)\n";
-      return 2;
-    }
-    if (cfg.fabric == runtime::FabricKind::kAsync) {
-      std::cerr << "socket transports require --fabric=sync or gossip\n";
-      return 2;
-    }
-    if (cfg.transport.shards == 0 ||
-        cfg.transport.shards > cfg.nodes + cfg.latent_joiners) {
-      std::cerr << "--shards must be between 1 and the node count\n";
-      return 2;
-    }
-    if (worker && cfg.transport.rendezvous_dir.empty()) {
-      std::cerr << "--shard-worker requires --rendezvous\n";
-      return 2;
-    }
-  }
-  if (resume && !worker) {
-    std::cerr << "--resume is a shard-worker flag (the supervisor sets "
-                 "it on respawn)\n";
-    return 2;
-  }
-  if (checkpoint_every > 0 && !socket_run) {
-    std::cerr << "--checkpoint-every requires --transport=uds or tcp\n";
-    return 2;
-  }
-  // Workers inherit the launcher's argv; the flag only acts there.
-  if (chaos_kill > 0.0 && !worker &&
-      (!socket_run || cfg.transport.shards < 2)) {
-    std::cerr << "--chaos-kill requires a socket-transport launcher with "
-                 "at least 2 shards\n";
-    return 2;
-  }
 
   // Launcher: shard 0 runs in this process; the other shards are forked
   // copies of this binary in --shard-worker mode, with their output
@@ -570,11 +583,10 @@ static int run_cli(int argc, char** argv) {
     }
   }
   // The per-shard checkpoint path needs the final rendezvous dir.
-  if (checkpoint_every > 0) {
-    cfg.checkpoint.every = checkpoint_every;
+  if (cfg.checkpoint.every > 0) {
     cfg.checkpoint.path = cfg.transport.rendezvous_dir + "/shard-" +
                           std::to_string(cfg.transport.shard_id) + ".ckpt";
-    cfg.checkpoint.resume = resume;
+    cfg.checkpoint.resume = cfg.transport.resume;
   }
   auto spawn_shard = [&](std::size_t s, std::uint64_t incarnation) -> pid_t {
     const pid_t pid = ::fork();
@@ -623,13 +635,11 @@ static int run_cli(int argc, char** argv) {
       slots.push_back({s, pid, 0, false, false});
     }
     supervisor_thread = std::thread([&] {
-      // A worker that dies by signal (chaos SIGKILL, assertion abort)
-      // is respawned with the next incarnation. External SIGKILLs are
-      // the chaos harness doing its job, so their budget is generous;
-      // any other signal (SIGABRT from a failed contract, SIGSEGV) is
-      // likely deterministic and gets a tight budget so it cannot
-      // respawn forever. Nonzero exits (config errors) fail
-      // immediately, as before.
+      // A worker that dies by signal is respawned with the next
+      // incarnation. SIGKILLs are the chaos harness doing its job, so
+      // their budget is generous; any other signal (SIGABRT from a failed
+      // contract, SIGSEGV) is likely deterministic and gets a tight
+      // budget. Nonzero exits (config errors) fail immediately.
       constexpr std::uint64_t kMaxChaosRespawns = 1000;
       constexpr std::uint64_t kMaxCrashRespawns = 20;
       while (true) {
@@ -660,7 +670,7 @@ static int run_cli(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     });
-    if (chaos_kill > 0.0) {
+    if (cli.chaos_kill > 0.0) {
       chaos_thread = std::thread([&] {
         // Poissonish kill schedule: each 5 ms tick SIGKILLs one
         // random live worker with probability chaos_kill * 0.005,
@@ -669,7 +679,7 @@ static int run_cli(int argc, char** argv) {
         std::uniform_real_distribution<double> unit(0.0, 1.0);
         while (!chaos_stop.load()) {
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          if (unit(rng) >= chaos_kill * 0.005) continue;
+          if (unit(rng) >= cli.chaos_kill * 0.005) continue;
           const std::lock_guard<std::mutex> lock(slots_mutex);
           std::vector<pid_t> alive;
           for (const WorkerSlot& slot : slots) {
@@ -692,26 +702,23 @@ static int run_cli(int argc, char** argv) {
                     : "credit-svm")
             << ", " << cfg.nodes << " nodes, seed " << cfg.seed << "\n";
   const experiments::Scenario scenario(cfg);
-  const auto result = scenario.run(*scheme);
+  const auto result = scenario.run(cli.scheme);
 
   experiments::Table table({"metric", "value"});
-  table.add_row({"scheme", std::string(experiments::scheme_name(*scheme))});
+  table.add_row({"scheme", std::string(experiments::scheme_name(cli.scheme))});
   table.add_row({"fabric", std::string(runtime::fabric_name(cfg.fabric))});
   table.add_row({"converged", result.converged ? "yes" : "no"});
   table.add_row({"iterations", std::to_string(result.converged_after)});
-  table.add_row(
-      {"final accuracy",
-       common::format_percent(result.final_test_accuracy, 2)});
-  table.add_row(
-      {"final train loss",
-       common::format_double(result.final_train_loss, 5)});
+  table.add_row({"final accuracy",
+                 common::format_percent(result.final_test_accuracy, 2)});
+  table.add_row({"final train loss",
+                 common::format_double(result.final_train_loss, 5)});
   table.add_row(
       {"wire bytes", common::format_bytes(double(result.total_bytes))});
   table.add_row({"hop-weighted cost",
                  common::format_bytes(double(result.total_cost))});
-  table.add_row(
-      {"simulated time",
-       common::format_double(result.total_sim_seconds, 3) + " s"});
+  table.add_row({"simulated time",
+                 common::format_double(result.total_sim_seconds, 3) + " s"});
   if (socket_run) {
     table.add_row({"transport",
                    std::string(net::transport_name(cfg.transport.kind))});
@@ -721,23 +728,19 @@ static int run_cli(int argc, char** argv) {
     // frame bytes (the per-frame parity the oracle contract promises).
     std::ifstream stats(cfg.transport.rendezvous_dir + "/shard-" +
                         std::to_string(cfg.transport.shard_id) + ".stats");
+    const std::pair<std::string_view, std::string_view> labels[] = {
+        {"frames_sent", "wire frames sent"},
+        {"payload_bytes_sent", "wire frame bytes"},
+        {"charged_bytes_sent", "charged frame bytes"},
+        {"mismatched_frames", "byte-parity mismatches"},
+        {"os_bytes_sent", "os bytes sent"},
+        {"os_bytes_received", "os bytes received"}};
     for (std::string line; std::getline(stats, line);) {
       const auto eq = line.find('=');
-      if (eq == std::string::npos) continue;
-      const std::string key = line.substr(0, eq);
-      const std::string value = line.substr(eq + 1);
-      if (key == "frames_sent") {
-        table.add_row({"wire frames sent", value});
-      } else if (key == "payload_bytes_sent") {
-        table.add_row({"wire frame bytes", value});
-      } else if (key == "charged_bytes_sent") {
-        table.add_row({"charged frame bytes", value});
-      } else if (key == "mismatched_frames") {
-        table.add_row({"byte-parity mismatches", value});
-      } else if (key == "os_bytes_sent") {
-        table.add_row({"os bytes sent", value});
-      } else if (key == "os_bytes_received") {
-        table.add_row({"os bytes received", value});
+      for (const auto& [key, label] : labels) {
+        if (eq != std::string::npos && line.substr(0, eq) == key) {
+          table.add_row({std::string(label), line.substr(eq + 1)});
+        }
       }
     }
   }
@@ -751,8 +754,7 @@ static int run_cli(int argc, char** argv) {
   if (cfg.sparsify.enabled && !result.iterations.empty()) {
     const auto& last = result.iterations.back();
     table.add_row({"links pruned", std::to_string(last.links_pruned)});
-    table.add_row({"effective edges",
-                   std::to_string(last.effective_edges)});
+    table.add_row({"effective edges", std::to_string(last.effective_edges)});
     table.add_row({"slem after prune",
                    common::format_double(last.slem_after_prune, 4)});
   }
@@ -787,37 +789,33 @@ static int run_cli(int argc, char** argv) {
       table.add_row({"nodes joined", std::to_string(joined)});
       table.add_row({"state-sync bytes",
                      common::format_bytes(double(sync_bytes))});
-      table.add_row({"final membership",
-                     std::to_string(result.iterations.empty()
-                                        ? 0
-                                        : result.iterations.back()
-                                              .alive_nodes)});
+      const std::uint64_t members =
+          result.iterations.empty() ? 0 : result.iterations.back().alive_nodes;
+      table.add_row({"final membership", std::to_string(members)});
     }
   }
   table.print(std::cout);
 
   // Artifacts are shard 0's job: worker shards compute the identical
   // replica but must not race the launcher for the output files.
-  if (!worker && args.contains("save-model")) {
-    const std::string path = get("save-model", "");
+  if (!worker && !cli.save_model.empty()) {
     const ml::Checkpoint checkpoint{scenario.model().name(),
                                     result.final_params};
-    if (!ml::save_checkpoint(path, checkpoint)) {
-      std::cerr << "cannot write checkpoint to " << path << "\n";
+    if (!ml::save_checkpoint(cli.save_model, checkpoint)) {
+      std::cerr << "cannot write checkpoint to " << cli.save_model << "\n";
       return 1;
     }
-    std::cout << "model checkpoint written to " << path << "\n";
+    std::cout << "model checkpoint written to " << cli.save_model << "\n";
   }
 
-  if (!worker && args.contains("csv")) {
-    const std::string path = get("csv", "");
-    std::ofstream file(path);
+  if (!worker && !cli.csv.empty()) {
+    std::ofstream file(cli.csv);
     if (!file) {
-      std::cerr << "cannot open " << path << " for writing\n";
+      std::cerr << "cannot open " << cli.csv << " for writing\n";
       return 1;
     }
     experiments::write_train_result_csv(file, result);
-    std::cout << "per-iteration series written to " << path << "\n";
+    std::cout << "per-iteration series written to " << cli.csv << "\n";
   }
 
   // Wind down the supervision tree: stop injecting chaos, let the
@@ -838,7 +836,7 @@ static int run_cli(int argc, char** argv) {
       shards_ok = false;
     }
   }
-  if (launcher && (chaos_kill > 0.0 || respawns > 0)) {
+  if (launcher && (cli.chaos_kill > 0.0 || respawns > 0)) {
     std::cout << "supervisor: " << respawns
               << " worker respawn(s) injected/recovered\n";
   }

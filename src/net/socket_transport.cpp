@@ -409,38 +409,41 @@ struct SocketHub::Impl {
   }
 
   /// Dials `peer_shard` on the bounded_backoff schedule, at most
-  /// max_retries retries after the initial attempt.
-  void connect_with_backoff(std::size_t peer_shard) {
+  /// max_retries retries after the initial attempt. Returns the
+  /// connected fd, or -1 once the retries are spent; the caller decides
+  /// what an unreachable peer means.
+  int dial(std::size_t peer_shard) {
     for (std::size_t attempt = 0;; ++attempt) {
       const int fd = try_connect(peer_shard);
-      if (fd >= 0) {
-        peer_fds[peer_shard] = fd;
-        send_record(peer_shard, HelloRecord{own_shape()});
-        const std::optional<std::vector<std::byte>> reply =
-            read_one(fd, reassemblers[peer_shard]);
-        SNAP_REQUIRE_MSG(reply.has_value(), "peer shard "
-                                                << peer_shard
-                                                << " closed during handshake");
-        const std::size_t shard = require_hello(*reply);
-        SNAP_REQUIRE_MSG(shard == peer_shard,
-                         "expected HELLO from shard " << peer_shard
-                                                      << ", got shard "
-                                                      << shard);
-        // The handshake read may have pulled post-HELLO records (an
-        // eager peer's first frames/barrier) into the reassembler;
-        // surface them now — pump_once only drains after fresh bytes.
-        while (auto record = reassemblers[peer_shard].next()) {
-          dispatch_record(peer_shard, *record);
-        }
-        return;
-      }
-      SNAP_REQUIRE_MSG(attempt < config.max_retries,
-                       "shard " << config.shard_id
-                                << " could not reach peer shard "
-                                << peer_shard << " after "
-                                << config.max_retries << " retries");
-      ++stats.reconnects;
+      if (fd >= 0 || attempt >= config.max_retries) return fd;
       sleep_seconds(bounded_backoff(config, attempt));
+    }
+  }
+
+  /// Cold-start rendezvous with a lower-numbered peer: dial, HELLO, and
+  /// require its HELLO back. An unreachable peer is a hard error.
+  void connect_with_backoff(std::size_t peer_shard) {
+    const int fd = dial(peer_shard);
+    SNAP_REQUIRE_MSG(fd >= 0, "shard " << config.shard_id
+                                       << " could not reach peer shard "
+                                       << peer_shard << " after "
+                                       << config.max_retries << " retries");
+    peer_fds[peer_shard] = fd;
+    send_record(peer_shard, HelloRecord{own_shape()});
+    const std::optional<std::vector<std::byte>> reply =
+        read_one(fd, reassemblers[peer_shard]);
+    SNAP_REQUIRE_MSG(reply.has_value(), "peer shard "
+                                            << peer_shard
+                                            << " closed during handshake");
+    const std::size_t shard = require_hello(*reply);
+    SNAP_REQUIRE_MSG(shard == peer_shard, "expected HELLO from shard "
+                                              << peer_shard << ", got shard "
+                                              << shard);
+    // The handshake read may have pulled post-HELLO records (an eager
+    // peer's first frames/barrier) into the reassembler; surface them
+    // now — pump_once only drains after fresh bytes.
+    while (auto record = reassemblers[peer_shard].next()) {
+      dispatch_record(peer_shard, *record);
     }
   }
 
@@ -699,12 +702,7 @@ struct SocketHub::Impl {
   void resume_rendezvous() {
     for (std::size_t s = 0; s < config.shards; ++s) {
       if (s == config.shard_id) continue;
-      int fd = -1;
-      for (std::size_t attempt = 0;; ++attempt) {
-        fd = try_connect(s);
-        if (fd >= 0 || attempt >= config.max_retries) break;
-        sleep_seconds(bounded_backoff(config, attempt));
-      }
+      const int fd = dial(s);
       if (fd < 0) {
         live_from[s] = std::numeric_limits<std::uint64_t>::max();
         continue;

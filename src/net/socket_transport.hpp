@@ -265,6 +265,8 @@ struct SocketHubStats {
   /// Raw bytes handed to / taken from the OS, record framing included.
   std::uint64_t os_bytes_sent = 0;
   std::uint64_t os_bytes_received = 0;
+  /// RECONNECT handshakes installed (as a survivor) or acknowledged (as
+  /// a respawn); failed dials at start-up are not reconnects.
   std::uint64_t reconnects = 0;
   std::uint64_t flips = 0;
   /// SHARE records shipped (one per peer) and their row bytes (8 per

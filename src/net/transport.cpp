@@ -16,14 +16,6 @@ std::string_view transport_name(TransportKind kind) noexcept {
   return "?";
 }
 
-std::optional<TransportKind> parse_transport_kind(
-    std::string_view name) noexcept {
-  if (name == "sim") return TransportKind::kSim;
-  if (name == "uds") return TransportKind::kUds;
-  if (name == "tcp") return TransportKind::kTcp;
-  return std::nullopt;
-}
-
 std::size_t shard_of_node(topology::NodeId node, std::size_t node_count,
                           std::size_t shards) noexcept {
   if (shards <= 1 || node_count == 0) return 0;

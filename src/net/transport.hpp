@@ -56,11 +56,6 @@ enum class TransportKind {
 
 std::string_view transport_name(TransportKind kind) noexcept;
 
-/// Parses "sim" / "uds" / "tcp" (CLI spelling). Empty optional on
-/// anything else.
-std::optional<TransportKind> parse_transport_kind(
-    std::string_view name) noexcept;
-
 /// The backoff before retry `attempt` (0-based) under `schedule`'s
 /// retry_backoff_s and max_backoff_s (a runtime::FaultRecoveryConfig or
 /// a TransportConfig): retry_backoff_s · 2^attempt, saturated at

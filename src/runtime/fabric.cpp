@@ -18,14 +18,6 @@ std::string_view fabric_name(FabricKind kind) noexcept {
   return "?";
 }
 
-std::optional<FabricKind> parse_fabric_kind(
-    std::string_view name) noexcept {
-  if (name == "sync") return FabricKind::kSync;
-  if (name == "async") return FabricKind::kAsync;
-  if (name == "gossip") return FabricKind::kGossip;
-  return std::nullopt;
-}
-
 std::vector<double> linear_compute_spread(std::size_t n, double base_s,
                                           double spread) {
   SNAP_REQUIRE(base_s > 0.0);

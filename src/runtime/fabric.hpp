@@ -245,10 +245,6 @@ enum class FabricKind {
 
 std::string_view fabric_name(FabricKind kind) noexcept;
 
-/// Parses "sync" / "async" / "gossip" (CLI spelling). Empty optional on
-/// anything else.
-std::optional<FabricKind> parse_fabric_kind(std::string_view name) noexcept;
-
 /// Per-link parameter override for the async fabric. Matches the
 /// undirected pair {u, v}; zero fields inherit the global defaults.
 struct LinkOverride {

@@ -61,12 +61,6 @@ std::string_view gossip_mode_name(GossipMode mode) noexcept {
   return "?";
 }
 
-std::optional<GossipMode> parse_gossip_mode(std::string_view name) noexcept {
-  if (name == "matching") return GossipMode::kMatching;
-  if (name == "pushpull") return GossipMode::kPushPull;
-  return std::nullopt;
-}
-
 std::vector<ActivatedLink> gossip_activated_links(
     const GossipConfig& config, const topology::Graph& graph,
     std::size_t epoch, std::size_t round, const std::vector<bool>& alive) {

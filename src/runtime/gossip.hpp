@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -45,10 +44,6 @@ enum class GossipMode {
 };
 
 std::string_view gossip_mode_name(GossipMode mode) noexcept;
-
-/// Parses "matching" / "pushpull" (CLI spelling). Empty optional on
-/// anything else.
-std::optional<GossipMode> parse_gossip_mode(std::string_view name) noexcept;
 
 /// Knobs for the gossip fabric's activation scheduler.
 struct GossipConfig {

@@ -26,9 +26,6 @@ bool same_bits(double a, double b) {
 TEST(FabricKindTest, NamesRoundTrip) {
   EXPECT_EQ(fabric_name(FabricKind::kSync), "sync");
   EXPECT_EQ(fabric_name(FabricKind::kAsync), "async");
-  EXPECT_EQ(parse_fabric_kind("sync"), FabricKind::kSync);
-  EXPECT_EQ(parse_fabric_kind("async"), FabricKind::kAsync);
-  EXPECT_FALSE(parse_fabric_kind("half-duplex").has_value());
 }
 
 TEST(FabricKindTest, LinearComputeSpreadEndpoints) {
