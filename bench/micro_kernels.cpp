@@ -93,8 +93,8 @@ BENCHMARK(BM_SvmGradient)->Arg(1'000)->Arg(10'000);
 
 /// The uds2_mlp_n16 perfbench shard: 125 MNIST-shaped samples through the
 /// paper's 784-30-10 network.
-data::Dataset mlp_shard(std::size_t samples) {
-  common::Rng rng(7);
+data::Dataset mlp_shard(std::size_t samples, std::uint64_t seed = 7) {
+  common::Rng rng(seed);
   data::Dataset d(784, 10);
   std::vector<double> row(784);
   for (std::size_t s = 0; s < samples; ++s) {
@@ -125,6 +125,46 @@ void BM_MlpGradient(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpGradient)->Arg(125)->Unit(benchmark::kMillisecond);
+
+/// The nodes one uds2_mlp_n16 shard process owns: eight shards, each with
+/// its own parameters. The *Rotating benches take the next node on every
+/// call, so each call finds its inputs out of cache as it does in a
+/// round, where the plain benches reuse one cache-hot shard.
+struct OwnedNodes {
+  static constexpr std::size_t kNodes = 8;
+  ml::Mlp mlp{ml::MlpConfig{}};
+  std::vector<data::Dataset> shards;
+  std::vector<linalg::Vector> params;
+
+  explicit OwnedNodes(std::size_t samples) {
+    common::Rng init(8);
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      shards.push_back(mlp_shard(samples, 7 + n));
+      params.push_back(mlp.initial_params(init));
+    }
+  }
+};
+
+void BM_MlpLossRotating(benchmark::State& state) {
+  const OwnedNodes nodes(static_cast<std::size_t>(state.range(0)));
+  std::size_t n = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nodes.mlp.loss(nodes.params[n], nodes.shards[n]));
+    n = (n + 1) % OwnedNodes::kNodes;
+  }
+}
+BENCHMARK(BM_MlpLossRotating)->Arg(125)->Unit(benchmark::kMillisecond);
+
+void BM_MlpGradientRotating(benchmark::State& state) {
+  const OwnedNodes nodes(static_cast<std::size_t>(state.range(0)));
+  std::size_t n = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        nodes.mlp.loss_gradient(nodes.params[n], nodes.shards[n]));
+    n = (n + 1) % OwnedNodes::kNodes;
+  }
+}
+BENCHMARK(BM_MlpGradientRotating)->Arg(125)->Unit(benchmark::kMillisecond);
 
 void BM_Ternarize(benchmark::State& state) {
   common::Rng rng(9);

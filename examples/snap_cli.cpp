@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/strings.hpp"
 #include "experiments/csv.hpp"
 #include "experiments/report.hpp"
@@ -256,9 +257,10 @@ void set_partition(Cli& cli, std::string_view spec) {
 void set_sparsify(Cli& cli, std::string_view spec) {
   consensus::SparsifierConfig& sparsify = cli.cfg.sparsify;
   if (spec.starts_with("slem:")) {
-    sparsify.slem_bound = parse_number<double>(spec.substr(5));
+    sparsify.slem_bound =
+        parse_number<double>(spec.substr(5), {0.0, 1.0, true});
   } else if (spec.starts_with("cost:")) {
-    sparsify.cost_budget = parse_number<double>(spec.substr(5));
+    sparsify.cost_budget = parse_number<double>(spec.substr(5), kProbability);
   } else {
     throw BadOption("takes slem:BOUND or cost:BUDGET");
   }
@@ -537,6 +539,15 @@ static int run_cli(int argc, char** argv) {
         cfg.nodes + cfg.latent_joiners, cfg.async.compute_s, cli.hetero);
   }
   cfg.async.seed = cfg.seed;
+  if (!cfg.faults.scheduled_partitions.empty()) {
+    // A --partition naming a pair the seeded graph does not link exits 2
+    // like a bad option, before any worker shard or directory exists.
+    try {
+      experiments::scenario_graph(cfg);
+    } catch (const common::ContractViolation& refused) {
+      throw BadOption(refused.what());
+    }
+  }
   const bool worker = cli.given.contains("shard-worker");
   const bool socket_run = cfg.transport.kind != net::TransportKind::kSim;
 

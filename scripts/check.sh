@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide check: the src/-vs-tests/oracle boundary, orphan src/
-# headers, the tier-1 build + full ctest suite, the sim-versus-socket
-# smokes (UDS, chaos, gossip churn, sparsify), then ASan, TSan, and UBSan
+# headers, the tier-1 build + full ctest suite, no FMA instruction in the
+# ML library, the sim-versus-socket smokes (UDS, chaos, gossip churn,
+# sparsify), then ASan, TSan, and UBSan
 # builds of the runtime/net surface (event queue, sim transport, fabric,
 # thread pool, fault injector, wire-decoder fuzz, membership) so the
 # sanitizer wiring is exercised routinely, not just when someone
@@ -74,6 +75,18 @@ echo "==> tier-1: configure + build + ctest (build/)"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+echo "==> no fused multiply-add in the ML library"
+# The MLP kernels' results are pinned bit for bit (ml_kernel_property_test,
+# the trajectory pins), and a fused a*b + c rounds once where the scalar
+# kernels round twice. -ffp-contract=off keeps the compiler from fusing,
+# and no kernel instance may be compiled for a target with FMA.
+# (set -e stops here if objdump is missing or cannot read the library.)
+ML_DISASM="$(objdump -d build/src/ml/libsnap_ml.a)"
+if grep -Ei '\bvf(n)?m(add|sub)' <<<"$ML_DISASM"; then
+  echo "error: the ML library contains fused multiply-add instructions" >&2
+  exit 1
+fi
 
 echo "==> transport smoke: two-process UDS loopback vs sim oracle"
 SMOKE_DIR="$(mktemp -d)"

@@ -193,6 +193,11 @@ SparsifierResult sparsify_impl(const topology::Graph& graph,
                                const std::vector<bool>& alive,
                                const std::vector<std::size_t>& labels_in,
                                const SparsifierConfig& config) {
+  SNAP_REQUIRE_MSG(config.slem_bound > 0.0 && config.slem_bound <= 1.0,
+                   "slem_bound must lie in (0, 1]; got " << config.slem_bound);
+  SNAP_REQUIRE_MSG(config.cost_budget >= 0.0 && config.cost_budget <= 1.0,
+                   "cost_budget must lie in [0, 1]; got "
+                       << config.cost_budget);
   const Workspace ws = build_workspace(graph, alive, labels_in);
   const auto& edges = graph.edges();
 

@@ -51,15 +51,17 @@ enum class LinkCostModel {
 struct SparsifierConfig {
   /// Master switch (the trainer/CLI wire-through).
   bool enabled = false;
-  /// Hard ceiling on the post-prune SLEM of every component. 1.0
-  /// disables the bound (any non-disconnecting removal qualifies).
+  /// Hard ceiling on the post-prune SLEM of every component, in
+  /// (0, 1]. 1.0 disables the bound (any non-disconnecting removal
+  /// qualifies); 0 is outside the domain, not "prune maximally".
   double slem_bound = 1.0;
   /// Alternative relative budget: when > 0, the effective bound is
   /// min(slem_bound, slem_before + slem_slack) — "degrade mixing by at
   /// most this much", independent of where the topology starts.
   double slem_slack = 0.0;
   /// Stop pruning once the kept cost drops to this fraction of the
-  /// initial cost (0 = prune maximally subject to the SLEM bound).
+  /// initial cost, in [0, 1]. 0 means no cost target: prune maximally
+  /// subject to the SLEM bound; 1 prunes nothing.
   double cost_budget = 0.0;
   LinkCostModel cost_model = LinkCostModel::kHops;
   /// Explicit per-link prices indexed by graph.edges() order; overrides

@@ -66,23 +66,18 @@ data::Dataset subsample(const data::Dataset& all, std::size_t count,
 
 }  // namespace
 
-Scenario::Scenario(const ScenarioConfig& config)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->config = config;
-  common::Rng root(config.seed);
-
-  // Topology.
+topology::Graph scenario_graph(const ScenarioConfig& config) {
+  topology::Graph graph;
   if (config.custom_topology.has_value()) {
     SNAP_REQUIRE_MSG(config.custom_topology->is_connected(),
                      "custom topology must be connected");
-    impl_->graph = *config.custom_topology;
-    impl_->config.nodes = impl_->graph.node_count();
+    graph = *config.custom_topology;
   } else if (config.complete_topology) {
-    impl_->graph = topology::make_complete(config.nodes);
+    graph = topology::make_complete(config.nodes);
   } else {
-    common::Rng topo_rng = root.fork("topology");
-    impl_->graph = topology::make_random_connected(
-        config.nodes, config.average_degree, topo_rng);
+    common::Rng topo_rng = common::Rng(config.seed).fork("topology");
+    graph = topology::make_random_connected(config.nodes,
+                                            config.average_degree, topo_rng);
   }
 
   // Elastic membership: latent joiners ride at the end of the id space
@@ -90,15 +85,36 @@ Scenario::Scenario(const ScenarioConfig& config)
   // round 1 but stay outside the membership (and the connected base
   // topology) until their join attaches them.
   if (config.latent_joiners > 0) {
-    const std::size_t base = impl_->graph.node_count();
-    topology::Graph grown(base + config.latent_joiners);
-    for (const auto& [u, v] : impl_->graph.edges()) grown.add_edge(u, v);
-    impl_->graph = std::move(grown);
-    impl_->config.nodes = impl_->graph.node_count();
-    for (std::size_t k = 0; k < config.latent_joiners; ++k) {
-      impl_->config.faults.latent_nodes.push_back(
-          static_cast<topology::NodeId>(base + k));
+    topology::Graph grown(graph.node_count() + config.latent_joiners);
+    for (const auto& [u, v] : graph.edges()) grown.add_edge(u, v);
+    graph = std::move(grown);
+  }
+
+  // A scheduled cut names links of this graph; refuse one that names a
+  // non-edge now, not from inside the first round.
+  const std::size_t n = graph.node_count();
+  for (const net::PartitionEvent& event : config.faults.scheduled_partitions) {
+    for (const auto& [u, v] : event.edges) {
+      SNAP_REQUIRE_MSG(u < n && v < n && graph.has_edge(u, v),
+                       "--partition cuts " << u << "-" << v
+                           << ", not an edge of the " << n << "-node graph");
     }
+  }
+  return graph;
+}
+
+Scenario::Scenario(const ScenarioConfig& config)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->config = config;
+  common::Rng root(config.seed);
+
+  // Topology.
+  impl_->graph = scenario_graph(config);
+  impl_->config.nodes = impl_->graph.node_count();
+  const std::size_t base = impl_->config.nodes - config.latent_joiners;
+  for (std::size_t k = 0; k < config.latent_joiners; ++k) {
+    impl_->config.faults.latent_nodes.push_back(
+        static_cast<topology::NodeId>(base + k));
   }
 
   // Workload: dataset + model.

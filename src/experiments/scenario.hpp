@@ -93,6 +93,13 @@ struct ScenarioConfig : core::SnapRunConfig {
   std::uint64_t seed = 2020;  ///< venue year — printed by every bench
 };
 
+/// The node graph a Scenario built from `config` trains on: the custom,
+/// complete or seeded random topology, then the latent joiners as
+/// isolated nodes. Refuses (ContractViolation) a scheduled partition that
+/// cuts a pair this graph does not link. Builds no data, so a caller can
+/// check a configuration cheaply before it builds the Scenario.
+topology::Graph scenario_graph(const ScenarioConfig& config);
+
 class Scenario {
  public:
   explicit Scenario(const ScenarioConfig& config);

@@ -9,16 +9,9 @@
 // uses deterministic local gradients); stochastic trainers pass a
 // mini-batch subset instead.
 //
-// The hidden layer is register-tiled: one pass over the input computes
-// up to ten hidden pre-activations for two samples at once, each in its
-// own accumulator that starts at b1[h] and adds w1[h][i]·x[i] in
-// ascending i. The gradient runs in blocks of samples: a first phase
-// does the forward pass, the output-layer and b1 gradients and keeps
-// every sample's δ_hidden; a second phase adds δ_hidden ⊗ x into g_w1
-// four rows at a time (4 × in doubles, which stay in L1), looping over
-// the block's samples in ascending order and skipping a (sample, row)
-// whose δ is exactly zero. Every gradient element therefore still adds
-// its samples in ascending order, so the results are bitwise those of
+// The kernels behind loss, loss_gradient_into, predict and accuracy
+// live in ml/mlp_kernel.hpp: one template over the vector width, run at
+// the widest width the CPU supports, whose results are bitwise those of
 // the scalar one-unit-at-a-time kernels (tests/oracle/reference_mlp).
 #pragma once
 
@@ -58,6 +51,9 @@ class Mlp final : public Model {
                             std::span<double> gradient) const override;
   std::size_t predict(const linalg::Vector& params,
                       std::span<const double> features) const override;
+  /// Classifies the whole of `data` in one forward pass.
+  double accuracy(const linalg::Vector& params,
+                  const data::Dataset& data) const override;
   linalg::Vector initial_params(common::Rng& rng) const override;
 
   const MlpConfig& config() const noexcept { return config_; }
@@ -75,16 +71,6 @@ class Mlp final : public Model {
   }
 
  private:
-  /// Hidden activations σ(W1·x + b1) of `samples.size()` (1 or 2)
-  /// samples, written to hidden[k·hidden_dim + h] for sample k.
-  void hidden_layer(const double* params,
-                    std::span<const double* const> samples,
-                    double* hidden) const;
-  /// Output layer and softmax for one sample's hidden activations; fills
-  /// `probs` and returns the cross-entropy of `label` (0 when label ==
-  /// SIZE_MAX).
-  double output_layer(const double* params, const double* hidden,
-                      std::size_t label, double* probs) const;
   /// Refuses data whose rows or labels do not fit the network.
   void require_fits(const linalg::Vector& params,
                     const data::Dataset& data) const;

@@ -66,9 +66,10 @@ class Model {
     return loss_gradient(params, data).gradient;
   }
 
-  /// Fraction of `data` classified correctly (1.0 for empty data).
-  double accuracy(const linalg::Vector& params,
-                  const data::Dataset& data) const;
+  /// Fraction of `data` classified correctly (1.0 for empty data). The
+  /// default calls predict once per sample.
+  virtual double accuracy(const linalg::Vector& params,
+                          const data::Dataset& data) const;
 };
 
 }  // namespace snap::ml

@@ -221,7 +221,7 @@ struct SocketHub::Impl {
   /// if the link is up. The log is authoritative: a record logged while
   /// the peer is down reaches it through the reconnect replay flush.
   void log_send(std::size_t peer_shard, std::uint64_t flip,
-                std::vector<std::byte> framed) {
+                std::vector<std::byte>&& framed) {
     sent_log[peer_shard].push_back({flip, std::move(framed)});
     // Written from the log entry itself: send_all's drain can prune only
     // flips the peer has finished, never the one being sent, and a
@@ -241,7 +241,7 @@ struct SocketHub::Impl {
 
   template <class R>
   void send_record(std::size_t peer_shard, const R& record) {
-    send_all(peer_shard, FrameReassembler::frame(encode_record(record)));
+    send_all(peer_shard, encode_framed(record));
   }
 
   /// Blocking read of the next whole record on `fd`, fed through
@@ -809,8 +809,7 @@ void SocketHub::send_frame(std::size_t peer_shard,
                            const WireRecord& record) {
   SNAP_REQUIRE(peer_shard < impl_->config.shards &&
                peer_shard != impl_->config.shard_id);
-  impl_->log_send(peer_shard, record.flip,
-                  FrameReassembler::frame(encode_record(record)));
+  impl_->log_send(peer_shard, record.flip, encode_framed(record));
   ++impl_->stats.frames_sent;
 }
 
@@ -820,12 +819,21 @@ std::uint64_t SocketHub::live_from(std::size_t peer_shard) const noexcept {
 }
 
 void SocketHub::send_share(const ShareRecord& record) {
-  const std::vector<std::byte> framed =
-      FrameReassembler::frame(encode_record(record));
+  std::vector<std::byte> framed = encode_framed(record);
+  // The last participating peer's log takes the encoded buffer itself;
+  // only the others (with three or more shards) get a copy.
+  std::size_t last = impl_->config.shards;
+  for (std::size_t s = 0; s < impl_->config.shards; ++s) {
+    if (s != impl_->config.shard_id && impl_->participates(s, record.barrier)) {
+      last = s;
+    }
+  }
   for (std::size_t s = 0; s < impl_->config.shards; ++s) {
     if (s == impl_->config.shard_id) continue;
     if (!impl_->participates(s, record.barrier)) continue;
-    impl_->log_send(s, record.barrier, framed);
+    impl_->log_send(s, record.barrier,
+                    s == last ? std::move(framed)
+                              : std::vector<std::byte>(framed));
     ++impl_->stats.share_records_sent;
     impl_->stats.share_bytes_sent += sizeof(double) * record.values.size();
   }
@@ -835,18 +843,17 @@ void SocketHub::Impl::await_barrier(std::uint64_t flip) {
   // Barrier to every participating peer, logged before the write so a
   // peer that is down (or dies mid-write) still receives it from the
   // reconnect replay flush.
-  const std::vector<std::byte> barrier =
-      FrameReassembler::frame(encode_record(BarrierRecord{flip}));
+  const std::vector<std::byte> barrier = encode_framed(BarrierRecord{flip});
   std::size_t participating = 0;
   for (std::size_t s = 0; s < config.shards; ++s) {
     if (s == config.shard_id) continue;
     if (!participates(s, flip)) continue;
     ++participating;
-    log_send(s, flip, barrier);
+    log_send(s, flip, std::vector<std::byte>(barrier));
   }
   if (participating > 0) {
     const std::vector<std::byte> heartbeat =
-        FrameReassembler::frame(encode_record(HeartbeatRecord{flip}));
+        encode_framed(HeartbeatRecord{flip});
     const int interval_ms =
         std::max(1, static_cast<int>(config.heartbeat_interval_s * 1000.0));
     double quiet_s = 0.0;

@@ -63,6 +63,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -81,8 +82,8 @@ namespace snap::net {
 // Records multiplexed over one shard-to-shard stream. Each record is a
 // struct with its tag and a transfer that lists its fields once through
 // the common::field codec; encode_record writes the tag, then the
-// fields. The length prefix around a record comes from
-// FrameReassembler::frame. docs/protocol.md has the byte layout.
+// fields, and encode_framed puts FrameReassembler::frame's length prefix
+// in front of them. docs/protocol.md has the byte layout.
 
 /// "SNAP", stamped after the tag of HELLO, RECONNECT and RECONNECT_ACK.
 inline constexpr std::uint32_t kHelloMagic = 0x534E4150;
@@ -213,19 +214,44 @@ struct ShareRecord {
   }
 };
 
-/// A record body: its tag, then its fields. The buffer is sized once,
-/// bulk fields included (bulk_bytes).
+namespace detail {
+
+/// `prefix_bytes` zero bytes, then the record's tag and fields. The
+/// buffer is sized once, bulk fields included (bulk_bytes).
 template <class R>
-std::vector<std::byte> encode_record(const R& record) {
+std::vector<std::byte> encode_after(const R& record,
+                                    std::size_t prefix_bytes) {
   constexpr std::size_t kFixedBytes = 64;  // covers every fixed layout
-  std::size_t bytes = kFixedBytes;
+  std::size_t bytes = prefix_bytes + kFixedBytes;
   if constexpr (requires { record.bulk_bytes(); }) {
     bytes += record.bulk_bytes();
   }
   common::ByteWriter writer(bytes);
+  for (std::size_t i = 0; i < prefix_bytes; ++i) writer.write_u8(0);
   writer.write_u8(R::kTag);
   R::transfer(record, writer);
   return writer.take();
+}
+
+}  // namespace detail
+
+/// A record body: its tag, then its fields.
+template <class R>
+std::vector<std::byte> encode_record(const R& record) {
+  return detail::encode_after(record, 0);
+}
+
+/// The record as it goes on the stream: FrameReassembler::frame of its
+/// body, encoded straight into one buffer (a SHARE row is copied once).
+template <class R>
+std::vector<std::byte> encode_framed(const R& record) {
+  std::vector<std::byte> bytes =
+      detail::encode_after(record, sizeof(std::uint32_t));
+  SNAP_REQUIRE(bytes.size() - sizeof(std::uint32_t) <= UINT32_MAX);
+  const auto length =
+      static_cast<std::uint32_t>(bytes.size() - sizeof(std::uint32_t));
+  std::memcpy(bytes.data(), &length, sizeof length);
+  return bytes;
 }
 
 /// Parses a record body: nullopt on another tag, truncation, a field

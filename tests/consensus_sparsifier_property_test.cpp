@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "consensus/mixing_spectrum.hpp"
 #include "consensus/sparse_weight_matrix.hpp"
@@ -274,6 +276,34 @@ TEST(SparsifierPropertyTest, LanczosAgreesWithDenseOracleAboveCutoff) {
       linalg::spectral_summary(result.w.to_dense());
   EXPECT_NEAR(lanczos.slem, jacobi.slem, 1e-9);
   EXPECT_NEAR(result.slem_after, jacobi.slem, 1e-9);
+}
+
+TEST(SparsifierPropertyTest, RefusesNumbersOutsideTheirDomains) {
+  // slem_bound lies in (0, 1] and cost_budget in [0, 1]; both ends of
+  // each domain are accepted.
+  topology::Graph g(5);
+  for (topology::NodeId i = 0; i < 5; ++i) g.add_edge(i, (i + 1) % 5);
+  g.add_edge(0, 2);
+  const auto with = [](double slem_bound, double cost_budget) {
+    SparsifierConfig config;
+    config.enabled = true;
+    config.slem_bound = slem_bound;
+    config.cost_budget = cost_budget;
+    return config;
+  };
+  const double nan = std::nan("");
+  for (const auto& [slem, cost] :
+       {std::pair{0.0, 0.0}, {-1.0, 0.0}, {1.5, 0.0}, {nan, 0.0},
+        {1.0, -0.1}, {1.0, 5.0}, {1.0, nan}}) {
+    EXPECT_THROW(sparsify_topology(g, {}, with(slem, cost)),
+                 common::ContractViolation)
+        << "slem_bound " << slem << ", cost_budget " << cost;
+  }
+  for (const auto& [slem, cost] :
+       {std::pair{1.0, 0.0}, {1.0, 1.0}, {1e-9, 0.5}}) {
+    EXPECT_NO_THROW(sparsify_topology(g, {}, with(slem, cost)))
+        << "slem_bound " << slem << ", cost_budget " << cost;
+  }
 }
 
 core::TrainResult sparsified_run(const topology::Graph& g,

@@ -123,6 +123,22 @@ TEST(ScenarioTest, SnapVariantKnobsWork) {
   EXPECT_TRUE(lossy.converged);
 }
 
+TEST(ScenarioTest, RefusesAScheduledCutOfANonEdge) {
+  ScenarioConfig cfg = small_svm_config();
+  const Scenario plain(cfg);
+  const topology::Graph& g = plain.graph();
+  topology::NodeId u = 0;
+  topology::NodeId v = 1;
+  while (g.has_edge(u, v)) ++v;  // degree 3 of 8 leaves a non-neighbor
+  net::PartitionEvent cut;
+  cut.start_round = 2;
+  cut.edges = {g.edges().front(), {u, v}};
+  cfg.faults.scheduled_partitions = {cut};
+  EXPECT_THROW(Scenario{cfg}, common::ContractViolation);
+  cfg.faults.scheduled_partitions.front().edges = {g.edges().front()};
+  EXPECT_NO_THROW(Scenario{cfg});
+}
+
 TEST(ScenarioTest, MnistWorkloadBuildsMlp) {
   ScenarioConfig cfg;
   cfg.workload = Workload::kMnistMlp;

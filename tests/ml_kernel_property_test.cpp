@@ -1,12 +1,17 @@
-// Bitwise property suite for the register-tiled Mlp kernels, checked
-// against the scalar reference kernels in oracle/reference_mlp.
+// Bitwise property suite for the Mlp kernels, checked against the
+// scalar reference kernels in oracle/reference_mlp.
 //
 // Each production accumulator adds its terms in the reference's order,
-// so loss, gradient and predict must agree to the last bit (memcmp, not
-// a tolerance) over random shapes: hidden widths on and off the tile
-// (1, 4, 5, 6, 7, 13, 30, 31), odd input widths, 0, 1 and odd sample
-// counts across the gradient's sample blocks, l2 > 0, saturated hidden
-// units whose δ is exactly zero, and NaN / Inf parameters.
+// so loss, gradient, predict and accuracy must agree to the last bit
+// (memcmp, not a tolerance). Every check runs three ways: through Mlp
+// (the instance this CPU dispatches to) and through Kernel<2> and
+// Kernel<4> directly, both compiled here for the baseline ISA, so both
+// widths are checked on any host. The shapes are random around the tile
+// edges: hidden widths 1 to 33 around both widths' forward tiles and the
+// g_w1 row blocks, input widths that are not a multiple of a g_w1 column
+// block (15, 17 and other odd widths), 0, 1 and odd sample counts across
+// the sample tiles and the 32-sample blocks, l2 > 0, saturated hidden
+// units whose δ is exactly zero, and NaN / Inf parameters and features.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +19,9 @@
 #include <cstring>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +30,7 @@
 #include "linalg/vector.hpp"
 #include "ml/linear_svm.hpp"
 #include "ml/mlp.hpp"
+#include "ml/mlp_kernel.hpp"
 #include "ml/softmax_regression.hpp"
 #include "oracle/reference_mlp.hpp"
 
@@ -58,39 +66,106 @@ data::Dataset random_data(std::size_t samples, std::size_t dim,
   return d;
 }
 
-/// Checks every kernel entry point against the reference on one
-/// (model, params, data) triple.
+/// One way to reach the kernels.
+struct KernelEntry {
+  const char* name;
+  double (*loss)(const Mlp&, const linalg::Vector&, const data::Dataset&);
+  double (*loss_gradient_into)(const Mlp&, const linalg::Vector&,
+                               const data::Dataset&, std::span<double>);
+  std::size_t (*predict)(const Mlp&, const linalg::Vector&,
+                         std::span<const double>);
+};
+
+/// Kernel<kLanes> called directly, so both widths run on any host.
+template <std::size_t kLanes>
+KernelEntry direct_entry(const char* name) {
+  using K = mlp_kernel::Kernel<kLanes>;
+  return {
+      name,
+      [](const Mlp& mlp, const linalg::Vector& params,
+         const data::Dataset& data) {
+        return K::loss(mlp, params.data(), data);
+      },
+      [](const Mlp& mlp, const linalg::Vector& params,
+         const data::Dataset& data, std::span<double> gradient) {
+        return K::loss_gradient(mlp, params.data(), data, gradient);
+      },
+      [](const Mlp& mlp, const linalg::Vector& params,
+         std::span<const double> features) {
+        const double* row = features.data();
+        std::size_t predicted = 0;
+        K::classify(mlp, params.data(), {&row, 1}, &predicted);
+        return predicted;
+      }};
+}
+
+const KernelEntry kEntries[] = {
+    {"dispatched",
+     [](const Mlp& mlp, const linalg::Vector& params,
+        const data::Dataset& data) { return mlp.loss(params, data); },
+     [](const Mlp& mlp, const linalg::Vector& params,
+        const data::Dataset& data, std::span<double> gradient) {
+       return mlp.loss_gradient_into(params, data, gradient);
+     },
+     [](const Mlp& mlp, const linalg::Vector& params,
+        std::span<const double> features) {
+       return mlp.predict(params, features);
+     }},
+    direct_entry<2>("lanes2"),
+    direct_entry<4>("lanes4"),
+};
+
+/// Checks every kernel entry point of every width against the reference
+/// on one (model, params, data) triple.
 void expect_matches_reference(const Mlp& mlp, const linalg::Vector& params,
                               const data::Dataset& data) {
-  const double loss = mlp.loss(params, data);
   const double ref_loss = oracle::reference_mlp_loss(mlp, params, data);
-  EXPECT_TRUE(same_bits(loss, ref_loss))
-      << mlp.name() << " loss " << loss << " vs reference " << ref_loss;
-
-  const LossGradient lg = mlp.loss_gradient(params, data);
   const LossGradient ref =
       oracle::reference_mlp_loss_gradient(mlp, params, data);
-  EXPECT_TRUE(same_bits(lg.loss, ref.loss))
-      << mlp.name() << " gradient-pass loss " << lg.loss << " vs "
-      << ref.loss;
-  const std::size_t diff = first_difference(lg.gradient, ref.gradient);
-  EXPECT_EQ(diff, ref.gradient.size())
-      << mlp.name() << " gradient differs at component " << diff << ": "
-      << lg.gradient[diff] << " vs " << ref.gradient[diff];
-
-  // The allocation-free entry point writes the same bytes over whatever
-  // the buffer held.
-  linalg::Vector into(mlp.param_count());
-  into.fill(std::numeric_limits<double>::quiet_NaN());
-  const double into_loss = mlp.loss_gradient_into(params, data, into.span());
-  EXPECT_TRUE(same_bits(into_loss, ref.loss));
-  EXPECT_TRUE(same_bits(into, ref.gradient)) << mlp.name();
-
+  std::vector<std::size_t> ref_predicted(data.size());
+  std::size_t ref_correct = 0;
   for (std::size_t s = 0; s < data.size(); ++s) {
-    EXPECT_EQ(mlp.predict(params, data.features(s)),
-              oracle::reference_mlp_predict(mlp, params, data.features(s)))
-        << mlp.name() << " sample " << s;
+    ref_predicted[s] =
+        oracle::reference_mlp_predict(mlp, params, data.features(s));
+    if (ref_predicted[s] == data.label(s)) ++ref_correct;
   }
+
+  for (const KernelEntry& entry : kEntries) {
+    const std::string where = mlp.name() + " via " + entry.name;
+    const double loss = entry.loss(mlp, params, data);
+    EXPECT_TRUE(same_bits(loss, ref_loss))
+        << where << " loss " << loss << " vs reference " << ref_loss;
+
+    // The gradient is written over whatever the buffer held.
+    linalg::Vector into(mlp.param_count());
+    into.fill(std::numeric_limits<double>::quiet_NaN());
+    const double into_loss =
+        entry.loss_gradient_into(mlp, params, data, into.span());
+    EXPECT_TRUE(same_bits(into_loss, ref.loss))
+        << where << " gradient-pass loss " << into_loss << " vs "
+        << ref.loss;
+    const std::size_t diff = first_difference(into, ref.gradient);
+    EXPECT_EQ(diff, ref.gradient.size())
+        << where << " gradient differs at component " << diff << ": "
+        << into[diff] << " vs " << ref.gradient[diff];
+
+    for (std::size_t s = 0; s < data.size(); ++s) {
+      EXPECT_EQ(entry.predict(mlp, params, data.features(s)),
+                ref_predicted[s])
+          << where << " sample " << s;
+    }
+  }
+
+  // The allocating wrapper and the batched accuracy.
+  const LossGradient lg = mlp.loss_gradient(params, data);
+  EXPECT_TRUE(same_bits(lg.loss, ref.loss)) << mlp.name();
+  EXPECT_TRUE(same_bits(lg.gradient, ref.gradient)) << mlp.name();
+  const double ref_accuracy =
+      data.empty() ? 1.0
+                   : static_cast<double>(ref_correct) /
+                         static_cast<double>(data.size());
+  EXPECT_TRUE(same_bits(mlp.accuracy(params, data), ref_accuracy))
+      << mlp.name() << " accuracy";
 }
 
 struct Shape {
@@ -129,8 +204,10 @@ TEST_P(MlpKernelPropertyTest, MatchesReferenceBitwise) {
   }
 }
 
-// Hidden widths around the 10-unit forward tile and the 4-row g_w1
-// block; sample counts around the 2-sample pass and the 32-sample block.
+// Hidden widths around the forward tiles (10 units at two lanes, 8 at
+// four) and the 3-row g_w1 blocks; input widths around the g_w1 column
+// blocks (6 and 12 inputs); sample counts around the sample tiles (2 and
+// 4) and the 32-sample block.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MlpKernelPropertyTest,
     ::testing::Values(Shape{1, 1, 2, 1, 0.0}, Shape{4, 3, 2, 0, 0.0},
@@ -139,7 +216,12 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{30, 63, 10, 125, 0.0},
                       Shape{30, 784, 10, 31, 1e-3},
                       Shape{31, 17, 10, 67, 1e-3},
-                      Shape{31, 1, 2, 2, 0.0}),
+                      Shape{31, 1, 2, 2, 0.0}, Shape{3, 15, 3, 7, 0.0},
+                      Shape{8, 17, 4, 32, 1e-3}, Shape{9, 15, 3, 34, 0.0},
+                      Shape{16, 17, 10, 41, 0.0},
+                      Shape{17, 15, 5, 64, 1e-3},
+                      Shape{32, 17, 10, 35, 0.0},
+                      Shape{33, 15, 10, 97, 1e-3}),
     [](const ::testing::TestParamInfo<Shape>& shape_info) {
       std::ostringstream os;
       PrintTo(shape_info.param, &os);
@@ -150,7 +232,7 @@ TEST(MlpKernelEdgeTest, SaturatedUnitsSkipTheirZeroDelta) {
   // A unit with z ≳ 37 has σ(z) == 1.0 exactly, so σ'(z) = σ(1 − σ) is 0
   // and the kernels must skip that (sample, row) as the reference does:
   // rows h ≡ 1 (mod 5) always saturate through their bias, rows h ≡ 0
-  // (mod 3) only on odd samples, whose feature 0 is large. The 4-row
+  // (mod 3) only on odd samples, whose feature 0 is large. The 3-row
   // g_w1 blocks therefore mix skipped and live rows.
   MlpConfig cfg;
   cfg.input_dim = 13;

@@ -428,6 +428,26 @@ TEST(WireRecordTest, EncodedBytesArePinned) {
                0x00, 0x00, 0x00, 0x00, 0x00, 0x00}));
 }
 
+TEST(WireRecordTest, FramedEncodingIsTheLengthPrefixedBody) {
+  // The hub writes records with encode_framed, one buffer per record;
+  // the stream bytes must stay FrameReassembler::frame of the body.
+  WireRecord frame;
+  frame.flip = 3;
+  frame.payload = pattern_payload(9, 3);
+  const auto same = [](const auto& record) {
+    return encode_framed(record) ==
+           FrameReassembler::frame(encode_record(record));
+  };
+  EXPECT_TRUE(same(HelloRecord{{1, 2, 8}}));
+  EXPECT_TRUE(same(frame));
+  EXPECT_TRUE(same(BarrierRecord{5}));
+  EXPECT_TRUE(same(HeartbeatRecord{5}));
+  EXPECT_TRUE(same(ReconnectRecord{{1, 2, 8}, 3}));
+  EXPECT_TRUE(same(ReconnectAckRecord{0, 6, 3}));
+  EXPECT_TRUE(same(ShareRecord{5, 2, std::vector<double>(23'860, 0.5)}));
+  EXPECT_TRUE(same(ShareRecord{5, 2, {}}));
+}
+
 TEST(WireRecordTest, RecordTypesDoNotCrossDecode) {
   // Each decoder owns exactly one type byte: feeding it a well-formed
   // record of any *other* type must fail whole, never alias fields.
